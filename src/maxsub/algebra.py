@@ -22,14 +22,16 @@ from .linalg import (
     Field,
     Subspace,
     Vec,
+    combine,
     echelonize,
     full_subspace,
     kernel,
+    mat_mul,
+    saturate,
     solve_one,
     unit_vec,
-    vec_add,
     vec_is_zero,
-    vec_scale,
+    vec_sub,
     zero_vec,
 )
 
@@ -189,36 +191,22 @@ class Subalgebra:
         return [list(r) for r in self.space.basis]
 
     @cached_property
-    def _algebra_and_inclusion(self) -> tuple[Algebra, tuple[Vec, ...]]:
+    def _algebra(self) -> Algebra:
         par = self.parent
         rows = self.basis_rows()
         names = tuple(f"s{i+1}" for i in range(len(rows)))
         unit = self.space.coords(list(par.unit))
-        table = []
-        for x in rows:
-            trow = []
-            for y in rows:
-                trow.append(tuple(self.space.coords(par.multiply(x, y))))
-            table.append(tuple(trow))
-        alg = Algebra(par.field, len(rows), names, tuple(unit), tuple(table))
-        return alg, tuple(tuple(r) for r in rows)
+        table = tuple(tuple(tuple(self.space.coords(par.multiply(x, y)))
+                            for y in rows) for x in rows)
+        return Algebra(par.field, len(rows), names, tuple(unit), table)
 
     def as_algebra(self) -> Algebra:
         """The subalgebra as an abstract structure-constant algebra."""
-        return self._algebra_and_inclusion[0]
-
-    def inclusion_rows(self) -> tuple[Vec, ...]:
-        """Images of the abstract basis inside the parent."""
-        return self._algebra_and_inclusion[1]
+        return self._algebra
 
     def embed(self, v: Sequence) -> list:
         """Coordinates in the subalgebra basis -> coordinates in the parent."""
-        par = self.parent
-        out = zero_vec(par.dim, par.field)
-        for c, row in zip(v, self.space.basis):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, list(row), par.field), par.field)
-        return out
+        return combine(v, self.space.basis, self.parent.field)
 
     def contains_vec(self, v: Sequence) -> bool:
         return self.space.contains_vec(v)
@@ -289,18 +277,12 @@ def bimodule_subspace(parent: Algebra, acting: Subalgebra, space: Subspace,
 def subalgebra_generated(a: Algebra, seeds: Iterable[Sequence]) -> Subalgebra:
     """Smallest unital subalgebra containing the seeds.
 
-    Iterates span + pairwise products to a fixed point; the dimension grows
-    strictly each round, so at most dim(a) rounds run.
+    It is the span of all words in the seeds: the unit saturated under
+    right multiplication by each seed.
     """
-    rows = [list(a.unit)] + [list(map(a.field.coerce, s)) for s in seeds]
-    space = echelonize(rows, a.dim, a.field)
-    while True:
-        prods = [a.multiply(list(x), list(y))
-                 for x in space.basis for y in space.basis]
-        bigger = echelonize(list(space.basis) + prods, a.dim, a.field)
-        if bigger.dim == space.dim:
-            return Subalgebra(a, space)
-        space = bigger
+    seeds = [list(map(a.field.coerce, s)) for s in seeds]
+    ops = [lambda x, s=s: a.multiply(x, s) for s in seeds]
+    return Subalgebra(a, saturate([a.unit], ops, a.dim, a.field))
 
 
 def centralizer(a: Algebra, s: Subspace) -> Subalgebra:
@@ -320,28 +302,16 @@ def centralizer_in(sub: Subalgebra, elements: Iterable[Sequence]) -> Subalgebra:
     par = sub.parent
     f = par.field
     rows = []
-    basis = sub.basis_rows()
+    basis_cols = [list(c) for c in zip(*sub.space.basis)]
     for v in elements:
         v = list(v)
         lv = par.left_mult_matrix(v)
         rv = par.right_mult_matrix(v)
-        for i in range(par.dim):
-            rows.append([
-                f.sub(
-                    sum_entry(rv[i], b, f),
-                    sum_entry(lv[i], b, f),
-                ) for b in basis])
-    ker = kernel(rows, len(basis), f)
+        comm = [vec_sub(rrow, lrow, f) for rrow, lrow in zip(rv, lv)]
+        rows += mat_mul(comm, basis_cols, f)
+    ker = kernel(rows, sub.dim, f)
     out_rows = [sub.embed(list(k)) for k in ker.basis]
     return subalgebra_from_rows(par, out_rows, check=False)
-
-
-def sum_entry(mat_row: Sequence, vec: Sequence, f: Field):
-    s = f.zero()
-    for m, v in zip(mat_row, vec):
-        if m != 0 and v != 0:
-            s = f.add(s, f.mul(m, v))
-    return s
 
 
 def invert_element(a: Algebra, x: Sequence) -> list | None:

@@ -30,6 +30,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     all_vectors,
+    combine,
     echelonize,
     kernel,
     mat_mul,
@@ -37,12 +38,11 @@ from .linalg import (
     quotient_space,
     rref,
     solve_one,
+    span_elements,
     subspace_intersection,
     tensor_index,
     unit_vec,
-    vec_add,
     vec_is_zero,
-    vec_scale,
     zero_vec,
 )
 from .modules import Module, make_module, regular_module
@@ -157,16 +157,8 @@ class TensorSquare:
     def multiply_down(self, e: Sequence) -> list:
         """The multiplication map u: B (x)_A B -> B on quotient coordinates."""
         b = self.b
-        f = b.field
-        full = self.quotient.lift(e)
-        out = zero_vec(b.dim, f)
-        n = b.dim
-        for i in range(n):
-            for j in range(n):
-                c = full[tensor_index(i, j, n)]
-                if c != 0:
-                    out = vec_add(out, vec_scale(c, list(b.table[i][j]), f), f)
-        return out
+        products = [row for table_row in b.table for row in table_row]
+        return combine(self.quotient.lift(e), products, b.field)
 
     def flank(self, x: Sequence, e: Sequence, y: Sequence) -> tuple:
         """x . e . y for algebra elements x, y acting on the two legs."""
@@ -386,11 +378,7 @@ def restrict_along(n: Module, source: Algebra, images: Sequence[Sequence]) -> Mo
     images = [list(map(f.coerce, v)) for v in images]
 
     def img(vec: Sequence) -> list:
-        out = zero_vec(b.dim, f)
-        for c, v in zip(vec, images):
-            if c != 0:
-                out = vec_add(out, vec_scale(c, v, f), f)
-        return out
+        return combine(vec, images, f)
 
     if img(list(source.unit)) != list(b.unit):
         raise InvalidInputError("morphism is not unital")
@@ -505,11 +493,7 @@ def _primitive_system_finite(s: Algebra) -> list[list] | None:
                 [s.multiply(s.multiply(e, s.basis_vector(k)), e)
                  for k in range(s.dim)], s.dim, f)
             found = None
-            for coeffs in all_vectors(corner.dim, f):
-                x = zero_vec(s.dim, f)
-                for c, row in zip(coeffs, corner.basis):
-                    if c != 0:
-                        x = vec_add(x, vec_scale(c, list(row), f), f)
+            for x in span_elements(corner):
                 if vec_is_zero(x) or x == e:
                     continue
                 if s.multiply(x, x) == x:
@@ -566,12 +550,8 @@ def decompose_module(m: Module, seed: int = 0) -> list[Module]:
     out = []
     total = 0
     for coords in lifted.idempotents:
-        fmat = [[f.zero()] * m.dim for _ in range(m.dim)]
-        for c, mat in zip(coords, mats):
-            if c != 0:
-                for i in range(m.dim):
-                    fmat[i] = [f.add(x, f.mul(c, y))
-                               for x, y in zip(fmat[i], mat[i])]
+        fmat = [combine(coords, [mat[i] for mat in mats], f)
+                for i in range(m.dim)]
         cols = [[fmat[i][j2] for i in range(m.dim)] for j2 in range(m.dim)]
         image = echelonize(cols, m.dim, f)
         if image.dim == 0:
@@ -658,11 +638,7 @@ def modules_isomorphic(m1: Module, m2: Module, seed: int = 0) -> bool:
     for coeffs in combos:
         if all(c == 0 for c in coeffs):
             continue
-        mat = [[f.zero()] * d for _ in range(d)]
-        for c, h in zip(coeffs, homs):
-            if c != 0:
-                for i in range(d):
-                    mat[i] = [f.add(x, f.mul(c, y)) for x, y in zip(mat[i], h[i])]
+        mat = [combine(coeffs, [h[i] for h in homs], f) for i in range(d)]
         if _is_invertible(mat, f):
             return True
     return False

@@ -25,14 +25,31 @@ Scalar = Fraction | int
 Vec = tuple[Scalar, ...]
 
 
+_PRIME_LIMIT = 1 << 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
 def _is_prime(n: int) -> bool:
+    """Miller-Rabin on the bases 2..37: deterministic for every n < 2^64."""
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -43,6 +60,8 @@ class Field:
     p: int | None = None
 
     def __post_init__(self):
+        if self.p is not None and self.p >= _PRIME_LIMIT:
+            raise InvalidInputError(f"{self.p} is not below 2^64")
         if self.p is not None and not _is_prime(self.p):
             raise InvalidInputError(f"{self.p} is not prime")
 
@@ -90,9 +109,6 @@ class Field:
         if a == 0:
             raise ZeroDivisionError("inverse of 0")
         return Fraction(1) / a
-
-    def div(self, a, b) -> Scalar:
-        return self.mul(a, self.inv(b))
 
     def elements(self) -> Iterator[Scalar]:
         if self.p is None:
@@ -145,6 +161,19 @@ def vec_sub(u, v, field: Field) -> list:
 
 def vec_scale(c, v, field: Field) -> list:
     return [field.mul(c, a) for a in v]
+
+
+def combine(coeffs: Sequence, rows: Sequence[Sequence], field: Field) -> list:
+    """The linear combination Σ cᵢ·rowᵢ, in one pass over the rows.
+
+    Rows with a zero coefficient are skipped.  The result has the length
+    of the rows; an empty row list gives the empty vector.
+    """
+    out = zero_vec(len(rows[0]) if rows else 0, field)
+    for c, row in zip(coeffs, rows):
+        if c != 0:
+            out = [field.add(o, field.mul(c, x)) for o, x in zip(out, row)]
+    return out
 
 
 def vec_is_zero(v) -> bool:
@@ -248,9 +277,6 @@ class Subspace:
             raise InvalidInputError("vector not in subspace")
         return coeffs
 
-    def is_full(self) -> bool:
-        return self.dim == self.ambient_dim
-
 
 def echelonize(rows: Iterable[Sequence], ambient_dim: int, field: Field) -> Subspace:
     """Canonical subspace spanned by the given rows of length ambient_dim."""
@@ -261,6 +287,48 @@ def echelonize(rows: Iterable[Sequence], ambient_dim: int, field: Field) -> Subs
     basis, pivots = rref(rows, field)
     return Subspace(field, ambient_dim,
                     tuple(tuple(r) for r in basis), tuple(pivots))
+
+
+def saturate(seeds: Iterable[Sequence], ops: Sequence[Callable[[list], Sequence]],
+             ambient_dim: int, field: Field) -> Subspace:
+    """Smallest subspace that holds the seeds and is mapped into itself by
+    every linear map in ops.
+
+    A fully reduced basis is kept: each new vector is reduced against it,
+    and each new basis vector is pushed through every op once.  The result
+    is the canonical echelon form, equal to `echelonize` of the closure.
+    """
+    basis: list[list] = []
+    pivots: list[int] = []
+    pending: list[list] = []
+
+    def add(v):
+        res, _ = reduce_vec(v, basis, pivots, field)
+        pc = next((i for i, x in enumerate(res) if x != 0), None)
+        if pc is None:
+            return
+        inv = field.inv(res[pc])
+        if inv != 1:
+            res = [field.mul(inv, x) for x in res]
+        for i, row in enumerate(basis):
+            c = row[pc]
+            if c != 0:
+                basis[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, res)]
+        basis.append(res)
+        pivots.append(pc)
+        pending.append(res)
+
+    for v in seeds:
+        if len(v) != ambient_dim:
+            raise DimensionError("row length != ambient dimension")
+        add([field.coerce(x) for x in v])
+    while pending:
+        v = pending.pop()
+        for op in ops:
+            add(op(v))
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return Subspace(field, ambient_dim, tuple(tuple(basis[i]) for i in order),
+                    tuple(pivots[i] for i in order))
 
 
 def zero_subspace(ambient_dim: int, field: Field) -> Subspace:
@@ -427,6 +495,16 @@ def all_vectors(n: int, field: Field) -> Iterator[tuple]:
     if not field.is_finite:
         raise NotFiniteFieldError("vector enumeration needs a finite field")
     return itertools.product(range(field.p), repeat=n)
+
+
+def span_elements(space: Subspace) -> Iterator[list]:
+    """Every element of a subspace of F_p^n, zero included, as the
+    combinations of its basis in `all_vectors` order."""
+    if not space.basis:
+        yield zero_vec(space.ambient_dim, space.field)
+        return
+    for coeffs in all_vectors(space.dim, space.field):
+        yield combine(coeffs, space.basis, space.field)
 
 
 # ---------------------------------------------------------------------------

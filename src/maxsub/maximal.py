@@ -37,6 +37,7 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     all_vectors,
+    combine,
     echelonize,
     enumerate_subspaces,
     identity_matrix,
@@ -44,6 +45,7 @@ from .linalg import (
     mat_mul,
     mat_vec,
     quotient_space,
+    saturate,
     subspace_contains,
     unit_vec,
     vec_add,
@@ -139,14 +141,6 @@ class RadicalComponents:
         return corner.dim if corner is not None else 0
 
 
-def _j_to_b(j_space: Subspace, v: Sequence, b: Algebra) -> list:
-    out = zero_vec(b.dim, b.field)
-    for c, row in zip(v, j_space.basis):
-        if c != 0:
-            out = vec_add(out, vec_scale(c, list(row), b.field), b.field)
-    return out
-
-
 def radical_components(b: Algebra, wm: WMData) -> RadicalComponents:
     j = wm.radical
     f = b.field
@@ -155,7 +149,7 @@ def radical_components(b: Algebra, wm: WMData) -> RadicalComponents:
     t = quotient_space(j.dim, jj_rows, f)
 
     def sandwich(u: Sequence, tvec: Sequence, v: Sequence) -> tuple:
-        x = _j_to_b(j, t.lift(tvec), b)
+        x = combine(t.lift(tvec), j.basis, f)
         prod = b.multiply(b.multiply(list(u), x), list(v))
         return t.project(j.coords(prod))
 
@@ -190,7 +184,8 @@ def radical_components(b: Algebra, wm: WMData) -> RadicalComponents:
 
 
 def _projective_functionals(m: int, field: Field) -> Iterator[tuple]:
-    """Canonical representatives of nonzero functionals up to scalar."""
+    """Canonical representatives of the nonzero vectors of F_p^m up to
+    scalar: the first nonzero coordinate is 1."""
     for lead in range(m):
         tail = m - lead - 1
         for rest in itertools.product(range(field.p), repeat=tail):
@@ -256,7 +251,7 @@ def enumerate_maximal_families(b: Algebra, seed: int = 0,
 
 def _irreducible_poly(p: int, d: int, field: Field) -> list:
     """A monic irreducible polynomial of degree d over F_p (ascending)."""
-    from .structure import _poly_divmod, _poly_mul
+    from .structure import _poly_divmod, _poly_eval, _poly_mul
 
     def poly_pow_x_mod(exp: int, modpoly: list) -> list:
         # X^exp mod modpoly by square-and-multiply on exponents of X
@@ -274,7 +269,7 @@ def _irreducible_poly(p: int, d: int, field: Field) -> list:
     for tail in itertools.product(range(p), repeat=d):
         poly = list(tail) + [1]
         poly = [field.coerce(c) for c in poly]
-        if any(_eval_poly(poly, field.coerce(c), field) == 0 for c in range(p)):
+        if any(_poly_eval(poly, field.coerce(c), field) == 0 for c in range(p)):
             continue
         xq = poly_pow_x_mod(p ** d, poly)
         xx = [field.zero(), field.one()]
@@ -283,13 +278,6 @@ def _irreducible_poly(p: int, d: int, field: Field) -> list:
         if all(c == 0 for c in diff):
             return poly
     raise VerificationFailedError(f"no irreducible polynomial of degree {d}")
-
-
-def _eval_poly(poly, x, field):
-    acc = field.zero()
-    for c in reversed(poly):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
 
 
 def instantiate_family(b: Algebra, fam: MaximalFamily,
@@ -362,20 +350,14 @@ def instantiate_family(b: Algebra, fam: MaximalFamily,
         jsp = comps.j_space
         # hyperplane of the multiplicity space: kernel of the functional
         ker = kernel([list(func)], m, f)
-        w_rows_t = []
-        for kv in ker.basis:
-            w = zero_vec(t.dim, f)
-            for c, crow in zip(kv, corner.basis):
-                if c != 0:
-                    w = vec_add(w, vec_scale(c, list(crow), f), f)
-            w_rows_t.append(w)
+        w_rows_t = [combine(kv, corner.basis, f) for kv in ker.basis]
         h_rows_t = []
         for (k2, l2), comp in comps.components.items():
             if (k2, l2) != (i, j):
                 h_rows_t.extend(list(r) for r in comp.basis)
         ni, nj = dims[i], dims[j]
         for w in w_rows_t:
-            wb = _j_to_b(jsp, t.lift(w), b)
+            wb = combine(t.lift(w), jsp.basis, f)
             for p in range(ni):
                 for q in range(nj):
                     prod = b.multiply(
@@ -384,8 +366,8 @@ def instantiate_family(b: Algebra, fam: MaximalFamily,
                     h_rows_t.append(list(t.project(jsp.coords(prod))))
         # pull back to B: lift T rows into J, add J^2
         jj_rows = [list(r) for r in t.relations.basis]
-        h_rows_b = [_j_to_b(jsp, t.lift(r), b) for r in h_rows_t]
-        h_rows_b += [_j_to_b(jsp, list(r), b) for r in jj_rows]
+        h_rows_b = [combine(t.lift(r), jsp.basis, f) for r in h_rows_t]
+        h_rows_b += [combine(r, jsp.basis, f) for r in jj_rows]
         rows = all_units_except(set()) + h_rows_b
     elif fam.kind == "subfield_centralizer":
         if not f.is_finite:
@@ -451,37 +433,24 @@ def _quotient_bimodule_ops(a: Subalgebra, b: Algebra,
 
 
 def _generated_operator_dim(mats: list[list], d: int, field: Field) -> int:
-    """Dimension of the unital algebra of d x d matrices they generate."""
-    flat = [[row[i][j] for i in range(d) for j in range(d)] for row in mats]
-    flat.append([identity_matrix(d, field)[i][j]
-                 for i in range(d) for j in range(d)])
-    span = echelonize(flat, d * d, field)
-    gens = [[list(mats[k][i]) for i in range(d)] for k in range(len(mats))]
-    while True:
-        basis_mats = [[[row[i * d + j] for j in range(d)] for i in range(d)]
-                      for row in span.basis]
-        new_rows = [list(r) for r in span.basis]
-        for m1 in basis_mats:
-            for m2 in gens:
-                prod = mat_mul(m1, m2, field)
-                new_rows.append([prod[i][j] for i in range(d) for j in range(d)])
-        bigger = echelonize(new_rows, d * d, field)
-        if bigger.dim == span.dim:
-            return span.dim
-        span = bigger
+    """Dimension of the unital algebra of d x d matrices they generate.
+
+    It is the span of all words in the matrices: the identity saturated
+    under right multiplication by each, on row-major flattened matrices.
+    """
+    def times(flat, g):
+        m = [flat[i * d:(i + 1) * d] for i in range(d)]
+        return [x for row in mat_mul(m, g, field) for x in row]
+
+    ident = [x for row in identity_matrix(d, field) for x in row]
+    ops = [lambda flat, g=g: times(flat, g) for g in mats]
+    return saturate([ident], ops, d * d, field).dim
 
 
 def _spin_up(v: Sequence, ops: list[list], d: int, field: Field) -> Subspace:
-    space = echelonize([list(v)], d, field)
-    while True:
-        rows = [list(r) for r in space.basis]
-        for r in space.basis:
-            for op in ops:
-                rows.append(mat_vec(op, list(r), field))
-        bigger = echelonize(rows, d, field)
-        if bigger.dim == space.dim:
-            return space
-        space = bigger
+    """The sub-bimodule generated by v: v saturated under the operators."""
+    maps = [lambda w, m=m: mat_vec(m, w, field) for m in ops]
+    return saturate([v], maps, d, field)
 
 
 def _pullback_if_closed(a: Subalgebra, b: Algebra, q: QuotientSpace,
@@ -511,27 +480,7 @@ def certify_maximal(a: Subalgebra, b: Algebra, seed: int = 0) -> Certificate:
     if _generated_operator_dim(ops, d, f) == d * d:
         return Certificate("maximal", "burnside", d)
     if f.is_finite:
-        all_full = True
-        for v in all_vectors(d, f):
-            if all(c == 0 for c in v):
-                continue
-            if _spin_up(v, ops, d, f).dim != d:
-                all_full = False
-                break
-        if all_full:
-            return Certificate("maximal", "spin_up", d)
-        for k in range(1, d):
-            for sub in enumerate_subspaces(d, k, f):
-                stable = all(
-                    sub.contains_vec(mat_vec(op, list(r), f))
-                    for r in sub.basis for op in ops)
-                if not stable:
-                    continue
-                witness = _pullback_if_closed(a, b, q, sub)
-                if witness is not None:
-                    return Certificate("not_maximal", "stable_subspace", d,
-                                       witness)
-        return Certificate("maximal", "exhaustive", d)
+        return _finite_certificate(a, b, q, ops)
     # over an infinite field: look for cyclic sub-bimodule witnesses
     candidates = []
     for kk in range(d):
@@ -553,36 +502,45 @@ def certify_maximal(a: Subalgebra, b: Algebra, seed: int = 0) -> Certificate:
     return Certificate("inconclusive", "burnside_failed", d)
 
 
-def spin_up_recheck(a: Subalgebra, b: Algebra) -> bool:
-    """Independent maximality recheck over a finite field.
+def _finite_certificate(a: Subalgebra, b: Algebra, q: QuotientSpace,
+                        ops: list[list]) -> Certificate:
+    """Exact certificate over a finite field, without the Burnside step.
 
-    Spins up every nonzero vector of B/A; if all spin-ups are full the
-    quotient is a simple bimodule and A is maximal.  When some spin-up is
-    proper, falls back to the exhaustive stable-subspace closure check.
+    B/A is simple when every nonzero vector spins up to all of it; as the
+    spin-up of c*v is that of v, one vector per line is enough.  Otherwise
+    the stable subspaces are enumerated and each pullback checked for
+    closure.
     """
-    if not b.field.is_finite:
-        raise NotFiniteFieldError("spin-up recheck needs a finite field")
     f = b.field
-    q, lops, rops = _quotient_bimodule_ops(a, b)
     d = q.dim
-    ops = lops + rops
-    simple = True
-    for v in all_vectors(d, f):
-        if all(c == 0 for c in v):
-            continue
-        if _spin_up(v, ops, d, f).dim != d:
-            simple = False
-            break
-    if simple:
-        return True
+    if all(_spin_up(v, ops, d, f).dim == d
+           for v in _projective_functionals(d, f)):
+        return Certificate("maximal", "spin_up", d)
     for k in range(1, d):
         for sub in enumerate_subspaces(d, k, f):
             stable = all(
                 sub.contains_vec(mat_vec(op, list(r), f))
                 for r in sub.basis for op in ops)
-            if stable and _pullback_if_closed(a, b, q, sub) is not None:
-                return False
-    return True
+            if not stable:
+                continue
+            witness = _pullback_if_closed(a, b, q, sub)
+            if witness is not None:
+                return Certificate("not_maximal", "stable_subspace", d,
+                                   witness)
+    return Certificate("maximal", "exhaustive", d)
+
+
+def spin_up_recheck(a: Subalgebra, b: Algebra) -> bool:
+    """Independent maximality recheck over a finite field.
+
+    The finite-field certificate of `certify_maximal` without its
+    Burnside step: spin-ups of every line of B/A, then the exhaustive
+    stable-subspace closure check when some spin-up is proper.
+    """
+    if not b.field.is_finite:
+        raise NotFiniteFieldError("spin-up recheck needs a finite field")
+    q, lops, rops = _quotient_bimodule_ops(a, b)
+    return _finite_certificate(a, b, q, lops + rops).status == "maximal"
 
 
 # ---------------------------------------------------------------------------

@@ -309,9 +309,6 @@ class Poset:
                         changed = True
         return frozenset(rel)
 
-    def leq(self, a: str, b: str) -> bool:
-        return (a, b) in self.leq_pairs()
-
     def comparable(self, a: str, b: str) -> bool:
         rel = self.leq_pairs()
         return (a, b) in rel or (b, a) in rel

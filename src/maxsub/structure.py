@@ -10,11 +10,12 @@ quotient has zero radical) before it is returned.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .algebra import Algebra, Subalgebra, subalgebra_from_rows
+from .algebra import Algebra, Subalgebra, centralizer, subalgebra_from_rows
 from .errors import (
     InvalidInputError,
     NotSplitError,
@@ -26,18 +27,21 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     Vec,
-    all_vectors,
+    combine,
     echelonize,
     full_subspace,
     kernel,
     quotient_space,
+    saturate,
     solve_one,
+    span_elements,
     subspace_intersection,
     subspace_sum,
     unit_vec,
     vec_add,
     vec_is_zero,
     vec_scale,
+    vec_sub,
     zero_vec,
 )
 from .modules import Module, make_module
@@ -50,18 +54,12 @@ SWEEP_CAP = 1 << 14
 
 def ideal_closure(a: Algebra, rows: Sequence[Sequence]) -> Subspace:
     """Two-sided ideal generated by the given elements."""
-    space = echelonize(rows, a.dim, a.field)
-    while True:
-        new_rows = list(space.basis)
-        for v in space.basis:
-            for k in range(a.dim):
-                bk = a.basis_vector(k)
-                new_rows.append(a.multiply(bk, list(v)))
-                new_rows.append(a.multiply(list(v), bk))
-        bigger = echelonize(new_rows, a.dim, a.field)
-        if bigger.dim == space.dim:
-            return space
-        space = bigger
+    ops = []
+    for k in range(a.dim):
+        bk = a.basis_vector(k)
+        ops += [lambda v, bk=bk: a.multiply(bk, v),
+                lambda v, bk=bk: a.multiply(v, bk)]
+    return saturate(rows, ops, a.dim, a.field)
 
 
 def is_two_sided_ideal(a: Algebra, s: Subspace) -> bool:
@@ -75,21 +73,9 @@ def is_two_sided_ideal(a: Algebra, s: Subspace) -> bool:
     return True
 
 
-def is_nilpotent_space(a: Algebra, s: Subspace) -> bool:
-    """True iff s^m = 0 for some m (s need not be an ideal)."""
-    power = s
-    while power.dim > 0:
-        rows = [a.multiply(list(x), list(y))
-                for x in power.basis for y in s.basis]
-        nxt = echelonize(rows, a.dim, a.field)
-        if nxt.dim >= power.dim:
-            return nxt.dim == 0
-        power = nxt
-    return True
-
-
-def nilpotency_degree(a: Algebra, s: Subspace) -> int:
-    """Least m with s^m = 0; raises if s is not nilpotent."""
+def _nilpotency(a: Algebra, s: Subspace) -> int | None:
+    """Least m with s^m = 0, or None once the chain of powers stops
+    shrinking (s need not be an ideal)."""
     power = s
     m = 1
     while power.dim > 0:
@@ -97,9 +83,22 @@ def nilpotency_degree(a: Algebra, s: Subspace) -> int:
                 for x in power.basis for y in s.basis]
         nxt = echelonize(rows, a.dim, a.field)
         if nxt.dim >= power.dim:
-            raise InvalidInputError("subspace is not nilpotent")
+            return None
         power = nxt
         m += 1
+    return m
+
+
+def is_nilpotent_space(a: Algebra, s: Subspace) -> bool:
+    """True iff s^m = 0 for some m (s need not be an ideal)."""
+    return _nilpotency(a, s) is not None
+
+
+def nilpotency_degree(a: Algebra, s: Subspace) -> int:
+    """Least m with s^m = 0; raises if s is not nilpotent."""
+    m = _nilpotency(a, s)
+    if m is None:
+        raise InvalidInputError("subspace is not nilpotent")
     return m
 
 
@@ -143,13 +142,9 @@ def _radical_sweep(a: Algebra, within: Subspace) -> Subspace:
         raise UnsupportedFieldError(
             f"radical sweep over {p}^{within.dim} elements exceeds the cap")
     passing = []
-    for coeffs in all_vectors(within.dim, a.field):
-        if all(c == 0 for c in coeffs):
+    for x in span_elements(within):
+        if vec_is_zero(x):
             continue
-        x = zero_vec(a.dim, a.field)
-        for c, row in zip(coeffs, within.basis):
-            if c != 0:
-                x = vec_add(x, vec_scale(c, list(row), a.field), a.field)
         ideal = ideal_closure(a, [x])
         if is_nilpotent_space(a, ideal):
             passing.append(x)
@@ -306,7 +301,7 @@ def _poly_roots(poly: Sequence, field: Field, limit: int = 4096) -> list:
         from fractions import Fraction
         denlcm = 1
         for c in poly:
-            denlcm = denlcm * c.denominator // _gcd(denlcm, c.denominator)
+            denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
         ints = [int(c * denlcm) for c in poly]
         while ints and ints[-1] == 0:
             ints.pop()
@@ -338,12 +333,6 @@ def _poly_eval(poly: Sequence, x, field: Field):
     for c in reversed(list(poly)):
         acc = field.add(field.mul(acc, x), c)
     return acc
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _divisors(n: int, limit: int) -> list[int]:
@@ -405,17 +394,6 @@ class StructureReport:
     failure: str | None = None
 
 
-def _center(s: Algebra) -> Subspace:
-    rows = []
-    for k in range(s.dim):
-        bk = s.basis_vector(k)
-        lm = s.left_mult_matrix(bk)
-        rm = s.right_mult_matrix(bk)
-        for i in range(s.dim):
-            rows.append([s.field.sub(lm[i][j], rm[i][j]) for j in range(s.dim)])
-    return kernel(rows, s.dim, s.field)
-
-
 def _corner_split(s: Algebra, e: Sequence, y: Sequence) -> list | None:
     """Split the idempotent e using the element y = e*y*e, if possible.
 
@@ -458,11 +436,8 @@ def _split_central_idempotents(s: Algebra, center: Subspace, seed: int,
     candidates = [list(v) for v in center.basis]
     rng = random.Random(seed)
     for _ in range(8):
-        combo = zero_vec(s.dim, f)
-        for v in center.basis:
-            c = f.coerce(rng.randint(0, 5))
-            combo = vec_add(combo, vec_scale(c, list(v), f), f)
-        candidates.append(combo)
+        coeffs = [f.coerce(rng.randint(0, 5)) for _ in center.basis]
+        candidates.append(combine(coeffs, center.basis, f))
     changed = True
     while changed:
         changed = False
@@ -500,20 +475,10 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence, seed: int,
     rng = random.Random(seed)
     candidates = [list(v) for v in corner.basis]
     for _ in range(12):
-        combo = zero_vec(s.dim, f)
-        for v in corner.basis:
-            combo = vec_add(combo,
-                            vec_scale(f.coerce(rng.randint(0, 5)), list(v), f), f)
-        candidates.append(combo)
+        coeffs = [f.coerce(rng.randint(0, 5)) for _ in corner.basis]
+        candidates.append(combine(coeffs, corner.basis, f))
     if f.is_finite and f.p ** corner.dim <= SWEEP_CAP:
-        sweep = []
-        for coeffs in all_vectors(corner.dim, f):
-            x = zero_vec(s.dim, f)
-            for c, row in zip(coeffs, corner.basis):
-                if c != 0:
-                    x = vec_add(x, vec_scale(c, list(row), f), f)
-            sweep.append(x)
-        candidates.extend(sweep)
+        candidates.extend(span_elements(corner))
     for y0 in candidates:
         y = s.multiply(s.multiply(list(e), y0), list(e))
         u = _corner_split(s, e, y)
@@ -535,7 +500,6 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence, seed: int,
                   for k in range(s.dim)]
     block = echelonize(block_rows, s.dim, f)
     d = block.dim
-    n2 = int(round(d ** 0.5)) ** 2
     n = int(round(d ** 0.5))
     if n * n != d:
         return None
@@ -567,11 +531,7 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence, seed: int,
             t = solve_one(system, rhs, f)
             if t is None:
                 return None
-            u = zero_vec(s.dim, f)
-            for c, w in zip(t, block.basis):
-                if c != 0:
-                    u = vec_add(u, vec_scale(c, list(w), f), f)
-            units[p][q] = u
+            units[p][q] = combine(t, block.basis, f)
     # verify the matrix-unit relations exactly
     for p in range(n):
         for q in range(n):
@@ -599,7 +559,7 @@ def semisimple_blocks(b: Algebra, j: Subspace, seed: int = 0) -> StructureReport
     s, q = quotient_algebra(b, j)
     if s.dim == 0:
         raise InvalidInputError("quotient algebra is zero")
-    center = _center(s)
+    center = centralizer(s, full_subspace(s.dim, s.field)).space
     idems, primitive = _split_central_idempotents(s, center, seed)
     if not primitive:
         return StructureReport(j, None, tuple(tuple(e) for e in idems), False,
@@ -679,7 +639,7 @@ def lift_idempotents(b: Algebra, j: Subspace, bar_system: Sequence[Sequence],
     partial = zero_vec(b.dim, f)
     for e_bar in bar_system:
         g = _newton_idempotent(b, q.lift(list(map(f.coerce, e_bar))), rounds)
-        rest = vec_sub_list(list(b.unit), partial, f)
+        rest = vec_sub(list(b.unit), partial, f)
         x = b.multiply(b.multiply(rest, g), rest)
         e = _newton_idempotent(b, x, rounds)
         lifted.append(e)
@@ -694,10 +654,6 @@ def lift_idempotents(b: Algebra, j: Subspace, bar_system: Sequence[Sequence],
         if q.project(e) != tuple(map(f.coerce, bar_system[i])):
             raise VerificationFailedError("lift does not reduce to its input")
     return IdempotentSystem(b, tuple(tuple(e) for e in lifted))
-
-
-def vec_sub_list(u, v, f):
-    return [f.sub(a, c) for a, c in zip(u, v)]
 
 
 @dataclass(frozen=True)
@@ -718,7 +674,7 @@ class WMData:
 def _corner_inverse(b: Algebra, f_unit: list, t: list) -> list:
     """Inverse of t inside the corner with unit f_unit, for t = f_unit - nil."""
     f = b.field
-    nu = vec_sub_list(f_unit, t, f)
+    nu = vec_sub(f_unit, t, f)
     acc = list(f_unit)
     term = list(f_unit)
     for _ in range(b.dim + 1):
@@ -842,7 +798,7 @@ def conjugating_unit(b: Algebra, e_sys: IdempotentSystem, f_sys: IdempotentSyste
         ebf = echelonize([b.multiply(b.multiply(e, b.basis_vector(k)), fi)
                           for k in range(b.dim)], b.dim, f)
         witness = None
-        for cand in _witness_candidates(fbe, f, seed):
+        for cand in _witness_candidates(fbe, f):
             partner = _solve_partner(b, cand, ebf, e, fi)
             if partner is not None:
                 witness = (cand, partner)
@@ -862,23 +818,18 @@ def conjugating_unit(b: Algebra, e_sys: IdempotentSystem, f_sys: IdempotentSyste
     return total_a
 
 
-def _witness_candidates(space: Subspace, f: Field, seed: int):
+def _witness_candidates(space: Subspace, f: Field):
     if space.dim == 0:
         return
     if f.is_finite and f.p ** space.dim <= SWEEP_CAP:
-        coeff_iter = all_vectors(space.dim, f)
+        elements = span_elements(space)
     else:
-        rng = random.Random(seed)
         box = [f.coerce(c) for c in (0, 1, -1, 2, -2)]
-        coeff_iter = itertools.product(box, repeat=space.dim)
-    for coeffs in coeff_iter:
-        if all(c == 0 for c in coeffs):
-            continue
-        x = zero_vec(space.ambient_dim, f)
-        for c, row in zip(coeffs, space.basis):
-            if c != 0:
-                x = vec_add(x, vec_scale(c, list(row), f), f)
-        yield x
+        elements = (combine(coeffs, space.basis, f)
+                    for coeffs in itertools.product(box, repeat=space.dim))
+    for x in elements:
+        if not vec_is_zero(x):
+            yield x
 
 
 def _solve_partner(b: Algebra, a_i: list, ebf: Subspace, e: list, fi: list,
@@ -897,11 +848,7 @@ def _solve_partner(b: Algebra, a_i: list, ebf: Subspace, e: list, fi: list,
     t = solve_one(system, rhs, f)
     if t is None:
         return None
-    out = zero_vec(b.dim, f)
-    for c, w in zip(t, ebf.basis):
-        if c != 0:
-            out = vec_add(out, vec_scale(c, list(w), f), f)
-    return out
+    return combine(t, ebf.basis, f)
 
 
 # ---------------------------------------------------------------------------

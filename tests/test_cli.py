@@ -2,6 +2,7 @@
 
 import json
 import os
+import time
 
 import pytest
 
@@ -81,6 +82,17 @@ def test_exit_code_bad_span():
                       "data/scalars_m2q.span"])
     assert code == 0   # scalars form a subalgebra; certificate says not maximal
     assert "not_maximal" in text
+
+
+def test_huge_field_characteristic_is_a_parse_error(tmp_path):
+    bad = tmp_path / "huge.alg"
+    bad.write_text("field F 1000000000000000000000000000057\n"
+                   "dim 1\nbasis e\nunit 1\nmul 1 1 -> 1:1\n")
+    start = time.perf_counter()
+    code, text = run(["structure", str(bad)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert text.startswith("parse error")
 
 
 def test_malformed_algebra_rejected(tmp_path):

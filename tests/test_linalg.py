@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon forms, solving, subspaces, enumeration."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -18,7 +19,9 @@ from maxsub.linalg import (
     kernel,
     mat_vec,
     quotient_space,
+    saturate,
     solve_linear,
+    span_elements,
     subspace_contains,
     subspace_intersection,
     subspace_ops,
@@ -34,6 +37,26 @@ F3 = GF(3)
 def test_field_rejects_composite():
     with pytest.raises(InvalidInputError):
         GF(6)
+
+
+def test_field_primality_is_exact_below_2_64():
+    start = time.perf_counter()
+    assert GF(2 ** 61 - 1).p == 2 ** 61 - 1
+    assert GF(18446744073709551557).p == 18446744073709551557
+    # a Carmichael number, strong pseudoprimes to the bases 2..7 and 2..23,
+    # and the square of a prime
+    for n in (561, 3215031751, 3825123056546413051, (2 ** 31 - 1) ** 2):
+        with pytest.raises(InvalidInputError):
+            GF(n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_field_rejects_characteristic_from_2_64_up():
+    start = time.perf_counter()
+    for n in (2 ** 64 + 13, 10 ** 30 + 57):
+        with pytest.raises(InvalidInputError):
+            GF(n)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_echelonize_zero_matrix():
@@ -233,6 +256,42 @@ def test_kernel_vectors_annihilate(rows):
     ker = kernel(rows, 4, F3)
     for kv in ker.basis:
         assert mat_vec(rows, list(kv), F3) == [0] * len(rows)
+
+
+def _fixpoint(seeds, ops, n, field):
+    """Reference closure: re-echelonize the span and its images until the
+    dimension stops growing."""
+    space = echelonize(seeds, n, field)
+    while True:
+        rows = [list(r) for r in space.basis]
+        rows += [op(list(r)) for r in space.basis for op in ops]
+        bigger = echelonize(rows, n, field)
+        if bigger.dim == space.dim:
+            return space
+        space = bigger
+
+
+@pytest.mark.parametrize("field", [F2, F3, QQ], ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_saturate_matches_fixpoint(field, data):
+    n = data.draw(st.integers(1, 5))
+    entry = st.integers(-2, 2) if field.p is None else st.integers(0, field.p - 1)
+    vec = st.lists(entry, min_size=n, max_size=n)
+    seeds = data.draw(st.lists(vec, max_size=3))
+    mats = data.draw(st.lists(st.lists(vec, min_size=n, max_size=n),
+                              max_size=3))
+    ops = [lambda v, m=m: mat_vec(m, v, field) for m in mats]
+    assert saturate(seeds, ops, n, field) == _fixpoint(seeds, ops, n, field)
+
+
+@pytest.mark.parametrize("field", [F2, F3], ids=str)
+def test_span_elements_are_the_distinct_members(field):
+    space = echelonize([[1, 0, 2, 1], [0, 1, 1, 0], [0, 0, 0, 0]], 4, field)
+    members = [tuple(x) for x in span_elements(space)]
+    assert len(members) == len(set(members)) == field.p ** space.dim
+    assert all(space.contains_vec(x) for x in members)
+    assert members[0] == (0, 0, 0, 0)
 
 
 def test_enumerate_filter_applied():

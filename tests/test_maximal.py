@@ -12,7 +12,11 @@ from conftest import (
     kxkxm2,
     quiver_algebra,
 )
-from maxsub.algebra import matrix_algebra, subalgebra_from_rows
+from maxsub.algebra import (
+    is_closed_subspace,
+    matrix_algebra,
+    subalgebra_from_rows,
+)
 from maxsub.errors import CapExceededError, InvalidInputError, NotSplitError
 from maxsub.linalg import GF, QQ
 from maxsub.maximal import (
@@ -150,6 +154,16 @@ def test_certify_f4_via_spin_up(m2f2):
     assert cert.status == "maximal"
     assert cert.method in ("spin_up", "exhaustive")
     assert spin_up_recheck(sub, m2f2)
+
+
+def test_certify_scalars_in_m2f2_not_maximal(m2f2):
+    scalars = subalgebra_from_rows(m2f2, [list(m2f2.unit)])
+    cert = certify_maximal(scalars, m2f2)
+    assert (cert.status, cert.method) == ("not_maximal", "stable_subspace")
+    assert 1 < cert.witness.dim < 4
+    assert is_closed_subspace(m2f2, cert.witness.space)
+    assert cert.witness.space.contains_vec(list(m2f2.unit))
+    assert not spin_up_recheck(scalars, m2f2)
 
 
 def test_certify_rejects_improper(m2q):
