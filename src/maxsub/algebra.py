@@ -8,7 +8,9 @@ they always share the unit of the parent.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -34,6 +36,8 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
+
+_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -85,11 +89,48 @@ class Algebra:
                     out.append((i, j, row))
         return tuple(out)
 
+    @cached_property
+    def _int_table(self) -> tuple[int, tuple]:
+        """(D, rows): D is the common denominator of the structure constants
+        (1 over F_p), and rows[i] lists (j, ((k, D·c_ijk), ...)) for every
+        nonzero product b_i·b_j, keeping only the nonzero k."""
+        d = 1
+        if self.field.p is None:
+            d = math.lcm(1, *(c.denominator for r in self.table for v in r for c in v))
+        rows = tuple(
+            tuple((j, tuple((k, c.numerator * (d // c.denominator))
+                            for k, c in enumerate(v) if c != 0))
+                  for j, v in enumerate(r) if not vec_is_zero(v))
+            for r in self.table)
+        return d, rows
+
+    def _multiply_q(self, x: Sequence, y: Sequence) -> list:
+        """The product over Q on integer numerators: x and y are cleared to
+        their lcm denominators, and one Fraction is built per coordinate."""
+        d, rows = self._int_table
+        dx = math.lcm(1, *(c.denominator for c in x))
+        dy = math.lcm(1, *(c.denominator for c in y))
+        xs = [c.numerator * (dx // c.denominator) for c in x]
+        ys = [c.numerator * (dy // c.denominator) for c in y]
+        acc = [0] * self.dim
+        for group, xi in zip(rows, xs):
+            if xi:
+                for j, row in group:
+                    c = ys[j]
+                    if c:
+                        c *= xi
+                        for k, t in row:
+                            acc[k] += c * t
+        den = d * dx * dy
+        return [Fraction(v, den) if v else _ZERO for v in acc]
+
     def multiply(self, x: Sequence, y: Sequence) -> list:
         """Bilinear extension of the structure-constant table."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("vector length != algebra dimension")
         f = self.field
+        if f.p is None:
+            return self._multiply_q(x, y)
         out = zero_vec(self.dim, f)
         for i, j, row in self._nonzero_table:
             xi = x[i]
@@ -131,28 +172,35 @@ class ValidationReport:
 
 
 def validate_algebra(a: Algebra) -> ValidationReport:
-    """Check associativity on all basis triples and the unit laws."""
+    """Check associativity on all basis triples and the unit laws.
+
+    Associativity compares (b_i b_j) b_k with b_i (b_j b_k) on the integer
+    table: both sides carry the scale D², and over F_p both are taken mod p.
+    """
     bad = []
-    f = a.field
     for i in range(a.dim):
         bi = a.basis_vector(i)
         if a.multiply(a.unit, bi) != bi:
             bad.append(f"unit * {a.basis_names[i]} != {a.basis_names[i]}")
         if a.multiply(bi, list(a.unit)) != bi:
             bad.append(f"{a.basis_names[i]} * unit != {a.basis_names[i]}")
-    for i in range(a.dim):
-        bi = a.basis_vector(i)
-        for j in range(a.dim):
-            bj = a.basis_vector(j)
-            ij = a.table[i][j]
+    p = a.field.p
+    grid = [dict(group) for group in a._int_table[1]]
+    names = a.basis_names
+    for i, gi in enumerate(grid):
+        for j, gj in enumerate(grid):
+            ij = gi.get(j, ())
             for k in range(a.dim):
-                bk = a.basis_vector(k)
-                left = a.multiply(list(ij), bk)
-                right = a.multiply(bi, list(a.table[j][k]))
-                if left != right:
-                    bad.append(
-                        "associativity fails at "
-                        f"({a.basis_names[i]}, {a.basis_names[j]}, {a.basis_names[k]})")
+                diff = [0] * a.dim
+                for m, t in ij:
+                    for l, u in grid[m].get(k, ()):
+                        diff[l] += t * u
+                for m, t in gj.get(k, ()):
+                    for l, u in gi.get(m, ()):
+                        diff[l] -= t * u
+                if any(diff) if p is None else any(v % p for v in diff):
+                    bad.append("associativity fails at "
+                               f"({names[i]}, {names[j]}, {names[k]})")
     return ValidationReport(tuple(bad))
 
 

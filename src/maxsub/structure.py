@@ -288,44 +288,114 @@ def poly_eval_in_algebra(poly: Sequence, x: Sequence, unit: Sequence,
 
 
 def _poly_roots(poly: Sequence, field: Field, limit: int = 4096) -> list:
-    """All roots in the base field, found exactly."""
+    """All roots in the base field, found exactly, each as often as its
+    multiplicity; over F_p in ascending order."""
     f = field
     poly = _poly_trim(list(poly), f)
     if len(poly) <= 1:
         return []
+    if not f.is_finite:
+        return _rational_roots(poly, limit)
     roots = []
-    if f.is_finite:
-        candidates = list(range(f.p))
-    else:
-        # rational root theorem on the integer-cleared polynomial
-        from fractions import Fraction
-        denlcm = 1
-        for c in poly:
-            denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
-        ints = [int(c * denlcm) for c in poly]
-        while ints and ints[-1] == 0:
-            ints.pop()
-        a0_idx = next((i for i, c in enumerate(ints) if c != 0), None)
-        candidates = [Fraction(0)] if a0_idx else []
-        if a0_idx is not None:
-            a0, an = abs(ints[a0_idx]), abs(ints[-1])
-            ps = _divisors(a0, limit)
-            qs = _divisors(an, limit)
-            seen = set()
-            for pp in ps:
-                for qq in qs:
-                    for sign in (1, -1):
-                        c = Fraction(sign * pp, qq)
-                        if c not in seen:
-                            seen.add(c)
-                            candidates.append(c)
-    work = list(poly)
-    for c in candidates:
+    work = poly
+    for c in sorted(_distinct_roots_mod_p(poly, f)):
         while len(work) > 1 and _poly_eval(work, c, f) == 0:
             roots.append(c)
             work, rem = _poly_divmod(work, [f.neg(c), f.one()], f)
             assert not rem
     return roots
+
+
+def _distinct_roots_mod_p(poly: list, f: Field) -> list[int]:
+    """The distinct roots of poly in F_p: the linear part gcd(poly, x^p - x),
+    split by equal-degree factorization (Cantor-Zassenhaus)."""
+    if f.p == 2:
+        return [c for c in (0, 1) if _poly_eval(poly, c, f) == 0]
+    x = [0, 1]
+    xp = _poly_powmod(x, f.p, poly, f)
+    g, _, _ = _poly_ext_gcd(poly, _poly_sub(xp, x, f), f)
+    return _split_linear(g, f)
+
+
+def _split_linear(g: list, f: Field) -> list[int]:
+    """Roots of a monic, squarefree product of distinct linear factors over
+    F_p (p odd), split by gcd((x + a)^((p-1)/2) - 1, g) for a = 0, 1, ..."""
+    if len(g) <= 2:
+        return [f.neg(g[0])] if len(g) == 2 else []
+    for a in range(f.p):
+        half = _poly_powmod([a, 1], (f.p - 1) // 2, g, f)
+        h, _, _ = _poly_ext_gcd(g, _poly_sub(half, [1], f), f)
+        if 1 < len(h) < len(g):
+            return (_split_linear(h, f)
+                    + _split_linear(_poly_divmod(g, h, f)[0], f))
+    raise VerificationFailedError("equal-degree splitting found no split")
+
+
+def _poly_powmod(base: list, e: int, mod: list, f: Field) -> list:
+    """base^e modulo mod, by repeated squaring."""
+    out = [f.one()]
+    base = _poly_divmod(base, mod, f)[1]
+    while e:
+        if e & 1:
+            out = _poly_divmod(_poly_mul(out, base, f), mod, f)[1]
+        base = _poly_divmod(_poly_mul(base, base, f), mod, f)[1]
+        e >>= 1
+    return out
+
+
+def _rational_roots(poly: list, limit: int) -> list:
+    """Rational roots with multiplicity, by the rational root theorem on the
+    integer-cleared polynomial.  A candidate a/b is a root of Σ c_i x^i
+    (degree d) exactly when Σ c_i a^i b^(d-i) = 0, which is tested in ints;
+    each root found is divided out as the integer factor b·x - a."""
+    from fractions import Fraction
+    denlcm = 1
+    for c in poly:
+        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
+    work = [int(c * denlcm) for c in poly]
+    a0_idx = next(i for i, c in enumerate(work) if c != 0)
+    candidates = [Fraction(0)] if a0_idx else []
+    a0, an = abs(work[a0_idx]), abs(work[-1])
+    ps = _divisors(a0, limit)
+    qs = _divisors(an, limit)
+    seen = set()
+    for pp in ps:
+        for qq in qs:
+            for sign in (1, -1):
+                c = Fraction(sign * pp, qq)
+                if c not in seen:
+                    seen.add(c)
+                    candidates.append(c)
+    roots = []
+    for c in candidates:
+        a, b = c.numerator, c.denominator
+        while len(work) > 1 and _int_homogeneous_eval(work, a, b) == 0:
+            roots.append(c)
+            work = _int_div_linear(work, a, b)
+    return roots
+
+
+def _int_homogeneous_eval(poly: list[int], a: int, b: int) -> int:
+    """Σ c_i a^i b^(d-i): b^d times the value of poly at a/b."""
+    acc = poly[-1]
+    bp = 1
+    for c in reversed(poly[:-1]):
+        bp *= b
+        acc = acc * a + c * bp
+    return acc
+
+
+def _int_div_linear(poly: list[int], a: int, b: int) -> list[int]:
+    """poly / (b·x - a) for a root a/b in lowest terms; exact in Z[x] by
+    Gauss's lemma."""
+    q = [0] * (len(poly) - 1)
+    carry = 0
+    for i in range(len(poly) - 1, 0, -1):
+        carry, rem = divmod(poly[i] + a * carry, b)
+        assert rem == 0
+        q[i - 1] = carry
+    assert poly[0] + a * carry == 0
+    return q
 
 
 def _poly_eval(poly: Sequence, x, field: Field):
@@ -473,14 +543,26 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence, seed: int,
     if corner.dim == 1:
         return list(e)
     rng = random.Random(seed)
-    candidates = [list(v) for v in corner.basis]
-    for _ in range(12):
-        coeffs = [f.coerce(rng.randint(0, 5)) for _ in corner.basis]
-        candidates.append(combine(coeffs, corner.basis, f))
-    if f.is_finite and f.p ** corner.dim <= SWEEP_CAP:
-        candidates.extend(span_elements(corner))
-    for y0 in candidates:
-        y = s.multiply(s.multiply(list(e), y0), list(e))
+
+    def candidates():
+        yield from corner.basis
+        for _ in range(12):
+            coeffs = [f.coerce(rng.randint(0, 5)) for _ in corner.basis]
+            yield combine(coeffs, corner.basis, f)
+        if f.is_finite and f.p ** corner.dim <= SWEEP_CAP:
+            yield from span_elements(corner)
+        # a random element of a split M_2 often has an irreducible quadratic
+        # minimal polynomial, and in some dense bases over Q only 2-3 % of
+        # the draws below split; products of corner basis vectors and 200
+        # wider draws find a splitting element in nearly every case
+        for u, v in itertools.product(corner.basis, repeat=2):
+            yield s.multiply(list(u), list(v))
+        for _ in range(200):
+            coeffs = [f.coerce(rng.randint(-9, 9)) for _ in corner.basis]
+            yield combine(coeffs, corner.basis, f)
+
+    for y0 in candidates():
+        y = s.multiply(s.multiply(list(e), list(y0)), list(e))
         u = _corner_split(s, e, y)
         if u is not None:
             rest = [f.sub(a, b) for a, b in zip(e, u)]

@@ -22,7 +22,7 @@ from maxsub.algebra import (
 )
 from maxsub.errors import InvalidInputError
 from maxsub.formats import dump_algebra, parse_algebra
-from maxsub.linalg import GF, QQ, echelonize, full_subspace
+from maxsub.linalg import GF, QQ, echelonize, full_subspace, solve_one
 
 F2 = GF(2)
 F3 = GF(3)
@@ -44,6 +44,98 @@ def test_validate_flags_broken_table():
 
 def test_validate_path_algebra(a3_q):
     assert validate_algebra(a3_q).ok
+
+
+# The per-scalar product loop and the basis-vector triple loop that the
+# integer table replaced, kept as references for the differential tests.
+
+def _reference_multiply(a, x, y):
+    f = a.field
+    out = [f.zero()] * a.dim
+    for i in range(a.dim):
+        for j in range(a.dim):
+            row = a.table[i][j]
+            if x[i] == 0 or y[j] == 0 or all(c == 0 for c in row):
+                continue
+            c = f.mul(x[i], y[j])
+            out = [f.add(o, f.mul(c, r)) for o, r in zip(out, row)]
+    return out
+
+
+def _reference_violations(a):
+    bad = []
+    for i in range(a.dim):
+        bi = a.basis_vector(i)
+        if _reference_multiply(a, a.unit, bi) != bi:
+            bad.append(f"unit * {a.basis_names[i]} != {a.basis_names[i]}")
+        if _reference_multiply(a, bi, list(a.unit)) != bi:
+            bad.append(f"{a.basis_names[i]} * unit != {a.basis_names[i]}")
+    for i in range(a.dim):
+        bi = a.basis_vector(i)
+        for j in range(a.dim):
+            for k in range(a.dim):
+                bk = a.basis_vector(k)
+                left = _reference_multiply(a, list(a.table[i][j]), bk)
+                right = _reference_multiply(a, bi, list(a.table[j][k]))
+                if left != right:
+                    bad.append(
+                        "associativity fails at "
+                        f"({a.basis_names[i]}, {a.basis_names[j]}, {a.basis_names[k]})")
+    return tuple(bad)
+
+
+_rationals = st.one_of(
+    st.just(0),
+    st.integers(-5, 5),
+    st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_q_multiply_matches_reference_loop(data):
+    n = data.draw(st.integers(1, 4))
+    entries = st.lists(_rationals, min_size=n, max_size=n).map(tuple)
+    table = tuple(tuple(data.draw(entries) for _ in range(n)) for _ in range(n))
+    a = Algebra(QQ, n, tuple(f"b{i}" for i in range(n)), (Fraction(1),) * n,
+                table)
+    x = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    y = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    for u, v in ((x, y), ([0] * n, y), (x, [0] * n)):
+        got = a.multiply(u, v)
+        assert got == _reference_multiply(a, u, v)
+        assert all(type(c) is Fraction for c in got)
+
+
+@settings(max_examples=40, deadline=None)
+@given(field=st.sampled_from([QQ, F3]),
+       changes=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                  st.integers(0, 3), st.integers(1, 2)),
+                        min_size=1, max_size=3, unique_by=lambda c: c[:3]))
+def test_validate_matches_reference_triple_loop(field, changes):
+    m2 = matrix_algebra(2, field)
+    table = [[list(v) for v in row] for row in m2.table]
+    for i, j, k, delta in changes:
+        table[i][j][k] = field.add(table[i][j][k], field.coerce(delta))
+    bad = Algebra(field, 4, m2.basis_names, m2.unit,
+                  tuple(tuple(tuple(v) for v in row) for row in table))
+    violations = validate_algebra(bad).violations
+    assert violations == _reference_violations(bad)
+    if len(changes) == 1:
+        assert violations   # any single change breaks a law of M_2
+
+
+def test_validate_reduces_mod_p():
+    # M_2(F_3) in a dense basis: associative mod 3, but its reduced
+    # structure constants read as integers are not
+    p = [[1, 1, 0, 2], [0, 1, 2, 1], [2, 0, 1, 1], [1, 2, 1, 0]]
+    m2 = matrix_algebra(2, F3)
+    cols = [list(c) for c in zip(*p)]
+    table = tuple(tuple(tuple(solve_one(cols, m2.multiply(x, y), F3))
+                        for y in p) for x in p)
+    unit = tuple(solve_one(cols, list(m2.unit), F3))
+    names = ("b1", "b2", "b3", "b4")
+    assert validate_algebra(Algebra(F3, 4, names, unit, table)).ok
+    assert not validate_algebra(Algebra(QQ, 4, names, unit, table)).ok
 
 
 def test_multiply_unit(m2q):

@@ -95,6 +95,17 @@ def test_huge_field_characteristic_is_a_parse_error(tmp_path):
     assert text.startswith("parse error")
 
 
+def test_structure_over_a_61_bit_prime_field(tmp_path):
+    kxk = tmp_path / "kxk.alg"
+    kxk.write_text("field F 2305843009213693951\n"
+                   "dim 2\nbasis a b\nunit 1 1\nmul 1 1 -> 1:1\nmul 2 2 -> 2:1\n")
+    start = time.perf_counter()
+    code, text = run(["structure", str(kxk)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "schur: true" in text
+
+
 def test_malformed_algebra_rejected(tmp_path):
     bad = tmp_path / "bad.alg"
     bad.write_text("field Q\ndim 2\nbasis a b\nunit 1 0\nmul 1 5 -> 1:1\n")

@@ -1,5 +1,8 @@
 """Radical, blocks, idempotent lifting, Wedderburn-Malcev, conjugating units."""
 
+import time
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +22,7 @@ from maxsub.algebra import (
     subalgebra_from_rows,
 )
 from maxsub.errors import NotSplitError, UnsupportedFieldError
+from maxsub.formats import parse_algebra
 from maxsub.linalg import (
     GF,
     QQ,
@@ -30,6 +34,10 @@ from maxsub.linalg import (
 from maxsub.modules import module_violation
 from maxsub.structure import (
     IdempotentSystem,
+    _poly_divmod,
+    _poly_eval,
+    _poly_mul,
+    _poly_roots,
     conjugating_unit,
     ideal_closure,
     is_nilpotent_space,
@@ -124,6 +132,113 @@ def test_blocks_f4_not_split():
     rep = semisimple_blocks(f4, jacobson_radical(f4))
     assert not rep.schur
     assert rep.block_dims is None
+
+
+# M_2(Q) in two dense bases where every one of the first 16 candidate
+# elements has an irreducible quadratic minimal polynomial on the block.
+# The first is split by a product of two corner basis vectors, the second
+# only by one of the wider random draws.
+M2_Q_HARD_BASES = ["""\
+field Q
+dim 4
+basis b1 b2 b3 b4
+unit 0 0 -1 0
+mul 1 1 -> 1:-1 3:1
+mul 1 2 -> 1:1 2:-1 3:-1 4:-1
+mul 1 3 -> 1:-1
+mul 1 4 -> 2:1 3:1
+mul 2 1 -> 1:1 3:2 4:1
+mul 2 2 -> 2:2 3:2
+mul 2 3 -> 2:-1
+mul 2 4 -> 1:-1 2:2 3:2 4:1
+mul 3 1 -> 1:-1
+mul 3 2 -> 2:-1
+mul 3 3 -> 3:-1
+mul 3 4 -> 4:-1
+mul 4 1 -> 1:2 2:-1 3:-3 4:-1
+mul 4 2 -> 1:1 3:-1 4:1
+mul 4 3 -> 4:-1
+mul 4 4 -> 3:1 4:2
+""", """\
+field Q
+dim 4
+basis b1 b2 b3 b4
+unit 0 1/2 -1/2 0
+mul 1 1 -> 1:2 2:-1/2 3:1/2
+mul 1 2 -> 1:2 3:2 4:-1
+mul 1 3 -> 3:2 4:-1
+mul 1 4 -> 3:1
+mul 2 1 -> 2:1/2 3:-1/2 4:1
+mul 2 2 -> 2:3/2 3:1/2
+mul 2 3 -> 2:-1/2 3:1/2
+mul 2 4 -> 1:-1 3:-1 4:2
+mul 3 1 -> 1:-2 2:1/2 3:-1/2 4:1
+mul 3 2 -> 2:-1/2 3:1/2
+mul 3 3 -> 2:-1/2 3:-3/2
+mul 3 4 -> 1:-1 3:-1
+mul 4 1 -> 1:-1 3:-1 4:2
+mul 4 2 -> 1:1 2:-1 3:1
+mul 4 3 -> 1:1 2:-1 3:1 4:-2
+mul 4 4 -> 2:-1/2 3:1/2 4:-1
+"""]
+
+
+@pytest.mark.parametrize("text", M2_Q_HARD_BASES)
+def test_blocks_split_m2_in_hard_basis(text):
+    rep = structure_report(parse_algebra(text))
+    assert rep.schur
+    assert rep.block_dims == (2,)
+
+
+def test_kxk_over_large_prime_is_fast():
+    alg = parse_algebra("field F 1000003\ndim 2\nbasis a b\nunit 1 1\n"
+                        "mul 1 1 -> 1:1\nmul 2 2 -> 2:1\n")
+    t0 = time.perf_counter()
+    rep = structure_report(alg)
+    assert time.perf_counter() - t0 < 0.1
+    assert rep.schur and rep.block_dims == (1, 1)
+
+
+def _scan_roots(poly, f):
+    """Every root of F_p with multiplicity, by the ascending scan over all
+    p elements that the gcd/splitting root finder replaced."""
+    work = list(poly)
+    while work and work[-1] == 0:
+        work.pop()
+    roots = []
+    for c in range(f.p):
+        while len(work) > 1 and _poly_eval(work, c, f) == 0:
+            roots.append(c)
+            work, _ = _poly_divmod(work, [f.neg(c), f.one()], f)
+    return roots
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_poly_roots_mod_p_match_the_scan(data):
+    p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 31, 101]))
+    f = GF(p)
+    poly = [data.draw(st.integers(1, p - 1))]
+    for r in data.draw(st.lists(st.integers(0, p - 1), max_size=6)):
+        poly = _poly_mul(poly, [f.neg(r), 1], f)    # force repeated roots
+    tail = data.draw(st.lists(st.integers(0, p - 1), max_size=4))
+    if tail:
+        poly = _poly_mul(poly, tail + [1], f)
+    assert _poly_roots(poly, f) == _scan_roots(poly, f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=st.lists(st.fractions(min_value=-20, max_value=20,
+                                   max_denominator=12), max_size=5),
+       scale=st.fractions(min_value=1, max_value=50, max_denominator=7),
+       irreducible=st.booleans())
+def test_poly_roots_over_q_with_multiplicity(roots, scale, irreducible):
+    poly = [scale]
+    for r in roots:
+        poly = _poly_mul(poly, [-r, Fraction(1)], QQ)
+    if irreducible:
+        poly = _poly_mul(poly, [Fraction(2), Fraction(0), Fraction(1)], QQ)
+    assert sorted(_poly_roots(poly, QQ)) == sorted(roots)
 
 
 def test_blocks_exhibit_matrix_units(m3q):
