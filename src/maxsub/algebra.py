@@ -28,7 +28,6 @@ from .linalg import (
     echelonize,
     full_subspace,
     kernel,
-    mat_mul,
     saturate,
     solve_one,
     unit_vec,
@@ -335,14 +334,7 @@ def subalgebra_generated(a: Algebra, seeds: Iterable[Sequence]) -> Subalgebra:
 
 def centralizer(a: Algebra, s: Subspace) -> Subalgebra:
     """{x in a : xv = vx for all v in s}, as a unital subalgebra."""
-    rows = []
-    for v in s.basis:
-        lm = a.left_mult_matrix(list(v))
-        rm = a.right_mult_matrix(list(v))
-        for i in range(a.dim):
-            rows.append([a.field.sub(rm[i][j], lm[i][j]) for j in range(a.dim)])
-    ker = kernel(rows, a.dim, a.field)
-    return Subalgebra(a, ker)
+    return centralizer_in(full_subalgebra(a), s.basis)
 
 
 def centralizer_in(sub: Subalgebra, elements: Iterable[Sequence]) -> Subalgebra:
@@ -350,13 +342,12 @@ def centralizer_in(sub: Subalgebra, elements: Iterable[Sequence]) -> Subalgebra:
     par = sub.parent
     f = par.field
     rows = []
-    basis_cols = [list(c) for c in zip(*sub.space.basis)]
     for v in elements:
         v = list(v)
-        lv = par.left_mult_matrix(v)
-        rv = par.right_mult_matrix(v)
-        comm = [vec_sub(rrow, lrow, f) for rrow, lrow in zip(rv, lv)]
-        rows += mat_mul(comm, basis_cols, f)
+        # column i is the commutator s_i v - v s_i of the i-th basis element
+        cols = [vec_sub(par.multiply(list(x), v), par.multiply(v, list(x)), f)
+                for x in sub.space.basis]
+        rows += [list(r) for r in zip(*cols)]
     ker = kernel(rows, sub.dim, f)
     out_rows = [sub.embed(list(k)) for k in ker.basis]
     return subalgebra_from_rows(par, out_rows, check=False)

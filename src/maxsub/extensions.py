@@ -32,7 +32,9 @@ from .linalg import (
     all_vectors,
     combine,
     echelonize,
+    identity_matrix,
     kernel,
+    kron,
     mat_mul,
     mat_vec,
     quotient_space,
@@ -40,9 +42,11 @@ from .linalg import (
     solve_one,
     span_elements,
     subspace_intersection,
-    tensor_index,
+    sylvester_rows,
+    tensor_quotient,
     unit_vec,
     vec_is_zero,
+    vec_sub,
     zero_vec,
 )
 from .modules import Module, make_module, regular_module
@@ -52,7 +56,7 @@ from .structure import (
     jacobson_radical,
     lift_idempotents,
     quotient_algebra,
-    structure_report,
+    semisimple_blocks,
 )
 
 HOM_SWEEP_CAP = 1 << 12
@@ -71,7 +75,6 @@ def split_complement(a: Subalgebra, b: Algebra) -> BimoduleSubspace | None:
     if a.parent is not b:
         raise InvalidInputError("subalgebra does not live in the given algebra")
     f = b.field
-    aalg = a.as_algebra()
     da = a.dim
     q = quotient_space(b.dim, a.space.basis, f)
     dq = q.dim
@@ -79,53 +82,48 @@ def split_complement(a: Subalgebra, b: Algebra) -> BimoduleSubspace | None:
         space = echelonize([], b.dim, f)
         return bimodule_subspace(b, a, space, check=False)
     lifts = [q.lift(unit_vec(dq, t, f)) for t in range(dq)]
-
-    def decompose(v: Sequence) -> tuple[list, list]:
-        gamma = list(q.project(v))
-        rest = list(v)
-        for g, c in zip(gamma, lifts):
-            if g != 0:
-                rest = [f.sub(x, f.mul(g, y)) for x, y in zip(rest, c)]
-        return a.space.coords(rest), gamma
-
-    nunk = da * dq
-    rows, rhs = [], []
-    for k in range(da):
-        arow = list(a.space.basis[k])
-        lm = aalg.left_mult_matrix(aalg.basis_vector(k))
-        rm = aalg.right_mult_matrix(aalg.basis_vector(k))
-        for t in range(dq):
-            for side, mat in (("l", lm), ("r", rm)):
-                prod = (b.multiply(arow, lifts[t]) if side == "l"
-                        else b.multiply(lifts[t], arow))
-                acoords, gamma = decompose(prod)
-                for i in range(da):
-                    row = [f.zero()] * nunk
-                    for u in range(da):
-                        row[t * da + u] = f.add(row[t * da + u], mat[i][u])
-                    for s in range(dq):
-                        if gamma[s] != 0:
-                            row[s * da + i] = f.sub(row[s * da + i], gamma[s])
-                    rows.append(row)
-                    rhs.append(acoords[i])
+    rows, rhs = _bimodule_system(a, q, lifts)
     sol = solve_one(rows, rhs, f)
     if sol is None:
         return None
-    comp_rows = []
-    for t in range(dq):
-        v = list(lifts[t])
-        for u in range(da):
-            c = sol[t * da + u]
-            if c != 0:
-                v = [f.sub(x, f.mul(c, y))
-                     for x, y in zip(v, a.space.basis[u])]
-        comp_rows.append(v)
+    comp_rows = [vec_sub(lifts[t], a.embed(sol[t * da:(t + 1) * da]), f)
+                 for t in range(dq)]
     space = echelonize(comp_rows, b.dim, f)
     if space.dim != dq:
         raise VerificationFailedError("complement has wrong dimension")
     if subspace_intersection(space, a.space).dim != 0:
         raise VerificationFailedError("complement meets A")
     return bimodule_subspace(b, a, space, check=True)
+
+
+def _bimodule_system(a: Subalgebra, q: QuotientSpace, lifts: list,
+                     ) -> tuple[list, list]:
+    """The linear system for the values of an A-bimodule projection
+    pi: B -> A on the lifts l_t of a basis of B/A.
+
+    X holds the A-coordinates of pi(l_t) in row t.  With L the matrix of a_k
+    acting on A from the left (or right) and G[t] the B/A coordinates of
+    a_k*l_t (or l_t*a_k), A-linearity reads X L^T - G X = C, where C[t] are
+    the A-coordinates of the rest of that product.
+    """
+    b = a.parent
+    f = b.field
+    table = a.as_algebra().table
+
+    def decompose(v: Sequence) -> tuple[list, list]:
+        gamma = list(q.project(v))
+        return a.space.coords(vec_sub(v, q.lift(gamma), f)), gamma
+
+    rows, rhs = [], []
+    for k, arow in enumerate(a.space.basis):
+        arow = list(arow)
+        left = ([b.multiply(arow, l) for l in lifts], table[k])
+        right = ([b.multiply(l, arow) for l in lifts], [r[k] for r in table])
+        for prods, lt in (left, right):
+            parts = [decompose(v) for v in prods]
+            rows += sylvester_rows(lt, [gamma for _, gamma in parts], f)
+            rhs += [c for acoords, _ in parts for c in acoords]
+    return rows, rhs
 
 
 def complement_flags(i_space: Subspace, b: Algebra) -> dict:
@@ -163,65 +161,52 @@ class TensorSquare:
     def flank(self, x: Sequence, e: Sequence, y: Sequence) -> tuple:
         """x . e . y for algebra elements x, y acting on the two legs."""
         b = self.b
-        f = b.field
-        n = b.dim
-        full = self.quotient.lift(e)
-        out = zero_vec(n * n, f)
-        for i in range(n):
-            for j in range(n):
-                c = full[tensor_index(i, j, n)]
-                if c == 0:
-                    continue
-                left = b.multiply(list(x), b.basis_vector(i))
-                right = b.multiply(b.basis_vector(j), list(y))
-                for s in range(n):
-                    if left[s] == 0:
-                        continue
-                    cs = f.mul(c, left[s])
-                    for t in range(n):
-                        if right[t] != 0:
-                            idx = tensor_index(s, t, n)
-                            out[idx] = f.add(out[idx], f.mul(cs, right[t]))
-        return self.quotient.project(out)
+        return _tensor_image(
+            self.quotient, e, b.dim,
+            lambda i, j: (b.multiply(list(x), b.basis_vector(i)),
+                          b.multiply(b.basis_vector(j), list(y))))
 
     def embed_pure(self, x: Sequence, y: Sequence) -> tuple:
         """Image of the pure tensor x (x) y in quotient coordinates."""
-        b = self.b
-        f = b.field
-        n = b.dim
-        out = zero_vec(n * n, f)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj != 0:
-                    out[tensor_index(i, j, n)] = f.mul(xi, yj)
-        return self.quotient.project(out)
+        return self.quotient.project(kron(x, y, self.b.field))
+
+
+def _tensor_image(q: QuotientSpace, e: Sequence, dim_right: int, legs) -> tuple:
+    """Image of Σ c·(u (x) v) over the nonzero coordinates c of the lift of
+    e, where (u, v) = legs(i, j) for the coordinate of b_i (x) m_j."""
+    f = q.field
+    coeffs, tensors = [], []
+    for idx, c in enumerate(q.lift(e)):
+        if c != 0:
+            u, v = legs(*divmod(idx, dim_right))
+            coeffs.append(c)
+            tensors.append(kron(u, v, f))
+    return q.project(combine(coeffs, tensors, f) if tensors
+                     else zero_vec(q.ambient_dim, f))
+
+
+def _balanced_quotient(b: Algebra, a: Subalgebra, actions: Sequence,
+                       dim_right: int) -> QuotientSpace:
+    """B (x)_A M as the quotient of B (x) M by (x a) (x) m - x (x) (a m) for
+    basis elements x of B and m of M; actions[k] is the matrix of the k-th
+    basis element a_k of A on M (columns are images).
+
+    Flattened as by `kron`, the relations for a_k are, up to sign, the rows
+    of `sylvester_rows(actions[k], R)` with R[i] = b_i a_k.
+    """
+    f = b.field
+    relations = []
+    for arow, act in zip(a.space.basis, actions):
+        right = [b.multiply(b.basis_vector(i), list(arow)) for i in range(b.dim)]
+        relations += [rel for rel in sylvester_rows(act, right, f)
+                      if not vec_is_zero(rel)]
+    return tensor_quotient(b.dim, dim_right, relations, f)
 
 
 def tensor_square(a: Subalgebra, b: Algebra) -> TensorSquare:
     """B (x)_A B as a quotient of the dim^2 coordinate tensor space."""
-    f = b.field
-    n = b.dim
-    relations = []
-    for arow in a.space.basis:
-        arow = list(arow)
-        for i in range(n):
-            xa = b.multiply(b.basis_vector(i), arow)
-            for j in range(n):
-                ay = b.multiply(arow, b.basis_vector(j))
-                rel = zero_vec(n * n, f)
-                for s, c in enumerate(xa):
-                    if c != 0:
-                        rel[tensor_index(s, j, n)] = f.add(
-                            rel[tensor_index(s, j, n)], c)
-                for t, c in enumerate(ay):
-                    if c != 0:
-                        rel[tensor_index(i, t, n)] = f.sub(
-                            rel[tensor_index(i, t, n)], c)
-                if not vec_is_zero(rel):
-                    relations.append(rel)
-    return TensorSquare(b, a, quotient_space(n * n, relations, f))
+    actions = [b.left_mult_matrix(list(r)) for r in a.space.basis]
+    return TensorSquare(b, a, _balanced_quotient(b, a, actions, b.dim))
 
 
 def _verify_separability(ts: TensorSquare, e: Sequence) -> bool:
@@ -258,8 +243,7 @@ def separability_idempotent(a: Subalgebra, b: Algebra,
         one = list(b.unit)
         for k in range(b.dim):
             bk = b.basis_vector(k)
-            col += [f.sub(x, y) for x, y in zip(ts.flank(bk, et, one),
-                                                ts.flank(one, et, bk))]
+            col += vec_sub(ts.flank(bk, et, one), ts.flank(one, et, bk), f)
         unit_cols.append(col)
     system = [list(r) for r in zip(*unit_cols)]
     rhs = list(b.unit) + [f.zero()] * (b.dim * d)
@@ -292,14 +276,12 @@ def separable_type_idempotent(a: Subalgebra, b: Algebra, wm: WMData,
                 "no standard separability idempotent")
     if ts is None:
         ts = tensor_square(a, b)
-    e = tuple(zero_vec(ts.dim, f))
-    for bi, blk in enumerate(wm.report.blocks):
-        inv_n = f.inv(f.coerce(blk.n))
-        for p in range(blk.n):
-            for q in range(blk.n):
-                pure = ts.embed_pure(list(wm.block_units[bi][p][q]),
-                                     list(wm.block_units[bi][q][p]))
-                e = tuple(f.add(x, f.mul(inv_n, y)) for x, y in zip(e, pure))
+    coeffs, pures = [], []
+    for blk, units in zip(wm.report.blocks, wm.block_units):
+        coeffs += [f.inv(f.coerce(blk.n))] * blk.n ** 2
+        pures += [ts.embed_pure(units[p][q], units[q][p])
+                  for p in range(blk.n) for q in range(blk.n)]
+    e = tuple(combine(coeffs, pures, f))
     if not _verify_separability(ts, e):
         raise VerificationFailedError(
             "standard separability element failed substitution")
@@ -398,45 +380,14 @@ def induce(m: Module, a: Subalgebra) -> Module:
     aalg = a.as_algebra()
     if m.algebra is not aalg:
         raise InvalidInputError("module must be over a.as_algebra()")
-    nb, nm = b.dim, m.dim
-    relations = []
-    for k in range(a.dim):
-        arow = list(a.space.basis[k])
-        for i in range(nb):
-            xa = b.multiply(b.basis_vector(i), arow)
-            av = m.action[k]
-            for v in range(nm):
-                rel = zero_vec(nb * nm, f)
-                for s, c in enumerate(xa):
-                    if c != 0:
-                        rel[tensor_index(s, v, nm)] = f.add(
-                            rel[tensor_index(s, v, nm)], c)
-                for t in range(nm):
-                    c = av[t][v]
-                    if c != 0:
-                        rel[tensor_index(i, t, nm)] = f.sub(
-                            rel[tensor_index(i, t, nm)], c)
-                if not vec_is_zero(rel):
-                    relations.append(rel)
-    q = quotient_space(nb * nm, relations, f)
+    q = _balanced_quotient(b, a, m.action, m.dim)
     d = q.dim
     mats = []
-    for k in range(nb):
-        cols = []
-        for t in range(d):
-            full = q.lift(unit_vec(d, t, f))
-            out = zero_vec(nb * nm, f)
-            for i in range(nb):
-                bx = b.multiply(b.basis_vector(k), b.basis_vector(i))
-                for v in range(nm):
-                    c = full[tensor_index(i, v, nm)]
-                    if c == 0:
-                        continue
-                    for s, c2 in enumerate(bx):
-                        if c2 != 0:
-                            idx = tensor_index(s, v, nm)
-                            out[idx] = f.add(out[idx], f.mul(c, c2))
-            cols.append(q.project(out))
+    for k in range(b.dim):
+        cols = [_tensor_image(q, unit_vec(d, t, f), m.dim,
+                              lambda i, v, k=k: (b.table[k][i],
+                                                 unit_vec(m.dim, v, f)))
+                for t in range(d)]
         mats.append([list(r) for r in zip(*cols)] if cols else [])
     return make_module(b, mats, check=True)
 
@@ -448,19 +399,7 @@ def endomorphism_algebra(m: Module) -> tuple[Algebra, list]:
     """End(M) as a structure-constant algebra plus its matrix basis."""
     f = m.algebra.field
     d = m.dim
-    rows = []
-    for mat in m.action:
-        for i in range(d):
-            for j in range(d):
-                row = [f.zero()] * (d * d)
-                for s in range(d):
-                    row[i * d + s] = f.add(row[i * d + s], mat[s][j])
-                for r in range(d):
-                    row[r * d + j] = f.sub(row[r * d + j], mat[i][r])
-                rows.append(row)
-    ker = kernel(rows, d * d, f)
-    mats = [[[row[i * d + j] for j in range(d)] for i in range(d)]
-            for row in ker.basis]
+    ker, mats = _hom_basis(m, m)
     ne = len(mats)
     table = []
     for x in mats:
@@ -470,8 +409,7 @@ def endomorphism_algebra(m: Module) -> tuple[Algebra, list]:
             flat = [prod[i][j] for i in range(d) for j in range(d)]
             trow.append(tuple(ker.coords(flat)))
         table.append(tuple(trow))
-    ident = [f.one() if i == j else f.zero() for i in range(d) for j in range(d)]
-    unit = tuple(ker.coords(ident))
+    unit = tuple(ker.coords([c for row in identity_matrix(d, f) for c in row]))
     names = tuple(f"h{i+1}" for i in range(ne))
     return Algebra(f, ne, names, unit, tuple(table)), mats
 
@@ -508,7 +446,7 @@ def _primitive_system_finite(s: Algebra) -> list[list] | None:
     while not vec_is_zero(rest):
         e = primitive_below(rest)
         idems.append(e)
-        rest = [f.sub(x, y) for x, y in zip(rest, e)]
+        rest = vec_sub(rest, e, f)
         if s.multiply(rest, rest) != rest:
             return None
     return idems
@@ -516,15 +454,14 @@ def _primitive_system_finite(s: Algebra) -> list[list] | None:
 
 def _primitive_bar_system(e_alg: Algebra, j: Subspace, seed: int) -> list[list]:
     """Primitive orthogonal idempotents of E/J(E), as E/J coordinates."""
-    squot, _ = quotient_algebra(e_alg, j)
-    rep = structure_report(e_alg, seed)
+    rep = semisimple_blocks(e_alg, j, seed)
     if rep.schur:
         bars = []
         for blk in rep.blocks:
             for p in range(blk.n):
                 bars.append(list(blk.units[p][p]))
         return bars
-    found = _primitive_system_finite(squot)
+    found = _primitive_system_finite(rep.quotient)
     if found is None:
         raise UnsupportedFieldError(
             "endomorphism quotient is not split and too large to sweep")
@@ -580,26 +517,23 @@ def is_local_module(m: Module, seed: int = 0) -> bool:
 # ---------------------------------------------------------------------------
 # isomorphism and direct summands
 
+def _hom_basis(m1: Module, m2: Module) -> tuple[Subspace, list]:
+    """Hom(m1, m2) as row-major flattened matrices X with X a(m1) = a(m2) X
+    on every basis element, and the same basis as matrices."""
+    f = m1.algebra.field
+    d1 = m1.dim
+    rows = [row for a1, a2 in zip(m1.action, m2.action)
+            for row in sylvester_rows(a1, a2, f)]
+    ker = kernel(rows, m2.dim * d1, f)
+    return ker, [[list(row[i * d1:(i + 1) * d1]) for i in range(m2.dim)]
+                 for row in ker.basis]
+
+
 def hom_space(m1: Module, m2: Module) -> list[list]:
     """Matrices X with X a(m1) = a(m2) X for every algebra element."""
     if m1.algebra is not m2.algebra:
         raise InvalidInputError("modules over different algebras")
-    f = m1.algebra.field
-    d1, d2 = m1.dim, m2.dim
-    rows = []
-    for k in range(m1.algebra.dim):
-        a1, a2 = m1.action[k], m2.action[k]
-        for i in range(d2):
-            for j in range(d1):
-                row = [f.zero()] * (d2 * d1)
-                for s in range(d1):
-                    row[i * d1 + s] = f.add(row[i * d1 + s], a1[s][j])
-                for r in range(d2):
-                    row[r * d1 + j] = f.sub(row[r * d1 + j], a2[i][r])
-                rows.append(row)
-    ker = kernel(rows, d2 * d1, f)
-    return [[[row[i * d1 + j] for j in range(d1)] for i in range(d2)]
-            for row in ker.basis]
+    return _hom_basis(m1, m2)[1]
 
 
 def _is_invertible(mat: list, f: Field) -> bool:

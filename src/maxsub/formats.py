@@ -96,6 +96,7 @@ def parse_algebra(text: str) -> Algebra:
     if len(names) != dim or len(unit) != dim:
         raise ParseError("basis/unit length does not match dim")
     table = [[[field.zero()] * dim for _ in range(dim)] for _ in range(dim)]
+    first_line: dict[tuple[int, int], int] = {}
     for line_no, toks in muls:
         if len(toks) < 3 or toks[2] != "->":
             raise ParseError("mul line must read: mul i j -> k:v ...", line_no)
@@ -105,6 +106,10 @@ def parse_algebra(text: str) -> Algebra:
             raise ParseError("mul indices must be integers", line_no) from None
         if not (1 <= i1 <= dim and 1 <= j1 <= dim):
             raise ParseError("mul index out of range", line_no)
+        if (i1, j1) in first_line:
+            raise ParseError(f"mul {i1} {j1} given twice (first on line "
+                             f"{first_line[i1, j1]})", line_no)
+        first_line[i1, j1] = line_no
         out = [field.zero()] * dim
         for term in toks[3:]:
             if ":" not in term:

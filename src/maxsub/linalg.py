@@ -159,21 +159,51 @@ def vec_sub(u, v, field: Field) -> list:
     return [field.sub(a, b) for a, b in zip(u, v)]
 
 
-def vec_scale(c, v, field: Field) -> list:
-    return [field.mul(c, a) for a in v]
-
-
 def combine(coeffs: Sequence, rows: Sequence[Sequence], field: Field) -> list:
     """The linear combination Σ cᵢ·rowᵢ, in one pass over the rows.
 
-    Rows with a zero coefficient are skipped.  The result has the length
-    of the rows; an empty row list gives the empty vector.
+    Rows with a zero coefficient and zero entries of a row are skipped, so
+    sparse rows cost little.  The result has the length of the rows; an
+    empty row list gives the empty vector.
     """
     out = zero_vec(len(rows[0]) if rows else 0, field)
     for c, row in zip(coeffs, rows):
         if c != 0:
-            out = [field.add(o, field.mul(c, x)) for o, x in zip(out, row)]
+            out = [field.add(o, field.mul(c, x)) if x else o
+                   for o, x in zip(out, row)]
     return out
+
+
+def kron(u: Sequence, v: Sequence, field: Field) -> list:
+    """The coordinate tensor u⊗v: the entry for (i, j) is uᵢ·vⱼ, at index
+    i·len(v) + j.  Only products of two nonzero entries are multiplied."""
+    zero = field.zero()
+    zeros = [zero] * len(v)
+    out = []
+    for a in u:
+        out += [field.mul(a, b) if b else zero for b in v] if a else zeros
+    return out
+
+
+def sylvester_rows(a: Sequence[Sequence], b: Sequence[Sequence], field: Field,
+                   ) -> list:
+    """The matrix of X ↦ X·A − B·X on the row-major flattening of X.
+
+    A is c×c and B is r×r, so X is r×c; row i·c + j gives entry (i, j) of
+    the image.  Its kernel is {X : X·A = B·X}.
+    """
+    c, r = len(a), len(b)
+    cols = [list(col) for col in zip(*a)]
+    rows = []
+    for i in range(r):
+        for j in range(c):
+            row = zero_vec(r * c, field)
+            row[i * c:(i + 1) * c] = cols[j]
+            for t, x in enumerate(b[i]):
+                if x:
+                    row[t * c + j] = field.sub(row[t * c + j], x)
+            rows.append(row)
+    return rows
 
 
 def vec_is_zero(v) -> bool:
@@ -563,10 +593,6 @@ def tensor_quotient(dim_left: int, dim_right: int,
                     relations: Iterable[Sequence], field: Field) -> QuotientSpace:
     """Quotient of the dim_left × dim_right coordinate tensor space.
 
-    Relation vectors are indexed by (i, j) -> i*dim_right + j.
+    Relation vectors are indexed as by `kron`: (i, j) -> i*dim_right + j.
     """
     return quotient_space(dim_left * dim_right, relations, field)
-
-
-def tensor_index(i: int, j: int, dim_right: int) -> int:
-    return i * dim_right + j

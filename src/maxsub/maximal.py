@@ -47,15 +47,16 @@ from .linalg import (
     quotient_space,
     saturate,
     subspace_contains,
+    subspace_intersection,
     unit_vec,
     vec_add,
     vec_is_zero,
-    vec_scale,
-    zero_vec,
+    vec_sub,
 )
 from .structure import (
     WMData,
     jacobson_radical,
+    semisimple_blocks,
     structure_report,
     wedderburn_data,
 )
@@ -251,31 +252,15 @@ def enumerate_maximal_families(b: Algebra, seed: int = 0,
 
 def _irreducible_poly(p: int, d: int, field: Field) -> list:
     """A monic irreducible polynomial of degree d over F_p (ascending)."""
-    from .structure import _poly_divmod, _poly_eval, _poly_mul
+    from .structure import _poly_eval, _poly_powmod, _poly_sub
 
-    def poly_pow_x_mod(exp: int, modpoly: list) -> list:
-        # X^exp mod modpoly by square-and-multiply on exponents of X
-        result = [field.one()]
-        base = [field.zero(), field.one()]
-        e = exp
-        while e:
-            if e & 1:
-                result = _poly_divmod(_poly_mul(result, base, field),
-                                      modpoly, field)[1]
-            base = _poly_divmod(_poly_mul(base, base, field), modpoly, field)[1]
-            e >>= 1
-        return result
-
+    x = [field.zero(), field.one()]
     for tail in itertools.product(range(p), repeat=d):
-        poly = list(tail) + [1]
-        poly = [field.coerce(c) for c in poly]
+        poly = [field.coerce(c) for c in tail] + [field.one()]
         if any(_poly_eval(poly, field.coerce(c), field) == 0 for c in range(p)):
             continue
-        xq = poly_pow_x_mod(p ** d, poly)
-        xx = [field.zero(), field.one()]
-        diff = [field.sub(a2, b2) for a2, b2 in
-                itertools.zip_longest(xq, xx, fillvalue=field.zero())]
-        if all(c == 0 for c in diff):
+        # no root and x^(p^d) = x mod poly: irreducible when d is prime
+        if not _poly_sub(_poly_powmod(x, p ** d, poly, field), x, field):
             return poly
     raise VerificationFailedError(f"no irreducible polynomial of degree {d}")
 
@@ -379,22 +364,14 @@ def instantiate_family(b: Algebra, fam: MaximalFamily,
         if d <= 1 or n % d != 0:
             raise InvalidInputError("degree must be a prime divisor of n")
         poly = _irreducible_poly(f.p, d, f)
-        # companion matrix of the polynomial, embedded n/d times on the diagonal
-        felt = zero_vec(b.dim, f)
-        for r in range(n // d):
-            for col in range(d):
-                if col < d - 1:
-                    felt = vec_add(
-                        felt,
-                        list(wm.block_units[i][r * d + col + 1][r * d + col]),
-                        f)
-            for rr in range(d):
-                c = f.neg(poly[rr])
-                if c != 0:
-                    felt = vec_add(
-                        felt,
-                        vec_scale(c, list(wm.block_units[i][r * d + rr][r * d + d - 1]), f),
-                        f)
+        # companion matrix of the polynomial, embedded n/d times on the
+        # diagonal: ones below the diagonal, -poly in the last column
+        units = wm.block_units[i]
+        starts = range(0, n, d)
+        below = [units[r + c + 1][r + c] for r in starts for c in range(d - 1)]
+        last = [units[r + c][r + d - 1] for r in starts for c in range(d)]
+        felt = vec_sub(combine([f.one()] * len(below), below, f),
+                       combine(poly[:d] * (n // d), last, f), f)
         cent = centralizer_in(wm.complement, [felt])
         rows = [list(r) for r in cent.space.basis] + rad_rows
     else:
@@ -568,11 +545,10 @@ def classify_type(a: Subalgebra, b: Algebra, seed: int = 0) -> TypeVerdict:
     aalg = a.as_algebra()
     ja = jacobson_radical(aalg)
     ja_in_b = echelonize([a.embed(list(r)) for r in ja.basis], b.dim, b.field)
-    from .linalg import subspace_intersection
     meet = subspace_intersection(a.space, jb)
     match = ja_in_b == meet
-    arep = structure_report(aalg, seed)
-    brep = structure_report(b, seed)
+    arep = semisimple_blocks(aalg, ja, seed)
+    brep = semisimple_blocks(b, jb, seed)
     if not arep.schur or not brep.schur:
         raise NotSplitError("cannot compare simple dimensions: not split")
     return TypeVerdict("split", False, match, arep.block_dims, brep.block_dims)

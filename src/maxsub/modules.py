@@ -11,7 +11,7 @@ from typing import Sequence
 
 from .algebra import Algebra
 from .errors import DimensionError, VerificationFailedError
-from .linalg import Field, identity_matrix, mat_mul, mat_vec, zero_vec
+from .linalg import Field, combine, identity_matrix, mat_mul, mat_vec
 
 Matrix = tuple[tuple, ...]
 
@@ -24,25 +24,13 @@ class Module:
 
     def act(self, x: Sequence, v: Sequence) -> list:
         """Action of the algebra element with coordinates x on v."""
-        f = self.algebra.field
-        out = zero_vec(self.dim, f)
-        for c, mat in zip(x, self.action):
-            if c == 0:
-                continue
-            img = mat_vec(mat, v, f)
-            out = [f.add(o, f.mul(c, w)) for o, w in zip(out, img)]
-        return out
+        return mat_vec(self.action_matrix(x), v, self.algebra.field)
 
     def action_matrix(self, x: Sequence) -> list:
         """Matrix of the action of an arbitrary algebra element."""
         f = self.algebra.field
-        out = [zero_vec(self.dim, f) for _ in range(self.dim)]
-        for c, mat in zip(x, self.action):
-            if c == 0:
-                continue
-            for i in range(self.dim):
-                out[i] = [f.add(o, f.mul(c, m)) for o, m in zip(out[i], mat[i])]
-        return out
+        return [combine(x, [mat[i] for mat in self.action], f)
+                for i in range(self.dim)]
 
 
 def freeze_matrix(m: Sequence[Sequence], field: Field) -> Matrix:

@@ -10,6 +10,7 @@ its source: a path p: u -> w corresponds to the interval [w, u].
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import (
@@ -22,12 +23,12 @@ from .errors import InvalidInputError, VerificationFailedError
 from .linalg import (
     Field,
     Subspace,
+    combine,
     echelonize,
     quotient_space,
     rref,
     unit_vec,
     vec_add,
-    vec_scale,
     zero_vec,
 )
 from .modules import Module
@@ -210,31 +211,18 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
                                           field.coerce(coef))
         return out
 
-    # truncated path algebra T = KQ / J^{bound+1}
-    def t_multiply(x: Sequence, y: Sequence) -> list:
+    # truncated path algebra T = KQ / J^{bound+1}: b_i * b_j is path j
+    # followed by path i, or zero when they do not compose within the bound
+    def compose(i: int, j: int) -> tuple:
+        pi, pj = paths[i], paths[j]
         out = zero_vec(n, field)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                if yj == 0:
-                    continue
-                pi, pj = paths[i], paths[j]
-                # x after y: compose pj then pi
-                if _path_target(q, pj) != pi[0]:
-                    continue
-                total = (pj[0], pj[1] + pi[1])
-                if len(total[1]) > bound:
-                    continue
-                k = index[total]
-                out[k] = field.add(out[k], field.mul(xi, yj))
-        return out
+        if (_path_target(q, pj) == pi[0]
+                and len(pj[1]) + len(pi[1]) <= bound):
+            out[index[(pj[0], pj[1] + pi[1])]] = field.one()
+        return tuple(out)
 
     t_names = tuple(_path_name(q, p) for p in paths)
-    t_table = tuple(
-        tuple(tuple(t_multiply(unit_vec(n, i, field), unit_vec(n, j, field)))
-              for j in range(n))
-        for i in range(n))
+    t_table = tuple(tuple(compose(i, j) for j in range(n)) for i in range(n))
     t_unit = zero_vec(n, field)
     for v in q.vertices:
         t_unit[index[(v, ())]] = field.one()
@@ -254,7 +242,7 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
     blens = tuple(lengths[c] for c in qs.free_coords)
     lifts = [qs.lift(unit_vec(dim, i, field)) for i in range(dim)]
     table = tuple(
-        tuple(tuple(qs.project(t_multiply(lifts[i], lifts[j])))
+        tuple(tuple(qs.project(trunc.multiply(lifts[i], lifts[j])))
               for j in range(dim))
         for i in range(dim))
     unit = tuple(qs.project(t_unit))
@@ -296,18 +284,25 @@ class Poset:
                     raise InvalidInputError(
                         f"covers create a cycle through {a!r} and {c!r}")
 
-    def leq_pairs(self) -> frozenset[tuple[str, str]]:
-        rel = {(e, e) for e in self.elements}
-        rel.update(self.covers)
-        changed = True
-        while changed:
-            changed = False
-            for (a, c) in list(rel):
-                for (c2, d) in list(rel):
-                    if c == c2 and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
+    @cached_property
+    def _leq(self) -> frozenset[tuple[str, str]]:
+        above: dict[str, list[str]] = {e: [] for e in self.elements}
+        for lo, hi in self.covers:
+            above[lo].append(hi)
+        rel = set()
+        for e in self.elements:
+            stack = [e]
+            while stack:
+                x = stack.pop()
+                if (e, x) not in rel:
+                    rel.add((e, x))
+                    stack += above[x]
         return frozenset(rel)
+
+    def leq_pairs(self) -> frozenset[tuple[str, str]]:
+        """The order relation: every (a, b) with a below or equal to b,
+        the reflexive-transitive closure of the covers, computed once."""
+        return self._leq
 
     def comparable(self, a: str, b: str) -> bool:
         rel = self.leq_pairs()
@@ -412,11 +407,8 @@ def quiver_maximal(alg: Algebra, kind: str, a: str, b: str,
     for coeffs in hyperplane:
         if len(coeffs) != len(ab_arrows):
             raise InvalidInputError("hyperplane row length != arrow count")
-        row = zero_vec(alg.dim, field)
-        for c, nm in zip(coeffs, ab_arrows):
-            row = vec_add(row, vec_scale(field.coerce(c),
-                                         list(data.arrow_vector(nm)), field),
-                          field)
+        row = combine([field.coerce(c) for c in coeffs],
+                      [data.arrow_vector(nm) for nm in ab_arrows], field)
         vrows.append(row)
     vspan = echelonize(vrows, alg.dim, field)
     if vspan.dim != len(ab_arrows) - 1:

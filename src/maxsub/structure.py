@@ -31,6 +31,7 @@ from .linalg import (
     echelonize,
     full_subspace,
     kernel,
+    mat_vec,
     quotient_space,
     saturate,
     solve_one,
@@ -40,7 +41,6 @@ from .linalg import (
     unit_vec,
     vec_add,
     vec_is_zero,
-    vec_scale,
     vec_sub,
     zero_vec,
 )
@@ -108,22 +108,10 @@ def nilpotency_degree(a: Algebra, s: Subspace) -> int:
 def trace_form_radical(a: Algebra) -> Subspace:
     """Kernel of (x, y) -> tr(L_x L_y); contains J(a) in any characteristic."""
     f = a.field
-    tl = []
-    for k in range(a.dim):
-        s = f.zero()
-        for m in range(a.dim):
-            s = f.add(s, a.table[k][m][m])
-        tl.append(s)
-    gram = []
-    for i in range(a.dim):
-        row = []
-        for j in range(a.dim):
-            s = f.zero()
-            for k, c in enumerate(a.table[i][j]):
-                if c != 0 and tl[k] != 0:
-                    s = f.add(s, f.mul(c, tl[k]))
-            row.append(s)
-        gram.append(row)
+    # tl[k] = tr(L_{b_k}), the sum of the diagonal (b_k b_m)_m
+    diag = [[a.table[k][m][m] for m in range(a.dim)] for k in range(a.dim)]
+    tl = mat_vec(diag, [f.one()] * a.dim, f)
+    gram = [mat_vec(a.table[i], tl, f) for i in range(a.dim)]
     return kernel(gram, a.dim, a.field)
 
 
@@ -276,15 +264,10 @@ def _poly_sub(a: list, b: list, field: Field) -> list:
 def poly_eval_in_algebra(poly: Sequence, x: Sequence, unit: Sequence,
                          a: Algebra) -> list:
     """Evaluate Sum c_k X^k at an algebra element, constant term on `unit`."""
-    f = a.field
-    out = zero_vec(a.dim, f)
-    power = list(unit)
-    for k, c in enumerate(poly):
-        if c != 0:
-            out = vec_add(out, vec_scale(c, power, f), f)
-        if k + 1 < len(poly):
-            power = a.multiply(power, list(x))
-    return out
+    powers = [list(unit)]
+    for _ in poly[1:]:
+        powers.append(a.multiply(powers[-1], list(x)))
+    return combine(poly, powers, a.field)
 
 
 def _poly_roots(poly: Sequence, field: Field, limit: int = 4096) -> list:
@@ -516,7 +499,7 @@ def _split_central_idempotents(s: Algebra, center: Subspace, seed: int,
                 y = s.multiply(s.multiply(list(e), z), list(e))
                 u = _corner_split(s, e, y)
                 if u is not None:
-                    rest = [f.sub(a, b) for a, b in zip(e, u)]
+                    rest = vec_sub(e, u, f)
                     idems.remove(e)
                     idems.extend([u, rest])
                     changed = True
@@ -565,7 +548,7 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence, seed: int,
         y = s.multiply(s.multiply(list(e), list(y0)), list(e))
         u = _corner_split(s, e, y)
         if u is not None:
-            rest = [f.sub(a, b) for a, b in zip(e, u)]
+            rest = vec_sub(e, u, f)
             for half in (u, rest):
                 found = _find_primitive_idempotent(s, half, seed)
                 if found is not None:
@@ -623,10 +606,8 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence, seed: int,
                     want = units[p][t2] if q == r else zero_vec(s.dim, f)
                     if prod != want:
                         return None
-    total = zero_vec(s.dim, f)
-    for p in range(n):
-        total = vec_add(total, units[p][p], f)
-    if total != list(e_central):
+    diagonal = [units[p][p] for p in range(n)]
+    if combine([f.one()] * n, diagonal, f) != list(e_central):
         return None
     return n, units
 
@@ -685,9 +666,7 @@ def _newton_idempotent(b: Algebra, x: list, max_rounds: int) -> list:
         if sq == e:
             return e
         cube = b.multiply(sq, e)
-        three_sq = vec_scale(f.coerce(3), sq, f)
-        two_cube = vec_scale(f.coerce(2), cube, f)
-        e = [f.sub(p3, p2) for p3, p2 in zip(three_sq, two_cube)]
+        e = combine([f.coerce(3), f.coerce(-2)], [sq, cube], f)
     if b.multiply(e, e) == e:
         return e
     raise VerificationFailedError("idempotent lifting did not converge")
@@ -836,10 +815,8 @@ def wedderburn_data(b: Algebra, seed: int = 0) -> WMData:
                             raise VerificationFailedError(
                                 "lifted matrix units do not multiply correctly")
         block_units.append(tuple(tuple(tuple(u) for u in row) for row in units))
-        eb = zero_vec(b.dim, f)
-        for p in range(n):
-            eb = vec_add(eb, units[p][p], f)
-        block_idems.append(tuple(eb))
+        diagonal = [units[p][p] for p in range(n)]
+        block_idems.append(tuple(combine([f.one()] * n, diagonal, f)))
     rows = [list(u) for blk in block_units for row in blk for u in row]
     comp_space = echelonize(rows, b.dim, f)
     if comp_space.dim != sum(blk.n ** 2 for blk in rep.blocks):

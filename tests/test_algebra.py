@@ -22,7 +22,7 @@ from maxsub.algebra import (
 )
 from maxsub.errors import InvalidInputError
 from maxsub.formats import dump_algebra, parse_algebra
-from maxsub.linalg import GF, QQ, echelonize, full_subspace, solve_one
+from maxsub.linalg import GF, QQ, echelonize, full_subspace, kernel, solve_one
 
 F2 = GF(2)
 F3 = GF(3)
@@ -337,3 +337,28 @@ def test_algebra_text_roundtrip(m2q, a3_q):
         assert back.unit == alg.unit
         assert back.table == alg.table
         assert dump_algebra(back) == text
+
+
+def _centralizer_loop(a, s):
+    """Reference centralizer: the kernel of the stacked R_v - L_v."""
+    rows = []
+    for v in s.basis:
+        lm = a.left_mult_matrix(list(v))
+        rm = a.right_mult_matrix(list(v))
+        rows += [[a.field.sub(x, y) for x, y in zip(rr, lr)]
+                 for rr, lr in zip(rm, lm)]
+    return kernel(rows, a.dim, a.field)
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_centralizer_matches_commutator_kernel(field, data):
+    a = data.draw(st.sampled_from(
+        [matrix_algebra(2, field), quiver_algebra(A3_QUIVER, field),
+         direct_product([kxk(field), matrix_algebra(2, field)])]))
+    entry = st.integers(-2, 2) if field.p is None else st.integers(0, 2)
+    rows = data.draw(st.lists(st.lists(entry, min_size=a.dim, max_size=a.dim),
+                              max_size=3))
+    s = echelonize(rows, a.dim, field)
+    assert centralizer(a, s).space == _centralizer_loop(a, s)

@@ -2,11 +2,14 @@
 
 import json
 import os
+import subprocess
+import sys
 import time
 
 import pytest
 
 from maxsub.cli import run
+from maxsub.errors import ParseError
 from maxsub.formats import load_algebra, load_text, parse_algebra
 from maxsub.algebra import validate_algebra
 
@@ -154,3 +157,26 @@ def test_instantiate_roundtrip_from_enumerate():
                             "--field", "F2", "--family", rec])
         assert code2 == 0
         assert "codim: 1" in text2
+
+
+DUPLICATE_MUL = ("field Q\ndim 1\nbasis e\nunit 1\n"
+                 "mul 1 1 -> 1:1\nmul 1 1 -> 1:1\n")
+
+
+def test_repeated_mul_pair_is_a_parse_error():
+    with pytest.raises(ParseError, match=r"line 6: mul 1 1 given twice"):
+        parse_algebra(DUPLICATE_MUL)
+
+
+def test_cli_rejects_repeated_mul_pair(tmp_path):
+    bad = tmp_path / "dup.alg"
+    bad.write_text(DUPLICATE_MUL)
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "maxsub.cli", "structure",
+                           str(bad)], capture_output=True, text=True, env=env,
+                          timeout=60)
+    assert proc.returncode == 2
+    assert "given twice" in proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr

@@ -1,18 +1,24 @@
 """Split/separable analysis, induction, restriction, decomposition."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     A3_QUIVER,
     D4_QUIVER,
     D5_QUIVER,
+    KRONECKER_QUIVER,
     ZIGZAG_POSET,
     kxk,
     quiver_algebra,
 )
 from maxsub.algebra import (
+    block_triangular,
     full_subalgebra,
+    matrix_algebra,
     subalgebra_from_rows,
+    subalgebra_generated,
 )
 from maxsub.errors import UnsupportedFieldError
 from maxsub.extensions import (
@@ -34,7 +40,17 @@ from maxsub.extensions import (
     tensor_square,
 )
 import maxsub.extensions as ext
-from maxsub.linalg import GF, QQ, mat_mul, vec_add
+from maxsub.linalg import (
+    GF,
+    QQ,
+    echelonize,
+    kernel,
+    mat_mul,
+    quotient_space,
+    solve_one,
+    unit_vec,
+    vec_add,
+)
 from maxsub.maximal import enumerate_maximal_families, instantiate_family
 from maxsub.modules import make_module, regular_module
 from maxsub.presentations import (
@@ -356,3 +372,222 @@ def test_split_type_reduction_is_trivial_extension(a3_q, kronecker_q):
     red = split_type_reduction(sub, kronecker_q)
     comp = split_complement(red.reduced, red.quotient)
     assert comp is not None and complement_flags(comp.space, red.quotient)["trivial"]
+
+
+# ---------------------------------------------------------------------------
+# the vector formulations against the former hand-indexed loops
+
+F3 = GF(3)
+BASES = {field: [matrix_algebra(2, field),
+                 block_triangular(3, [1, 1, 1], field).as_algebra(),
+                 quiver_algebra(A3_QUIVER, field),
+                 quiver_algebra(KRONECKER_QUIVER, field)]
+         for field in (QQ, F3)}
+
+
+def _entry(field):
+    return st.integers(-2, 2) if field.p is None else st.integers(0, field.p - 1)
+
+
+def _vector(field, n):
+    return st.lists(_entry(field), min_size=n, max_size=n).map(
+        lambda v: [field.coerce(x) for x in v])
+
+
+def _random_extension(data, field):
+    """A subalgebra generated by up to two random elements of a base algebra."""
+    b = data.draw(st.sampled_from(BASES[field]))
+    seeds = data.draw(st.lists(_vector(field, b.dim), max_size=2))
+    return subalgebra_generated(b, seeds), b
+
+
+def _tensor_relations_loop(a, b):
+    """Reference relations of B (x)_A B: the former per-index loop."""
+    f, n = b.field, b.dim
+    relations = []
+    for arow in a.space.basis:
+        arow = list(arow)
+        for i in range(n):
+            xa = b.multiply(b.basis_vector(i), arow)
+            for j in range(n):
+                ay = b.multiply(arow, b.basis_vector(j))
+                rel = [f.zero()] * (n * n)
+                for s, c in enumerate(xa):
+                    if c != 0:
+                        rel[s * n + j] = f.add(rel[s * n + j], c)
+                for t, c in enumerate(ay):
+                    if c != 0:
+                        rel[i * n + t] = f.sub(rel[i * n + t], c)
+                if any(x != 0 for x in rel):
+                    relations.append(rel)
+    return relations
+
+
+def _induce_loop(m, a):
+    """Reference B (x)_A M with its B-action: the former per-index loops."""
+    b = a.parent
+    f = b.field
+    nb, nm = b.dim, m.dim
+    relations = []
+    for k in range(a.dim):
+        arow = list(a.space.basis[k])
+        for i in range(nb):
+            xa = b.multiply(b.basis_vector(i), arow)
+            av = m.action[k]
+            for v in range(nm):
+                rel = [f.zero()] * (nb * nm)
+                for s, c in enumerate(xa):
+                    if c != 0:
+                        rel[s * nm + v] = f.add(rel[s * nm + v], c)
+                for t in range(nm):
+                    c = av[t][v]
+                    if c != 0:
+                        rel[i * nm + t] = f.sub(rel[i * nm + t], c)
+                if any(x != 0 for x in rel):
+                    relations.append(rel)
+    q = quotient_space(nb * nm, relations, f)
+    mats = []
+    for k in range(nb):
+        cols = []
+        for t in range(q.dim):
+            full = q.lift([f.one() if u == t else f.zero() for u in range(q.dim)])
+            out = [f.zero()] * (nb * nm)
+            for i in range(nb):
+                bx = b.multiply(b.basis_vector(k), b.basis_vector(i))
+                for v in range(nm):
+                    c = full[i * nm + v]
+                    if c == 0:
+                        continue
+                    for s, c2 in enumerate(bx):
+                        if c2 != 0:
+                            out[s * nm + v] = f.add(out[s * nm + v],
+                                                    f.mul(c, c2))
+            cols.append(q.project(out))
+        mats.append([list(r) for r in zip(*cols)] if cols else [])
+    return q, mats
+
+
+def _flank_loop(ts, x, e, y):
+    """Reference x . e . y: the former four-deep loop."""
+    b = ts.b
+    f, n = b.field, b.dim
+    full = ts.quotient.lift(e)
+    out = [f.zero()] * (n * n)
+    for i in range(n):
+        for j in range(n):
+            c = full[i * n + j]
+            if c == 0:
+                continue
+            left = b.multiply(list(x), b.basis_vector(i))
+            right = b.multiply(b.basis_vector(j), list(y))
+            for s in range(n):
+                if left[s] == 0:
+                    continue
+                cs = f.mul(c, left[s])
+                for t in range(n):
+                    if right[t] != 0:
+                        out[s * n + t] = f.add(out[s * n + t],
+                                               f.mul(cs, right[t]))
+    return ts.quotient.project(out)
+
+
+def _hom_loop(m1, m2):
+    """Reference Hom(m1, m2): the former per-index row loop."""
+    f = m1.algebra.field
+    d1, d2 = m1.dim, m2.dim
+    rows = []
+    for a1, a2 in zip(m1.action, m2.action):
+        for i in range(d2):
+            for j in range(d1):
+                row = [f.zero()] * (d2 * d1)
+                for s in range(d1):
+                    row[i * d1 + s] = f.add(row[i * d1 + s], a1[s][j])
+                for r in range(d2):
+                    row[r * d1 + j] = f.sub(row[r * d1 + j], a2[i][r])
+                rows.append(row)
+    ker = kernel(rows, d2 * d1, f)
+    return [[[row[i * d1 + j] for j in range(d1)] for i in range(d2)]
+            for row in ker.basis]
+
+
+def _bimodule_system_loop(a, q, lifts):
+    """Reference split-complement system: the former per-unknown loop."""
+    b = a.parent
+    f = b.field
+    aalg = a.as_algebra()
+    da, dq = a.dim, q.dim
+    rows, rhs = [], []
+    for k in range(da):
+        arow = list(a.space.basis[k])
+        lm = aalg.left_mult_matrix(aalg.basis_vector(k))
+        rm = aalg.right_mult_matrix(aalg.basis_vector(k))
+        for t in range(dq):
+            for side, mat in (("l", lm), ("r", rm)):
+                prod = (b.multiply(arow, lifts[t]) if side == "l"
+                        else b.multiply(lifts[t], arow))
+                gamma = list(q.project(prod))
+                rest = list(prod)
+                for g, c in zip(gamma, lifts):
+                    if g != 0:
+                        rest = [f.sub(x, f.mul(g, y)) for x, y in zip(rest, c)]
+                acoords = a.space.coords(rest)
+                for i in range(da):
+                    row = [f.zero()] * (da * dq)
+                    for u in range(da):
+                        row[t * da + u] = f.add(row[t * da + u], mat[i][u])
+                    for s in range(dq):
+                        if gamma[s] != 0:
+                            row[s * da + i] = f.sub(row[s * da + i], gamma[s])
+                    rows.append(row)
+                    rhs.append(acoords[i])
+    return rows, rhs
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_balanced_quotient_matches_tensor_loop(field, data):
+    a, b = _random_extension(data, field)
+    ts = tensor_square(a, b)
+    assert ts.quotient == quotient_space(
+        b.dim * b.dim, _tensor_relations_loop(a, b), field)
+    e = data.draw(_vector(field, ts.dim))
+    x, y = data.draw(_vector(field, b.dim)), data.draw(_vector(field, b.dim))
+    assert ts.flank(x, e, y) == _flank_loop(ts, x, e, y)
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_induce_matches_loop(field, data):
+    a, b = _random_extension(data, field)
+    m = regular_module(a.as_algebra())
+    q, mats = _induce_loop(m, a)
+    assert ext._balanced_quotient(b, a, m.action, m.dim) == q
+    assert induce(m, a).action == make_module(b, mats).action
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_hom_space_matches_loop(field, data):
+    a, b = _random_extension(data, field)
+    m1 = regular_module(a.as_algebra())
+    m2 = restrict(regular_module(b), a)
+    assert hom_space(m1, m2) == _hom_loop(m1, m2)
+    assert hom_space(m2, m1) == _hom_loop(m2, m1)
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_bimodule_system_matches_loop(field, data):
+    a, b = _random_extension(data, field)
+    q = quotient_space(b.dim, a.space.basis, field)
+    lifts = [q.lift(unit_vec(q.dim, t, field)) for t in range(q.dim)]
+    rows, rhs = ext._bimodule_system(a, q, lifts)
+    old_rows, old_rhs = _bimodule_system_loop(a, q, lifts)
+    n = a.dim * q.dim
+    assert echelonize([r + [c] for r, c in zip(rows, rhs)], n + 1, field) == \
+        echelonize([r + [c] for r, c in zip(old_rows, old_rhs)], n + 1, field)
+    assert solve_one(rows, rhs, field) == solve_one(old_rows, old_rhs, field)

@@ -17,6 +17,8 @@ from maxsub.linalg import (
     gaussian_binomial,
     identity_matrix,
     kernel,
+    kron,
+    mat_mul,
     mat_vec,
     quotient_space,
     saturate,
@@ -26,6 +28,7 @@ from maxsub.linalg import (
     subspace_intersection,
     subspace_ops,
     subspace_sum,
+    sylvester_rows,
     tensor_quotient,
     zero_subspace,
 )
@@ -301,3 +304,68 @@ def test_enumerate_filter_applied():
     # planes of F_2^3 through a fixed nonzero vector: (2 choose 1)_2 = 3
     assert len(hits) == 3
     assert all(s.contains_vec(fixed) for s in hits)
+
+
+def _kron_loop(u, v, field):
+    """Reference tensor: the former hand-indexed pure-tensor loop."""
+    out = [field.zero()] * (len(u) * len(v))
+    for i, ui in enumerate(u):
+        if ui == 0:
+            continue
+        for j, vj in enumerate(v):
+            if vj != 0:
+                out[i * len(v) + j] = field.mul(ui, vj)
+    return out
+
+
+def _sylvester_loop(a, b, field):
+    """Reference rows of X -> X·A - B·X: the former Hom-space loop."""
+    c, r = len(a), len(b)
+    rows = []
+    for i in range(r):
+        for j in range(c):
+            row = [field.zero()] * (r * c)
+            for s in range(c):
+                row[i * c + s] = field.add(row[i * c + s], a[s][j])
+            for t in range(r):
+                row[t * c + j] = field.sub(row[t * c + j], b[i][t])
+            rows.append(row)
+    return rows
+
+
+def _entries(field):
+    if field.p is None:
+        return st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.integers(0, field.p - 1)
+
+
+def _square(field, n):
+    row = st.lists(_entries(field), min_size=n, max_size=n)
+    return st.lists(row, min_size=n, max_size=n)
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_kron_matches_reference_loop(field, data):
+    u = data.draw(st.lists(_entries(field), max_size=5))
+    v = data.draw(st.lists(_entries(field), max_size=5))
+    got = kron(u, v, field)
+    assert got == _kron_loop(u, v, field)
+    assert len(got) == len(u) * len(v)
+
+
+@pytest.mark.parametrize("field", [QQ, F3], ids=str)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sylvester_rows_match_reference_and_kernel(field, data):
+    c = data.draw(st.integers(0, 3))
+    r = data.draw(st.integers(0, 3))
+    a = data.draw(_square(field, c))
+    b = data.draw(_square(field, r))
+    rows = sylvester_rows(a, b, field)
+    assert rows == _sylvester_loop(a, b, field)
+    if r and c:
+        for flat in kernel(rows, r * c, field).basis:
+            x = [list(flat[i * c:(i + 1) * c]) for i in range(r)]
+            assert mat_mul(x, a, field) == mat_mul(b, x, field)

@@ -1,5 +1,7 @@
 """Maximal families, certification, classification, brute-force oracle."""
 
+import itertools
+
 import pytest
 
 from conftest import (
@@ -345,3 +347,42 @@ def test_subfield_centralizer_in_m4():
     sub = instantiate_family(m4, sc, wm=wm)
     assert sub.dim == 8      # M_2(F_4) as an F_2-algebra
     assert certify_maximal(sub, m4).status == "maximal"
+
+
+def _irreducible_poly_loop(p, d, field):
+    """Reference search: the former copy of square-and-multiply on x."""
+    from maxsub.structure import _poly_divmod, _poly_eval, _poly_mul
+
+    def pow_x_mod(exp, modpoly):
+        result, base = [field.one()], [field.zero(), field.one()]
+        while exp:
+            if exp & 1:
+                result = _poly_divmod(_poly_mul(result, base, field),
+                                      modpoly, field)[1]
+            base = _poly_divmod(_poly_mul(base, base, field), modpoly, field)[1]
+            exp >>= 1
+        return result
+
+    for tail in itertools.product(range(p), repeat=d):
+        poly = [field.coerce(c) for c in tail] + [field.one()]
+        if any(_poly_eval(poly, field.coerce(c), field) == 0 for c in range(p)):
+            continue
+        xq = pow_x_mod(p ** d, poly)
+        diff = [field.sub(u, v) for u, v in itertools.zip_longest(
+            xq, [field.zero(), field.one()], fillvalue=field.zero())]
+        if all(c == 0 for c in diff):
+            return poly
+    raise AssertionError("no irreducible polynomial")
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3])
+def test_irreducible_poly_matches_former_search(p, d):
+    from maxsub.maximal import _irreducible_poly
+    from maxsub.structure import _poly_powmod, _poly_sub
+    field = GF(p)
+    poly = _irreducible_poly(p, d, field)
+    assert poly == _irreducible_poly_loop(p, d, field)
+    assert len(poly) == d + 1 and poly[-1] == 1
+    x = [0, 1]
+    assert _poly_sub(_poly_powmod(x, p ** d, poly, field), x, field) == []

@@ -1,6 +1,10 @@
 """Quiver and poset presentations, canonical maximal subalgebras, surgery."""
 
+import os
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     A2_QUIVER,
@@ -18,6 +22,7 @@ from conftest import (
 from maxsub.algebra import validate_algebra
 from maxsub.errors import InvalidInputError
 from maxsub.extensions import split_complement
+from maxsub.formats import load_text, parse_poset
 from maxsub.linalg import GF, QQ
 from maxsub.maximal import certify_maximal, classify_type
 from maxsub.modules import make_module
@@ -38,6 +43,8 @@ from maxsub.presentations import (
 )
 
 F2 = GF(2)
+DATA = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                    "data")
 
 
 def test_single_vertex_is_base_field():
@@ -334,3 +341,47 @@ def test_collapse_inclusion_is_separable():
     assert separability_idempotent(res.inclusion, res.ambient) is not None
     res2 = collapse_edge(A2_QUIVER, "a", QQ)
     assert separability_idempotent(res2.inclusion, res2.ambient) is not None
+
+
+def _closure_fixpoint(p):
+    """Reference order relation: the former O(|rel|²) fixpoint."""
+    rel = {(e, e) for e in p.elements}
+    rel.update(p.covers)
+    changed = True
+    while changed:
+        changed = False
+        for (a, c) in list(rel):
+            for (c2, d) in list(rel):
+                if c == c2 and (a, d) not in rel:
+                    rel.add((a, d))
+                    changed = True
+    return frozenset(rel)
+
+
+def _repo_posets():
+    posets = [CHAIN2_POSET, CHAIN3_POSET, DIAMOND_POSET, ZIGZAG_POSET]
+    posets += [path_order_poset(q) for q in
+               (A2_QUIVER, A3_QUIVER, A4_QUIVER, D4_QUIVER, D5_QUIVER,
+                KRONECKER_QUIVER)]
+    for name in ("chain3.poset", "diamond.poset", "zigzag_a5.poset"):
+        posets.append(parse_poset(load_text(os.path.join(DATA, name))))
+    return posets
+
+
+@pytest.mark.parametrize("p", _repo_posets())
+def test_leq_pairs_matches_fixpoint_on_repo_posets(p):
+    assert p.leq_pairs() == _closure_fixpoint(p)
+    assert p.leq_pairs() is p.leq_pairs()
+
+
+@given(st.integers(1, 7).flatmap(lambda n: st.tuples(
+    st.just(n),
+    st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+             .filter(lambda e: e[0] < e[1]), max_size=12, unique=True))))
+@settings(max_examples=60, deadline=None)
+def test_leq_pairs_matches_fixpoint_on_random_dags(dag):
+    n, edges = dag
+    names = tuple(str(i) for i in range(n))
+    p = Poset(names, tuple((names[i], names[j]) for i, j in edges))
+    assert p.leq_pairs() == _closure_fixpoint(p)
+    assert p.leq_pairs() is p.leq_pairs()
