@@ -24,7 +24,7 @@ from .extensions import (
     restrict,
     split_complement,
 )
-from .linalg import QQ
+from .linalg import QQ, _is_prime
 from .maximal import (
     MaximalFamily,
     brute_force_maximal,
@@ -97,8 +97,11 @@ def _parse_family_record(record: str) -> MaximalFamily:
             return MaximalFamily(kind, int(kv["i"]) - 1, other=int(kv["j"]) - 1,
                                  multiplicity=int(kv["m"]), functional=func)
         if kind == "subfield_centralizer":
-            return MaximalFamily(kind, int(kv["block"]) - 1,
-                                 degree=int(kv["degree"]))
+            degree = int(kv["degree"])
+            if not _is_prime(degree):
+                raise ParseError(f"bad family record: degree {degree} "
+                                 "is not prime")
+            return MaximalFamily(kind, int(kv["block"]) - 1, degree=degree)
     except (KeyError, ValueError) as exc:
         raise ParseError(f"bad family record: {exc}") from exc
     raise ParseError(f"unknown family kind {kind!r}")

@@ -36,6 +36,7 @@ from .linalg import (
     Field,
     QuotientSpace,
     Subspace,
+    _is_prime,
     all_vectors,
     combine,
     echelonize,
@@ -361,7 +362,7 @@ def instantiate_family(b: Algebra, fam: MaximalFamily,
         i = fam.block
         n = dims[i]
         d = fam.degree
-        if d <= 1 or n % d != 0:
+        if not _is_prime(d) or n % d != 0:
             raise InvalidInputError("degree must be a prime divisor of n")
         poly = _irreducible_poly(f.p, d, f)
         # companion matrix of the polynomial, embedded n/d times on the

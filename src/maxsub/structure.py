@@ -2,9 +2,11 @@
 
 The radical over Q is the kernel of the trace form of the left regular
 representation.  Over a prime field the trace form only bounds the
-radical from above, so the candidate is refined by a capped nilpotency
-sweep and every answer is verified (nilpotent two-sided ideal whose
-quotient has zero radical) before it is returned.
+radical from above; the radical is the last term of the Cohen-Ivanyos-
+Wales filtration, which refines the trace-form kernel by the traces of
+p^i-th powers of integer lifts.  Every answer is verified (a nilpotent
+two-sided ideal whose quotient has zero radical by the same computation)
+before it is returned.
 """
 
 from __future__ import annotations
@@ -13,20 +15,22 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from .algebra import Algebra, Subalgebra, centralizer, subalgebra_from_rows
 from .errors import (
     InvalidInputError,
     NotSplitError,
-    UnsupportedFieldError,
     VerificationFailedError,
 )
 from .linalg import (
     Field,
+    QQ,
     QuotientSpace,
     Subspace,
     Vec,
+    _is_prime,
     combine,
     echelonize,
     full_subspace,
@@ -115,73 +119,106 @@ def trace_form_radical(a: Algebra) -> Subspace:
     return kernel(gram, a.dim, a.field)
 
 
-def _radical_sweep(a: Algebra, within: Subspace) -> Subspace:
-    """{x in within : the ideal generated by x is nilpotent} over F_p.
+def _int_left_matrix(a: Algebra, w: Sequence) -> list[list[int]]:
+    """An integer lift of L_w over F_p, read from the integer table."""
+    n = a.dim
+    m = [[0] * n for _ in range(n)]
+    for wi, group in zip(w, a._int_table[1]):
+        if wi:
+            for j, row in group:
+                for k, c in row:
+                    m[k][j] += wi * c
+    return m
 
-    This set is exactly J(a) whenever J(a) is contained in `within`, which
-    holds for the trace-form kernel.  Capped; raises when too large.
+
+def _int_mat_mul(x: list[list[int]], y: list[list[int]], mod: int) -> list:
+    cols = list(zip(*y))
+    return [[sum(s * t for s, t in zip(row, col)) % mod for col in cols]
+            for row in x]
+
+
+def _power_trace(m: list[list[int]], e: int, mod: int) -> int:
+    """Tr(m^e) mod `mod`, e >= 1, by square-and-multiply; the last product
+    is only traced."""
+    acc = None
+    while e > 1:
+        if e & 1:
+            acc = m if acc is None else _int_mat_mul(acc, m, mod)
+        m = _int_mat_mul(m, m, mod)
+        e >>= 1
+    if acc is None:
+        return sum(m[k][k] for k in range(len(m))) % mod
+    return sum(s * t for row, col in zip(acc, zip(*m))
+               for s, t in zip(row, col)) % mod
+
+
+def trace_functional_radical(a: Algebra) -> Subspace:
+    """J(a) over F_p by the Cohen-Ivanyos-Wales filtration (Ronyai 1990;
+    Cohen, Ivanyos and Wales 1997) of the left regular representation.
+
+    With n = dim a and q = p^i, g_i(x) = (Tr(L^q) mod pq) / q for any
+    integer lift L of L_x; it is linear on I_{i-1}.  I_{-1} = a and
+    I_i = {x in I_{i-1} : g_i(b_m x) = 0 for every m}, so I_0 is the
+    trace-form kernel, and I_l = J(a) for the largest l with p^l <= n.
     """
-    if within.dim == 0:
-        return within
-    p = a.field.p
-    if p is None:
-        raise UnsupportedFieldError("sweep only applies over finite fields")
-    if p ** within.dim > SWEEP_CAP:
-        raise UnsupportedFieldError(
-            f"radical sweep over {p}^{within.dim} elements exceeds the cap")
-    passing = []
-    for x in span_elements(within):
-        if vec_is_zero(x):
-            continue
-        ideal = ideal_closure(a, [x])
-        if is_nilpotent_space(a, ideal):
-            passing.append(x)
-    return echelonize(passing, a.dim, a.field)
+    f = a.field
+    p, n = f.p, a.dim
+    space = full_subspace(n, f)
+    q = 1
+    while q <= n and space.dim > 0:
+        # g_i on the echelon basis of I_{i-1}, carried to a functional phi
+        # on a that agrees with g_i on I_{i-1}
+        phi = zero_vec(n, f)
+        for w, pc in zip(space.basis, space.pivots):
+            g, rest = divmod(_power_trace(_int_left_matrix(a, w), q, p * q), q)
+            if rest:
+                raise VerificationFailedError(
+                    "trace functional is not divisible by p^i")
+            phi[pc] = g
+        # x = sum c_u w_u lies in I_i iff sum_u c_u phi(b_m w_u) = 0 for all m
+        forms = [mat_vec(a.table[m], phi, f) for m in range(n)]
+        ker = kernel([mat_vec(space.basis, r, f) for r in forms], space.dim, f)
+        space = echelonize([combine(c, space.basis, f) for c in ker.basis], n, f)
+        q *= p
+    return space
+
+
+def _radical_from_traces(a: Algebra) -> Subspace:
+    """J(a) from the structure constants alone: the trace-form kernel over
+    Q, the trace-functional filtration over F_p."""
+    if a.field.is_finite:
+        return trace_functional_radical(a)
+    return trace_form_radical(a)
 
 
 def jacobson_radical(a: Algebra, check: bool = True) -> Subspace:
     """The Jacobson radical as a canonical subspace.
 
     Uses the presentation-derived radical when one is attached (quiver,
-    incidence, matrix, product); otherwise the trace form, refined over
-    F_p by the nilpotency sweep.  The result is always verified.
+    incidence, matrix, product); otherwise the trace form over Q and the
+    trace-functional filtration over F_p.  The result is always verified.
     """
     pres = a.presentation
     if pres is not None and pres.radical_rows is not None:
         cand = echelonize(pres.radical_rows, a.dim, a.field)
     else:
-        cand = trace_form_radical(a)
-        if a.field.is_finite and cand.dim > 0 and not (
-                is_two_sided_ideal(a, cand) and is_nilpotent_space(a, cand)):
-            cand = _radical_sweep(a, cand)
+        cand = _radical_from_traces(a)
     if check:
         verify_radical(a, cand)
     return cand
 
 
 def verify_radical(a: Algebra, j: Subspace):
-    """Check the radical candidate: two-sided nilpotent ideal, clean quotient.
-
-    The quotient re-check is exact over Q; over F_p it falls back to the
-    capped sweep and, above the cap, rests on the exactness of the
-    computation paths (hints are exact by construction, a nilpotent trace
-    kernel is squeezed onto J, the sweep is pointwise exact) with the
-    block decomposition providing the final downstream validation.
-    """
+    """Check the radical candidate: a nilpotent two-sided ideal whose
+    quotient has zero radical, computed from traces (exact over Q and over
+    F_p at every size)."""
     if not is_two_sided_ideal(a, j):
         raise VerificationFailedError("radical candidate is not an ideal")
     if not is_nilpotent_space(a, j):
         raise VerificationFailedError("radical candidate is not nilpotent")
     quot, _ = quotient_algebra(a, j)
-    extra = trace_form_radical(quot)
-    if extra.dim > 0:
-        if not quot.field.is_finite:
-            raise VerificationFailedError("quotient still has a radical")
-        p = quot.field.p
-        if p ** extra.dim <= SWEEP_CAP:
-            extra = _radical_sweep(quot, extra)
-            if extra.dim > 0:
-                raise VerificationFailedError("quotient still has a radical")
+    if _radical_from_traces(quot).dim > 0:
+        raise VerificationFailedError("quotient still has a radical")
 
 
 def quotient_algebra(a: Algebra, ideal: Subspace) -> tuple[Algebra, QuotientSpace]:
@@ -270,15 +307,16 @@ def poly_eval_in_algebra(poly: Sequence, x: Sequence, unit: Sequence,
     return combine(poly, powers, a.field)
 
 
-def _poly_roots(poly: Sequence, field: Field, limit: int = 4096) -> list:
+def _poly_roots(poly: Sequence, field: Field) -> list:
     """All roots in the base field, found exactly, each as often as its
-    multiplicity; over F_p in ascending order."""
+    multiplicity; over F_p in ascending order, over Q 0 first and then by
+    (|numerator|, denominator), + before -."""
     f = field
     poly = _poly_trim(list(poly), f)
     if len(poly) <= 1:
         return []
     if not f.is_finite:
-        return _rational_roots(poly, limit)
+        return _rational_roots(poly)
     roots = []
     work = poly
     for c in sorted(_distinct_roots_mod_p(poly, f)):
@@ -326,36 +364,71 @@ def _poly_powmod(base: list, e: int, mod: list, f: Field) -> list:
     return out
 
 
-def _rational_roots(poly: list, limit: int) -> list:
-    """Rational roots with multiplicity, by the rational root theorem on the
-    integer-cleared polynomial.  A candidate a/b is a root of Σ c_i x^i
-    (degree d) exactly when Σ c_i a^i b^(d-i) = 0, which is tested in ints;
-    each root found is divided out as the integer factor b·x - a."""
-    from fractions import Fraction
-    denlcm = 1
-    for c in poly:
-        denlcm = denlcm * c.denominator // math.gcd(denlcm, c.denominator)
+def _rational_roots(poly: list) -> list:
+    """Rational roots with multiplicity, 0 first and then by (|numerator|,
+    denominator), + before -.  The distinct nonzero roots are those of the
+    squarefree part s of the integer-cleared polynomial, found as y/c for
+    the integer roots y of the monic h(y) = c^(d-1)·s(y/c), where c is the
+    leading coefficient and d the degree of s.  Each root a/b is then
+    divided out as the integer factor b·x - a as often as it divides."""
+    denlcm = math.lcm(1, *(c.denominator for c in poly))
     work = [int(c * denlcm) for c in poly]
-    a0_idx = next(i for i, c in enumerate(work) if c != 0)
-    candidates = [Fraction(0)] if a0_idx else []
-    a0, an = abs(work[a0_idx]), abs(work[-1])
-    ps = _divisors(a0, limit)
-    qs = _divisors(an, limit)
-    seen = set()
-    for pp in ps:
-        for qq in qs:
-            for sign in (1, -1):
-                c = Fraction(sign * pp, qq)
-                if c not in seen:
-                    seen.add(c)
-                    candidates.append(c)
-    roots = []
-    for c in candidates:
+    zeros = next(i for i, c in enumerate(work) if c != 0)
+    roots = [Fraction(0)] * zeros
+    work = work[zeros:]
+    if len(work) == 1:
+        return roots
+    if len(work) == 2:
+        return roots + [Fraction(-work[0], work[1])]
+    g = [Fraction(c) for c in work]
+    sq, _, _ = _poly_ext_gcd(g, [i * c for i, c in enumerate(g)][1:], QQ)
+    s = _poly_divmod(g, sq, QQ)[0]
+    den = math.lcm(1, *(c.denominator for c in s))
+    s = [int(c * den) for c in s]
+    content = math.gcd(*s)
+    s = [c // content for c in s]
+    d, lead = len(s) - 1, s[-1]
+    h = [c * lead ** (d - 1 - i) for i, c in enumerate(s[:-1])] + [1]
+    found = sorted((Fraction(y, lead) for y in _integer_roots(h)),
+                   key=lambda c: (abs(c.numerator), c.denominator, c < 0))
+    for c in found:
         a, b = c.numerator, c.denominator
         while len(work) > 1 and _int_homogeneous_eval(work, a, b) == 0:
             roots.append(c)
             work = _int_div_linear(work, a, b)
     return roots
+
+
+def _integer_roots(h: list[int]) -> list[int]:
+    """The integer roots of a monic squarefree h in Z[x] with h(0) != 0.
+
+    They are found modulo the least odd prime p that keeps h squarefree,
+    by `_distinct_roots_mod_p`, and Hensel-lifted by Newton steps modulo
+    p^(2^k) > 2·|h(0)|; every integer root divides h(0), so it is the
+    symmetric residue of its lift, checked exactly."""
+    dh = [i * c for i, c in enumerate(h)][1:]
+    p = 3
+    while True:
+        if _is_prime(p):
+            f = Field(p)
+            hp = [c % p for c in h]
+            dp = _poly_trim([c % p for c in dh], f)
+            if len(_poly_ext_gcd(hp, dp, f)[0]) == 1:
+                break
+        p += 2
+    roots = _distinct_roots_mod_p(hp, f)
+    mod = p
+    while mod <= 2 * abs(h[0]):
+        mod *= mod
+        roots = [(r - _int_homogeneous_eval(h, r, 1)
+                  * pow(_int_homogeneous_eval(dh, r, 1), -1, mod)) % mod
+                 for r in roots]
+    out = []
+    for r in roots:
+        y = r - mod if 2 * r > mod else r
+        if _int_homogeneous_eval(h, y, 1) == 0:
+            out.append(y)
+    return out
 
 
 def _int_homogeneous_eval(poly: list[int], a: int, b: int) -> int:
@@ -386,21 +459,6 @@ def _poly_eval(poly: Sequence, x, field: Field):
     for c in reversed(list(poly)):
         acc = field.add(field.mul(acc, x), c)
     return acc
-
-
-def _divisors(n: int, limit: int) -> list[int]:
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = []
-    d = 1
-    while d * d <= n and len(out) < limit:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
 
 
 def minimal_polynomial(a: Algebra, x: Sequence, unit: Sequence) -> list:

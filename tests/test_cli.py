@@ -10,8 +10,9 @@ import pytest
 
 from maxsub.cli import run
 from maxsub.errors import ParseError
-from maxsub.formats import load_algebra, load_text, parse_algebra
-from maxsub.algebra import validate_algebra
+from maxsub.formats import dump_algebra, load_algebra, load_text, parse_algebra
+from maxsub.algebra import matrix_algebra, validate_algebra
+from maxsub.linalg import GF
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA = os.path.join(ROOT, "data")
@@ -107,6 +108,35 @@ def test_structure_over_a_61_bit_prime_field(tmp_path):
     assert time.perf_counter() - start < 1.0
     assert code == 0
     assert "schur: true" in text
+
+
+def test_structure_with_a_large_rational_constant(tmp_path):
+    # b^2 = 10^20 b: the idempotent b / 10^20 needs the rational root 10^20
+    kxk = tmp_path / "kxk_big.alg"
+    kxk.write_text("field Q\ndim 2\nbasis a b\nunit 1 0\nmul 1 1 -> 1:1\n"
+                   "mul 1 2 -> 2:1\nmul 2 1 -> 2:1\n"
+                   "mul 2 2 -> 2:100000000000000000000\n")
+    start = time.perf_counter()
+    code, text = run(["structure", str(kxk)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert "schur: true" in text
+    assert "radical_dim: 0" in text
+
+
+def test_instantiate_rejects_a_composite_subfield_degree(tmp_path):
+    m4 = tmp_path / "m4_f3.alg"
+    m4.write_text(dump_algebra(matrix_algebra(4, GF(3))))
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([os.path.join(ROOT, "src"),
+                                           os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "maxsub.cli", "maximal", "instantiate", str(m4),
+         "--family", "family kind=subfield_centralizer block=1 degree=4"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2
+    assert "degree 4 is not prime" in proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stdout + proc.stderr
 
 
 def test_malformed_algebra_rejected(tmp_path):

@@ -22,6 +22,7 @@ from maxsub.algebra import (
 from maxsub.errors import CapExceededError, InvalidInputError, NotSplitError
 from maxsub.linalg import GF, QQ
 from maxsub.maximal import (
+    MaximalFamily,
     brute_force_maximal,
     certify_maximal,
     classify_type,
@@ -347,6 +348,18 @@ def test_subfield_centralizer_in_m4():
     sub = instantiate_family(m4, sc, wm=wm)
     assert sub.dim == 8      # M_2(F_4) as an F_2-algebra
     assert certify_maximal(sub, m4).status == "maximal"
+
+
+@pytest.mark.parametrize("degree", [4, 1, 0])
+def test_subfield_centralizer_degree_must_be_prime(degree):
+    # degree 4 used to give F_9 x F_9 from the reducible x^4 + 1 over F_3
+    m4 = matrix_algebra(4, F3)
+    wm = wedderburn_data(m4)
+    fam = MaximalFamily("subfield_centralizer", 0, degree=degree)
+    with pytest.raises(InvalidInputError, match="prime divisor"):
+        instantiate_family(m4, fam, wm=wm)
+    assert instantiate_family(
+        m4, MaximalFamily("subfield_centralizer", 0, degree=2), wm=wm).dim == 8
 
 
 def _irreducible_poly_loop(p, d, field):

@@ -1,5 +1,7 @@
 """Radical, blocks, idempotent lifting, Wedderburn-Malcev, conjugating units."""
 
+import math
+import random
 import time
 from fractions import Fraction
 
@@ -9,7 +11,11 @@ from hypothesis import strategies as st
 
 from conftest import (
     A3_QUIVER,
+    D4_QUIVER,
+    D5_QUIVER,
+    DIAMOND_POSET,
     KRONECKER_QUIVER,
+    ZIGZAG_POSET,
     f4_algebra,
     kxkxm2,
     quiver_algebra,
@@ -21,19 +27,29 @@ from maxsub.algebra import (
     matrix_algebra,
     subalgebra_from_rows,
 )
-from maxsub.errors import NotSplitError, UnsupportedFieldError
+from maxsub.errors import NotSplitError, VerificationFailedError
 from maxsub.formats import parse_algebra
 from maxsub.linalg import (
     GF,
     QQ,
+    combine,
     echelonize,
+    identity_matrix,
+    solve_linear,
+    span_elements,
     subspace_intersection,
     subspace_sum,
     vec_add,
+    vec_is_zero,
+    zero_subspace,
 )
 from maxsub.modules import module_violation
+from maxsub.presentations import incidence_algebra
 from maxsub.structure import (
+    SWEEP_CAP,
     IdempotentSystem,
+    _int_div_linear,
+    _int_homogeneous_eval,
     _poly_divmod,
     _poly_eval,
     _poly_mul,
@@ -49,6 +65,7 @@ from maxsub.structure import (
     simple_modules,
     structure_report,
     trace_form_radical,
+    verify_radical,
     wedderburn_data,
     wedderburn_malcev_complement,
 )
@@ -100,7 +117,8 @@ def test_radical_is_nilpotent_ideal_and_quotient_clean(a3_q):
 
 def test_radical_f2_sweep_refines_trace_kernel():
     # A(a,b,W)-type subalgebra of the Kronecker algebra over F_2: the
-    # trace form is degenerate but the sweep recovers the 1-dim radical
+    # trace form is degenerate but the trace-functional filtration refines
+    # its kernel to the 1-dim radical
     kr = quiver_algebra(KRONECKER_QUIVER, F2)
     sub = subalgebra_from_rows(
         kr, [list(kr.presentation.vertex_vectors[0]),
@@ -111,10 +129,110 @@ def test_radical_f2_sweep_refines_trace_kernel():
     assert j.dim == 1
 
 
-def test_radical_unsupported_above_cap():
-    big = strip_presentation(matrix_algebra(3, GF(3)))
-    with pytest.raises(UnsupportedFieldError):
-        jacobson_radical(big)
+def _radical_sweep(a, within):
+    """Reference: {x in within : the ideal generated by x is nilpotent}
+    over F_p, the capped element sweep that the trace-functional
+    filtration replaced.  It is J(a) whenever J(a) lies in `within`."""
+    assert a.field.p ** within.dim <= SWEEP_CAP
+    passing = [x for x in span_elements(within) if not vec_is_zero(x)
+               and is_nilpotent_space(a, ideal_closure(a, [x]))]
+    return echelonize(passing, a.dim, a.field)
+
+
+def _swept_radical(a):
+    """The former F_p radical of an algebra without a presentation: the
+    trace-form kernel, swept unless it is already a nilpotent ideal."""
+    cand = trace_form_radical(a)
+    if cand.dim > 0 and not (is_two_sided_ideal(a, cand)
+                             and is_nilpotent_space(a, cand)):
+        cand = _radical_sweep(a, cand)
+    return cand
+
+
+def _in_random_basis(alg, seed):
+    """alg over F_p rewritten in a random basis, without its presentation."""
+    f, n = alg.field, alg.dim
+    rng = random.Random(seed)
+    rows = []
+    while echelonize(rows, n, f).dim < n:
+        rows = [[rng.randrange(f.p) for _ in range(n)] for _ in range(n)]
+    inv, _ = solve_linear(rows, identity_matrix(n, f), f)
+    table = [[combine(alg.multiply(x, y), inv, f) for y in rows] for x in rows]
+    return make_algebra(f, [f"b{i + 1}" for i in range(n)],
+                        combine(alg.unit, inv, f), table)
+
+
+SWEPT_BASES = {
+    "A3": lambda f: quiver_algebra(A3_QUIVER, f),
+    "Kronecker": lambda f: quiver_algebra(KRONECKER_QUIVER, f),
+    "D4": lambda f: quiver_algebra(D4_QUIVER, f),
+    "diamond": lambda f: incidence_algebra(DIAMOND_POSET, f),
+    "zigzag": lambda f: incidence_algebra(ZIGZAG_POSET, f),
+    "T3": lambda f: block_triangular(3, (1, 1, 1), f).as_algebra(),
+    "T(1,2)": lambda f: block_triangular(3, (1, 2), f).as_algebra(),
+    "M2": lambda f: matrix_algebra(2, f),
+    "M3": lambda f: matrix_algebra(3, f),
+}
+
+
+# the sweep is not run on M3/F3, whose trace form is zero (3^9 elements,
+# above the old cap), nor on diamond/F2 (2^8) and zigzag/F3 (3^6), where
+# it takes 1-4 s; there the verified radical has the presented dimension
+OUTSIDE_SWEEP = {("M3", 3), ("diamond", 2), ("zigzag", 3)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(name=st.sampled_from(sorted(SWEPT_BASES)), p=st.sampled_from([2, 3, 5]),
+       seed=st.integers(0, 2 ** 32))
+def test_radical_matches_the_sweep_in_random_bases(name, p, seed):
+    base = SWEPT_BASES[name](GF(p))
+    alg = _in_random_basis(base, seed)
+    j = jacobson_radical(alg)
+    if (name, p) in OUTSIDE_SWEEP:
+        assert j.dim == jacobson_radical(base).dim
+    else:
+        assert j == _swept_radical(alg)
+
+
+@pytest.mark.parametrize("build, rad_dim", [
+    (lambda: quiver_algebra(D5_QUIVER, GF(3)), 9),
+    (lambda: block_triangular(5, (1,) * 5, GF(3)).as_algebra(), 10),
+    (lambda: matrix_algebra(4, GF(2)), 0),
+], ids=["D5/F3", "T5/F3", "M4/F2"])
+def test_radical_above_the_old_sweep_cap(build, rad_dim):
+    alg = build()
+    plain = strip_presentation(alg)
+    start = time.perf_counter()
+    j = jacobson_radical(plain)
+    assert time.perf_counter() - start < 1.0
+    assert j.dim == rad_dim
+    assert j == jacobson_radical(alg)
+
+
+def test_radical_of_plain_m3_over_f3_is_zero():
+    # the trace form of M3 over F_3 vanishes, so its kernel is everything
+    plain = strip_presentation(matrix_algebra(3, GF(3)))
+    assert trace_form_radical(plain).dim == 9
+    assert jacobson_radical(plain).dim == 0
+
+
+def test_verify_radical_rejects_zero_for_t5_over_f3():
+    t5 = strip_presentation(block_triangular(5, (1,) * 5, GF(3)).as_algebra())
+    with pytest.raises(VerificationFailedError, match="quotient"):
+        verify_radical(t5, zero_subspace(t5.dim, t5.field))
+
+
+def test_verify_radical_rejects_a_proper_subideal_of_j():
+    t4 = strip_presentation(block_triangular(4, (1,) * 4, F2).as_algebra())
+    j = jacobson_radical(t4)
+    j2 = ideal_closure(t4, [t4.multiply(list(x), list(y))
+                            for x in j.basis for y in j.basis])
+    assert 0 < j2.dim < j.dim
+    with pytest.raises(VerificationFailedError, match="quotient"):
+        verify_radical(t4, j2)
+    start = time.perf_counter()
+    assert jacobson_radical(t4) == j
+    assert time.perf_counter() - start < 0.1
 
 
 def test_blocks_m2(m2q):
@@ -225,6 +343,58 @@ def test_poly_roots_mod_p_match_the_scan(data):
     if tail:
         poly = _poly_mul(poly, tail + [1], f)
     assert _poly_roots(poly, f) == _scan_roots(poly, f)
+
+
+def _divisor_scan_roots(poly):
+    """Reference: the rational roots by the former scan over every ±a/b
+    with a dividing the lowest and b the leading nonzero coefficient of
+    the integer-cleared polynomial (here without its divisor limit)."""
+    def divisors(n):
+        small = [d for d in range(1, math.isqrt(abs(n)) + 1) if n % d == 0]
+        return sorted(set(small + [abs(n) // d for d in small]))
+    denlcm = math.lcm(1, *(c.denominator for c in poly))
+    work = [int(c * denlcm) for c in poly]
+    while work and work[-1] == 0:
+        work.pop()
+    low = next(c for c in work if c != 0)
+    candidates = [Fraction(0)] if work[0] == 0 else []
+    for a in divisors(low):
+        for b in divisors(work[-1]):
+            for c in (Fraction(a, b), Fraction(-a, b)):
+                if c not in candidates:
+                    candidates.append(c)
+    roots = []
+    for c in candidates:
+        while (len(work) > 1 and _int_homogeneous_eval(
+                work, c.numerator, c.denominator) == 0):
+            roots.append(c)
+            work = _int_div_linear(work, c.numerator, c.denominator)
+    return roots
+
+
+@settings(max_examples=100, deadline=None)
+@given(roots=st.lists(st.fractions(min_value=-6, max_value=6,
+                                   max_denominator=4), max_size=4),
+       tail=st.lists(st.integers(-6, 6), max_size=4),
+       lead=st.integers(1, 12))
+def test_rational_roots_match_the_divisor_scan(roots, tail, lead):
+    poly = [Fraction(lead)]
+    for r in roots:
+        poly = _poly_mul(poly, [-r, Fraction(1)], QQ)
+    poly = _poly_mul(poly, [Fraction(c) for c in tail] + [Fraction(1)], QQ)
+    assert _poly_roots(poly, QQ) == _divisor_scan_roots(poly)
+
+
+def test_rational_roots_of_large_coefficients():
+    # x (x - 10^20) (3x + 7)^2 (x^2 + 2): trial division up to 10^10 hung
+    big = 10 ** 20
+    poly = [Fraction(1)]
+    for factor in ([-big, 1], [7, 3], [7, 3], [2, 0, 1], [0, 1]):
+        poly = _poly_mul(poly, [Fraction(c) for c in factor], QQ)
+    start = time.perf_counter()
+    roots = _poly_roots(poly, QQ)
+    assert time.perf_counter() - start < 1.0
+    assert roots == [0, Fraction(-7, 3), Fraction(-7, 3), big]
 
 
 @settings(max_examples=60, deadline=None)
