@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -24,6 +23,8 @@ from .linalg import (
     Field,
     Subspace,
     Vec,
+    _q_ints,
+    _q_row,
     combine,
     echelonize,
     full_subspace,
@@ -35,8 +36,6 @@ from .linalg import (
     vec_sub,
     zero_vec,
 )
-
-_ZERO = Fraction(0)
 
 
 @dataclass(frozen=True)
@@ -103,14 +102,10 @@ class Algebra:
             for r in self.table)
         return d, rows
 
-    def _multiply_q(self, x: Sequence, y: Sequence) -> list:
-        """The product over Q on integer numerators: x and y are cleared to
-        their lcm denominators, and one Fraction is built per coordinate."""
-        d, rows = self._int_table
-        dx = math.lcm(1, *(c.denominator for c in x))
-        dy = math.lcm(1, *(c.denominator for c in y))
-        xs = [c.numerator * (dx // c.denominator) for c in x]
-        ys = [c.numerator * (dy // c.denominator) for c in y]
+    def _multiply_ints(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
+        """D·(x·y) for integer vectors x and y, D the denominator of
+        `_int_table`; over Q only."""
+        rows = self._int_table[1]
         acc = [0] * self.dim
         for group, xi in zip(rows, xs):
             if xi:
@@ -120,8 +115,15 @@ class Algebra:
                         c *= xi
                         for k, t in row:
                             acc[k] += c * t
-        den = d * dx * dy
-        return [Fraction(v, den) if v else _ZERO for v in acc]
+        return acc
+
+    def _multiply_q(self, x: Sequence, y: Sequence) -> list:
+        """The product over Q on integer numerators: x and y are cleared to
+        their lcm denominators, and one Fraction is built per coordinate."""
+        dx, xs = _q_ints(x)
+        dy, ys = _q_ints(y)
+        den = self._int_table[0] * dx * dy
+        return _q_row(self._multiply_ints(xs, ys), den)
 
     def multiply(self, x: Sequence, y: Sequence) -> list:
         """Bilinear extension of the structure-constant table."""
@@ -265,10 +267,14 @@ def subalgebra(parent: Algebra, space: Subspace, check: bool = True) -> Subalgeb
     if check:
         if not space.contains_vec(list(parent.unit)):
             raise InvalidInputError("subalgebra must contain the unit")
-        for x in space.basis:
-            for y in space.basis:
-                if not space.contains_vec(parent.multiply(list(x), list(y))):
-                    raise InvalidInputError("subspace not closed under product")
+        if parent.field.p is None:
+            if not _q_closed(parent, space):
+                raise InvalidInputError("subspace not closed under product")
+        else:
+            for x in space.basis:
+                for y in space.basis:
+                    if not space.contains_vec(parent.multiply(list(x), list(y))):
+                        raise InvalidInputError("subspace not closed under product")
     return Subalgebra(parent, space)
 
 
@@ -276,6 +282,14 @@ def subalgebra_from_rows(parent: Algebra, rows: Iterable[Sequence],
                          check: bool = True) -> Subalgebra:
     return subalgebra(parent,
                       echelonize(rows, parent.dim, parent.field), check)
+
+
+def _q_closed(a: Algebra, space: Subspace) -> bool:
+    """Over Q: every product of two basis rows lies in space, tested on
+    the integer rows and products, with no Fraction built."""
+    rows = space.int_basis[1]
+    return all(space.holds_ints(a._multiply_ints(x, y))
+               for x in rows for y in rows)
 
 
 def full_subalgebra(a: Algebra) -> Subalgebra:
@@ -286,6 +300,8 @@ def is_closed_subspace(a: Algebra, space: Subspace) -> bool:
     """Unital and multiplicatively closed; the subalgebra predicate."""
     if not space.contains_vec(list(a.unit)):
         return False
+    if a.field.p is None:
+        return _q_closed(a, space)
     for x in space.basis:
         for y in space.basis:
             if not space.contains_vec(a.multiply(list(x), list(y))):
@@ -308,7 +324,14 @@ class BimoduleSubspace:
 
 def bimodule_subspace(parent: Algebra, acting: Subalgebra, space: Subspace,
                       check: bool = True) -> BimoduleSubspace:
-    if check:
+    if check and parent.field.p is None:
+        for arow in acting.space.int_basis[1]:
+            for v in space.int_basis[1]:
+                if not space.holds_ints(parent._multiply_ints(arow, v)):
+                    raise InvalidInputError("not stable under left action")
+                if not space.holds_ints(parent._multiply_ints(v, arow)):
+                    raise InvalidInputError("not stable under right action")
+    elif check:
         for arow in acting.space.basis:
             for v in space.basis:
                 if not space.contains_vec(parent.multiply(list(arow), list(v))):

@@ -5,13 +5,24 @@ Scalars are `fractions.Fraction` over the rationals and plain ints in
 scalars; no floating point appears anywhere.  Subspaces are kept in
 reduced row-echelon form, so equality of subspaces is equality of their
 canonical bases.
+
+Over Q, elimination runs on integer rows: each vector is cleared to
+integers over its lcm denominator, rows are combined fraction-free and
+kept primitive (content 1), and a `Fraction` is built only where a result
+leaves this module.  Each Q `Subspace` caches its basis once as integer
+rows over a common denominator, so membership tests, coordinates and
+quotient projections reduce on integers.
 """
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -241,10 +252,106 @@ def identity_matrix(n: int, field: Field) -> list:
 
 
 # ---------------------------------------------------------------------------
+# integer rows over Q
+
+_ZERO = Fraction(0)
+
+
+def _q_ints(v: Sequence) -> tuple[int, list[int]]:
+    """(d, d·v): a rational vector over its lcm denominator d, as integers.
+    Entries may be anything `Fraction` accepts."""
+    try:
+        dens = [x.denominator for x in v]
+    except AttributeError:
+        v = [Fraction(x) for x in v]
+        dens = [x.denominator for x in v]
+    d = math.lcm(*dens)
+    if d == 1:
+        return 1, [x.numerator for x in v]
+    return d, [x.numerator * (d // e) for x, e in zip(v, dens)]
+
+
+def _q_row(row: Sequence[int], den: int) -> list:
+    """The rational vector row / den."""
+    return [Fraction(x, den) if x else _ZERO for x in row]
+
+
+class _Echelon:
+    """A fully reduced basis of integer rows, grown by fraction-free
+    Gauss–Jordan elimination.
+
+    Each row has content 1, a positive entry at its pivot column and zeros
+    at the other pivot columns; rows are sorted by pivot.  Dividing each row
+    by its pivot entry gives the canonical RREF of the span over Q.
+    """
+
+    def __init__(self):
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    def add(self, v: list[int]) -> list[int] | None:
+        """Reduce v against the basis; a nonzero remainder becomes a new
+        row, which is returned (None when v lies in the span).
+
+        The rows are fully reduced, so v − Σ v[p]/a_p · row_p vanishes at
+        every pivot p; it is formed on integers over the lcm of the a_p.
+        """
+        rows, pivots = self.rows, self.pivots
+        hits = [(v[p], row, row[p]) for p, row in zip(pivots, rows) if v[p]]
+        if hits:
+            m = math.lcm(*(a for *_, a in hits))
+            if m != 1:
+                v = [m * x for x in v]
+            for c, row, a in hits:
+                c *= m // a
+                v = [x - c * y for x, y in zip(v, row)]
+        pc = next((i for i, x in enumerate(v) if x), None)
+        if pc is None:
+            return None
+        g = math.gcd(*v)
+        if v[pc] < 0:
+            g = -g
+        if g != 1:
+            v = [x // g for x in v]
+        a = v[pc]
+        for k, row in enumerate(rows):
+            c = row[pc]
+            if c:
+                g = math.gcd(a, c)
+                a1, c1 = a // g, c // g
+                row = [a1 * x - c1 * y for x, y in zip(row, v)]
+                g = math.gcd(*row)
+                rows[k] = [x // g for x in row] if g != 1 else row
+        k = bisect.bisect(pivots, pc)
+        pivots.insert(k, pc)
+        rows.insert(k, v)
+        return v
+
+    def fractions(self) -> list[list]:
+        """The rows of the canonical RREF, as Fractions."""
+        return [_q_row(row, row[p]) for p, row in zip(self.pivots, self.rows)]
+
+    def subspace(self, ambient_dim: int) -> Subspace:
+        return Subspace(QQ, ambient_dim,
+                        tuple(tuple(r) for r in self.fractions()),
+                        tuple(self.pivots))
+
+
+def _q_echelon(rows: Iterable[Sequence]) -> _Echelon:
+    e = _Echelon()
+    for r in rows:
+        e.add(_q_ints(r)[1])
+    return e
+
+
+# ---------------------------------------------------------------------------
 # reduced row-echelon form and subspaces
 
 def rref(rows: Iterable[Sequence], field: Field) -> tuple[list[list], list[int]]:
     """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
+    if field.p is None:
+        e = _q_echelon(rows)
+        return e.fractions(), list(e.pivots)
     m = [list(map(field.coerce, r)) for r in rows]
     if not m:
         return [], []
@@ -273,6 +380,15 @@ def rref(rows: Iterable[Sequence], field: Field) -> tuple[list[list], list[int]]
 def reduce_vec(v: Sequence, basis: Sequence[Sequence], pivots: Sequence[int],
                field: Field) -> tuple[list, list]:
     """Reduce v against an RREF basis; returns (residual, coefficients)."""
+    if field.p is None:
+        space = Subspace(field, len(v), tuple(basis), tuple(pivots))
+        d, vi = _q_ints(v)
+        res = [_ZERO] * len(v)
+        den = d * space.int_basis[0]
+        for (j, _), x in zip(space._free_columns, space._residual(vi)):
+            if x:
+                res[j] = Fraction(x, den)
+        return res, [v[p] for p in pivots]
     res = list(v)
     coeffs = []
     for row, pc in zip(basis, pivots):
@@ -296,12 +412,48 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @cached_property
+    def int_basis(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """Over Q: (D, D·basis), the basis over its lcm denominator D as
+        integer rows; the entry of row k at pivot k is D."""
+        d = math.lcm(*(x.denominator for r in self.basis for x in r))
+        return d, tuple(tuple(x.numerator * (d // x.denominator) for x in r)
+                        for r in self.basis)
+
+    @cached_property
+    def _free_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
+        """Over Q: (j, column j of D·basis) for each non-pivot column j."""
+        rows = self.int_basis[1]
+        pivset = set(self.pivots)
+        return tuple((j, tuple(r[j] for r in rows))
+                     for j in range(self.ambient_dim) if j not in pivset)
+
+    def _residual(self, v: Sequence[int]) -> list[int]:
+        """Over Q, for an integer vector v: the non-pivot entries of
+        D·v − Σ_k v[pivot k]·(D·basis_k), which vanish iff v lies in the
+        space (the pivot entries always vanish: the basis is an RREF)."""
+        d = self.int_basis[0]
+        cs = [v[p] for p in self.pivots]
+        return [d * v[j] - sum(map(mul, cs, col)) for j, col in self._free_columns]
+
+    def holds_ints(self, v: Sequence[int]) -> bool:
+        """Over Q: True iff the integer vector v (at any scale) lies in the
+        space."""
+        return not any(self._residual(v))
+
     def contains_vec(self, v: Sequence) -> bool:
+        if self.field.p is None:
+            return self.holds_ints(_q_ints(v)[1])
         res, _ = reduce_vec(v, self.basis, self.pivots, self.field)
         return vec_is_zero(res)
 
     def coords(self, v: Sequence) -> list:
         """Coordinates of v in the echelon basis; raises if v is outside."""
+        if self.field.p is None:
+            if not self.holds_ints(_q_ints(v)[1]):
+                raise InvalidInputError("vector not in subspace")
+            # the basis is an RREF: the coordinates are v's pivot entries
+            return [v[p] for p in self.pivots]
         res, coeffs = reduce_vec(v, self.basis, self.pivots, self.field)
         if not vec_is_zero(res):
             raise InvalidInputError("vector not in subspace")
@@ -327,7 +479,25 @@ def saturate(seeds: Iterable[Sequence], ops: Sequence[Callable[[list], Sequence]
     A fully reduced basis is kept: each new vector is reduced against it,
     and each new basis vector is pushed through every op once.  The result
     is the canonical echelon form, equal to `echelonize` of the closure.
+    Over Q the basis is kept as integer rows (`_Echelon`), and each op is
+    applied to an integer multiple of a new basis vector.
     """
+    if field.p is None:
+        e = _Echelon()
+        pending: list[list[int]] = []
+        for v in seeds:
+            if len(v) != ambient_dim:
+                raise DimensionError("row length != ambient dimension")
+            w = e.add(_q_ints(v)[1])
+            if w is not None:
+                pending.append(w)
+        while pending:
+            x = [Fraction(t) for t in pending.pop()]
+            for op in ops:
+                w = e.add(_q_ints(op(x))[1])
+                if w is not None:
+                    pending.append(w)
+        return e.subspace(ambient_dim)
     basis: list[list] = []
     pivots: list[int] = []
     pending: list[list] = []
@@ -420,10 +590,12 @@ def solve_linear(a: Sequence[Sequence], b: Sequence[Sequence], field: Field,
     system is inconsistent) and kernel is the null space of a.  The
     identity a·x = b holds exactly for every returned solution.
     """
-    a = [list(map(field.coerce, r)) for r in a]
-    b = [list(map(field.coerce, r)) for r in b]
     if len(a) != len(b):
         raise DimensionError("a.rows != b.rows")
+    if field.p is None:
+        return _solve_q(a, b)
+    a = [list(map(field.coerce, r)) for r in a]
+    b = [list(map(field.coerce, r)) for r in b]
     nrows = len(a)
     ncols = len(a[0]) if a else 0
     nrhs = len(b[0]) if b and b[0] else (0 if b else 0)
@@ -440,6 +612,41 @@ def solve_linear(a: Sequence[Sequence], b: Sequence[Sequence], field: Field,
     for row, pc in zip(reduced, piv_in_a):
         x[pc] = row[ncols:]
     return x, kernel
+
+
+def _solve_q(a: Sequence[Sequence], b: Sequence[Sequence],
+             ) -> tuple[list | None, Subspace]:
+    """`solve_linear` over Q, on the integer echelon form of [a | b]."""
+    ncols = len(a[0]) if a else 0
+    nrhs = len(b[0]) if b else 0
+    e = _q_echelon(list(r) + list(t) for r, t in zip(a, b))
+    kernel = _q_kernel(e, ncols)
+    # inconsistent iff some pivot falls in the augmented block
+    if e.pivots and e.pivots[-1] >= ncols:
+        return None, kernel
+    x = [[_ZERO] * nrhs for _ in range(ncols)]
+    for p, row in zip(e.pivots, e.rows):
+        x[p] = _q_row(row[ncols:], row[p])
+    return x, kernel
+
+
+def _q_kernel(e: _Echelon, ncols: int) -> Subspace:
+    """Null space, on the first ncols columns, of the echelon rows with a
+    pivot among them: for each free column f, the vector with m at f and
+    −row[f]·m/row[pivot] at each pivot, m the lcm of the pivot entries."""
+    echelon = [(p, row) for p, row in zip(e.pivots, e.rows) if p < ncols]
+    pivset = {p for p, _ in echelon}
+    m = math.lcm(*(row[p] for p, row in echelon))
+    scaled = [(p, row, m // row[p]) for p, row in echelon]
+    ker = _Echelon()
+    for f in range(ncols):
+        if f not in pivset:
+            v = [0] * ncols
+            v[f] = m
+            for p, row, s in scaled:
+                v[p] = -row[f] * s
+            ker.add(v)
+    return ker.subspace(ncols)
 
 
 def _kernel_from_rref(rows, pivots, ncols, field: Field) -> Subspace:
@@ -459,6 +666,8 @@ def kernel(a: Sequence[Sequence], ncols: int, field: Field) -> Subspace:
     """Null space of a matrix with ncols columns (a may have zero rows)."""
     if not a:
         return full_subspace(ncols, field)
+    if field.p is None:
+        return _q_kernel(_q_echelon(a), ncols)
     reduced, pivots = rref(a, field)
     return _kernel_from_rref(reduced, pivots, ncols, field)
 
@@ -560,8 +769,12 @@ class QuotientSpace:
         return len(self.free_coords)
 
     def project(self, v: Sequence) -> tuple:
-        res, _ = reduce_vec(v, self.relations.basis, self.relations.pivots,
-                            self.field)
+        rel = self.relations
+        if self.field.p is None:
+            # the free coordinates are the non-pivot columns of the relations
+            d, vi = _q_ints(v)
+            return tuple(_q_row(rel._residual(vi), d * rel.int_basis[0]))
+        res, _ = reduce_vec(v, rel.basis, rel.pivots, self.field)
         return tuple(res[c] for c in self.free_coords)
 
     def lift(self, qv: Sequence) -> list:

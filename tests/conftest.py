@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import os
+
 import pytest
+from hypothesis import settings
 
 from maxsub.algebra import direct_product, make_algebra, matrix_algebra
 from maxsub.linalg import GF, QQ, Field
@@ -13,6 +16,11 @@ from maxsub.presentations import (
     incidence_algebra,
     path_algebra,
 )
+
+# HYPOTHESIS_PROFILE=ci: the same examples on every run, and no
+# per-example deadline, which a slow shared runner could miss
+settings.register_profile("ci", derandomize=True, deadline=None)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 A2_QUIVER = Quiver(("1", "2"), (("a", "1", "2"),))
 A3_QUIVER = Quiver(("1", "2", "3"), (("a", "1", "2"), ("b", "2", "3")))

@@ -9,20 +9,31 @@ from hypothesis import strategies as st
 from conftest import A3_QUIVER, f4_algebra, kxk, quiver_algebra
 from maxsub.algebra import (
     Algebra,
+    bimodule_subspace,
     block_triangular,
     centralizer,
     conjugate_subalgebra,
     diagonal_subalgebra,
     direct_product,
     invert_element,
+    is_closed_subspace,
     matrix_algebra,
+    subalgebra,
     subalgebra_from_rows,
     subalgebra_generated,
     validate_algebra,
 )
 from maxsub.errors import InvalidInputError
 from maxsub.formats import dump_algebra, parse_algebra
-from maxsub.linalg import GF, QQ, echelonize, full_subspace, kernel, solve_one
+from maxsub.linalg import (
+    GF,
+    QQ,
+    echelonize,
+    full_subspace,
+    kernel,
+    saturate,
+    solve_one,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -362,3 +373,64 @@ def test_centralizer_matches_commutator_kernel(field, data):
                               max_size=3))
     s = echelonize(rows, a.dim, field)
     assert centralizer(a, s).space == _centralizer_loop(a, s)
+
+
+def _in_span_fraction(v, space):
+    """Reference membership: the former sequential Fraction reduction."""
+    res = [Fraction(x) for x in v]
+    for row, pc in zip(space.basis, space.pivots):
+        c = res[pc]
+        if c:
+            res = [x - c * y for x, y in zip(res, row)]
+    return not any(res)
+
+
+def _closed_fraction(a, space):
+    return (_in_span_fraction(a.unit, space)
+            and all(_in_span_fraction(_reference_multiply(a, x, y), space)
+                    for x in space.basis for y in space.basis))
+
+
+def _bimodule_failure_fraction(a, acting, space):
+    """Reference: the former loop's first failure, in its order."""
+    for x in acting.space.basis:
+        for v in space.basis:
+            if not _in_span_fraction(_reference_multiply(a, x, v), space):
+                return "left"
+            if not _in_span_fraction(_reference_multiply(a, v, x), space):
+                return "right"
+    return None
+
+
+_Q_ALGEBRAS = [matrix_algebra(2, QQ), block_triangular(3, (1, 2), QQ).as_algebra(),
+               quiver_algebra(A3_QUIVER, QQ),
+               direct_product([kxk(QQ), matrix_algebra(2, QQ)])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_q_closure_checks_match_the_fraction_loop(data):
+    a = data.draw(st.sampled_from(_Q_ALGEBRAS))
+    n = a.dim
+    vec = st.lists(_rationals, min_size=n, max_size=n)
+    seeds = data.draw(st.lists(vec, max_size=2))
+    rows = data.draw(st.lists(vec, min_size=1, max_size=3))
+    gen = subalgebra_generated(a, seeds)
+    for space in (gen.space, echelonize([a.unit] + rows, n, QQ),
+                  echelonize(rows, n, QQ)):
+        closed = _closed_fraction(a, space)
+        assert is_closed_subspace(a, space) == closed
+        if closed:
+            assert subalgebra(a, space).space == space
+        else:
+            with pytest.raises(InvalidInputError):
+                subalgebra(a, space)
+    ops = [lambda v, x=x: a.multiply(list(x), v) for x in gen.space.basis]
+    ops += [lambda v, x=x: a.multiply(v, list(x)) for x in gen.space.basis]
+    for space in (saturate(rows, ops, n, QQ), echelonize(rows, n, QQ)):
+        failure = _bimodule_failure_fraction(a, gen, space)
+        if failure is None:
+            assert bimodule_subspace(a, gen, space).space == space
+        else:
+            with pytest.raises(InvalidInputError, match=f"under {failure} action"):
+                bimodule_subspace(a, gen, space)

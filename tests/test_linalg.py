@@ -11,6 +11,7 @@ from maxsub.errors import InvalidInputError, NotFiniteFieldError
 from maxsub.linalg import (
     GF,
     QQ,
+    Subspace,
     echelonize,
     enumerate_subspaces,
     full_subspace,
@@ -21,6 +22,8 @@ from maxsub.linalg import (
     mat_mul,
     mat_vec,
     quotient_space,
+    reduce_vec,
+    rref,
     saturate,
     solve_linear,
     span_elements,
@@ -369,3 +372,206 @@ def test_sylvester_rows_match_reference_and_kernel(field, data):
         for flat in kernel(rows, r * c, field).basis:
             x = [list(flat[i * c:(i + 1) * c]) for i in range(r)]
             assert mat_mul(x, a, field) == mat_mul(b, x, field)
+
+
+# ---------------------------------------------------------------------------
+# the integer elimination over Q against the Fraction loops it replaced
+
+def _rref_fraction(rows, field):
+    """Reference: the former Gauss-Jordan loop on Field scalars."""
+    m = [list(map(field.coerce, r)) for r in rows]
+    if not m:
+        return [], []
+    ncols = len(m[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
+        if pr is None:
+            continue
+        m[r], m[pr] = m[pr], m[r]
+        inv = field.inv(m[r][c])
+        if inv != 1:
+            m[r] = [field.mul(inv, x) for x in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c] != 0:
+                f = m[i][c]
+                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(m):
+            break
+    return m[:r], pivots
+
+
+def _reduce_fraction(v, basis, pivots, field):
+    """Reference: the former sequential reduction against an RREF basis."""
+    res = list(v)
+    coeffs = []
+    for row, pc in zip(basis, pivots):
+        c = res[pc]
+        coeffs.append(c)
+        if c != 0:
+            res = [field.sub(x, field.mul(c, y)) for x, y in zip(res, row)]
+    return res, coeffs
+
+
+def _saturate_fraction(seeds, ops, n, field):
+    """Reference: the former `saturate`, a fully reduced Field-scalar basis."""
+    basis, pivots, pending = [], [], []
+
+    def add(v):
+        res, _ = _reduce_fraction(v, basis, pivots, field)
+        pc = next((i for i, x in enumerate(res) if x != 0), None)
+        if pc is None:
+            return
+        inv = field.inv(res[pc])
+        res = [field.mul(inv, x) for x in res]
+        for i, row in enumerate(basis):
+            c = row[pc]
+            if c != 0:
+                basis[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, res)]
+        basis.append(res)
+        pivots.append(pc)
+        pending.append(res)
+
+    for v in seeds:
+        add([field.coerce(x) for x in v])
+    while pending:
+        v = pending.pop()
+        for op in ops:
+            add(op(v))
+    order = sorted(range(len(pivots)), key=pivots.__getitem__)
+    return Subspace(field, n, tuple(tuple(basis[i]) for i in order),
+                    tuple(pivots[i] for i in order))
+
+
+def _kernel_fraction(reduced, pivots, ncols):
+    """Reference: the former kernel read off a Fraction RREF."""
+    free = [c for c in range(ncols) if c not in pivots]
+    vecs = []
+    for f in free:
+        v = [Fraction(0)] * ncols
+        v[f] = Fraction(1)
+        for row, pc in zip(reduced, pivots):
+            v[pc] = -row[f]
+        vecs.append(v)
+    rows, piv = _rref_fraction(vecs, QQ)
+    return [tuple(r) for r in rows], piv
+
+
+def _spell(entry):
+    """A rational written as a Fraction, an int (when integral) or a str:
+    every form `Field.coerce` accepts."""
+    x, how = entry
+    if how == "int" and x.denominator == 1:
+        return int(x)
+    if how == "str":
+        return str(x)
+    return x
+
+
+# small integers (zeros and negative pivots among them) and fractions
+# with denominators up to 10^12
+_RATIONAL = st.one_of(st.integers(-3, 3).map(Fraction),
+                      st.fractions(-5, 5, max_denominator=10 ** 12))
+
+
+@st.composite
+def _q_matrix(draw, forms=("fraction", "int", "str"), max_rows=5, max_cols=5):
+    """(ncols, rows): 0..max_rows rows of ncols entries (0×n and n×0 shapes
+    included), with a repeated row, a multiple of a row and a zero row
+    mixed in."""
+    ncols = draw(st.integers(0, max_cols))
+    entry = st.tuples(_RATIONAL, st.sampled_from(forms)).map(_spell)
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         max_size=max_rows))
+    if rows and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    if rows and draw(st.booleans()):
+        k = draw(st.sampled_from([-2, -1, 3]))
+        rows.append([k * Fraction(x) for x in draw(st.sampled_from(rows))])
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
+    return ncols, rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_matrix())
+def test_q_rref_matches_the_fraction_loop(shape):
+    _, rows = shape
+    got_rows, got_pivots = rref(rows, QQ)
+    want_rows, want_pivots = _rref_fraction(rows, QQ)
+    assert got_pivots == want_pivots
+    assert got_rows == want_rows
+    assert all(type(x) is Fraction for row in got_rows for x in row)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_matrix(forms=("fraction", "int")), st.data())
+def test_q_reduction_matches_the_fraction_loop(shape, data):
+    n, rows = shape
+    basis, pivots = _rref_fraction(rows, QQ)
+    entry = st.tuples(_RATIONAL, st.sampled_from(["fraction", "int"])).map(_spell)
+    if basis and data.draw(st.booleans()):
+        coeffs = data.draw(st.lists(_RATIONAL, min_size=len(basis),
+                                    max_size=len(basis)))
+        v = [sum((c * row[j] for c, row in zip(coeffs, basis)), Fraction(0))
+             for j in range(n)]
+    else:
+        v = data.draw(st.lists(entry, min_size=n, max_size=n))
+    want_res, want_coeffs = _reduce_fraction(v, basis, pivots, QQ)
+    inside = all(x == 0 for x in want_res)
+    assert reduce_vec(v, basis, pivots, QQ) == (want_res, want_coeffs)
+    space = echelonize(rows, n, QQ)
+    assert space.basis == tuple(tuple(r) for r in basis)
+    assert space.contains_vec(v) == inside
+    if inside:
+        assert space.coords(v) == want_coeffs
+    else:
+        with pytest.raises(InvalidInputError):
+            space.coords(v)
+    q = quotient_space(n, rows, QQ)
+    assert q.project(v) == tuple(want_res[c] for c in q.free_coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_q_saturate_matches_the_fraction_loop(data):
+    n = data.draw(st.integers(1, 5))
+    # mostly-zero seeds and maps, so that the closure is often a proper
+    # subspace
+    sparse = st.lists(st.one_of(st.just(0), st.just(0), _RATIONAL),
+                      min_size=n, max_size=n)
+    seeds = data.draw(st.lists(sparse, max_size=2))
+    mats = data.draw(st.lists(st.lists(sparse, min_size=n, max_size=n),
+                              max_size=3))
+    ops = [lambda v, m=m: mat_vec(m, v, QQ) for m in mats]
+    assert saturate(seeds, ops, n, QQ) == _saturate_fraction(seeds, ops, n, QQ)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_q_matrix(forms=("fraction", "int")), st.data())
+def test_q_kernel_and_solve_match_the_fraction_loop(shape, data):
+    n, a = shape
+    if not a:
+        assert kernel(a, n, QQ) == full_subspace(n, QQ)
+        return
+    reduced, pivots = _rref_fraction(a, QQ)
+    ker = kernel(a, n, QQ)
+    assert (list(ker.basis), list(ker.pivots)) == _kernel_fraction(reduced, pivots, n)
+    k = data.draw(st.integers(0, 2))
+    b = data.draw(st.lists(st.lists(_RATIONAL, min_size=k, max_size=k),
+                           min_size=len(a), max_size=len(a)))
+    x, ker2 = solve_linear(a, b, QQ)
+    assert ker2 == ker
+    aug, apiv = _rref_fraction([list(r) + list(t) for r, t in zip(a, b)], QQ)
+    if any(pc >= n for pc in apiv):
+        assert x is None
+        return
+    want = [[Fraction(0)] * k for _ in range(n)]
+    for row, pc in zip(aug, apiv):
+        want[pc] = row[n:]
+    assert x == want
+    if n:
+        assert mat_mul(a, x, QQ) == [list(map(Fraction, r)) for r in b]
