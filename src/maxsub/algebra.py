@@ -23,8 +23,8 @@ from .linalg import (
     Field,
     Subspace,
     Vec,
-    _q_ints,
-    _q_row,
+    _ints,
+    _scalars,
     combine,
     echelonize,
     full_subspace,
@@ -120,10 +120,10 @@ class Algebra:
     def _multiply_q(self, x: Sequence, y: Sequence) -> list:
         """The product over Q on integer numerators: x and y are cleared to
         their lcm denominators, and one Fraction is built per coordinate."""
-        dx, xs = _q_ints(x)
-        dy, ys = _q_ints(y)
+        dx, xs = _ints(x, None)
+        dy, ys = _ints(y, None)
         den = self._int_table[0] * dx * dy
-        return _q_row(self._multiply_ints(xs, ys), den)
+        return _scalars(self._multiply_ints(xs, ys), den, None)
 
     def multiply(self, x: Sequence, y: Sequence) -> list:
         """Bilinear extension of the structure-constant table."""

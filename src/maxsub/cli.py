@@ -16,7 +16,7 @@ import time
 
 from . import formats
 from .algebra import Subalgebra, subalgebra_from_rows, validate_algebra
-from .errors import MaxsubError, OperationError, ParseError
+from .errors import InvalidInputError, MaxsubError, OperationError, ParseError
 from .extensions import (
     analyze_extension,
     decompose_module,
@@ -149,7 +149,12 @@ def _cmd_maximal(args, field) -> dict:
         if not args.family:
             raise OperationError("instantiate needs --family RECORD")
         fam = _parse_family_record(args.family)
-        params = args.params.split(",") if args.params else None
+        params = None
+        if args.params:
+            try:
+                params = [b.field.parse(c) for c in args.params.split(",")]
+            except InvalidInputError as exc:
+                raise ParseError(f"bad --params: {exc}") from exc
         sub = instantiate_family(b, fam, params=params, seed=seed)
         return {"subalgebra_dim": sub.dim, "codim": b.dim - sub.dim,
                 "basis": _span_lines(sub.space, b.field)}

@@ -6,11 +6,13 @@ scalars; no floating point appears anywhere.  Subspaces are kept in
 reduced row-echelon form, so equality of subspaces is equality of their
 canonical bases.
 
-Over Q, elimination runs on integer rows: each vector is cleared to
-integers over its lcm denominator, rows are combined fraction-free and
-kept primitive (content 1), and a `Fraction` is built only where a result
-leaves this module.  Each Q `Subspace` caches its basis once as integer
-rows over a common denominator, so membership tests, coordinates and
+Both fields run one elimination core on integer rows.  A vector is
+cleared to integers over a common denominator (its lcm denominator over
+Q, 1 over F_p), rows are combined fraction-free, and each row is kept in
+a normal form: content 1 with a positive pivot over Q, entries mod p with
+pivot 1 over F_p.  Field scalars are built only where a result leaves
+this module.  A `Subspace` gives its basis as integer rows over a common
+denominator (cached once over Q), so membership tests, coordinates and
 quotient projections reduce on integers.
 """
 
@@ -22,7 +24,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import (
@@ -252,14 +253,21 @@ def identity_matrix(n: int, field: Field) -> list:
 
 
 # ---------------------------------------------------------------------------
-# integer rows over Q
+# integer rows: the one elimination core over Q and F_p
 
 _ZERO = Fraction(0)
 
 
-def _q_ints(v: Sequence) -> tuple[int, list[int]]:
-    """(d, d·v): a rational vector over its lcm denominator d, as integers.
-    Entries may be anything `Fraction` accepts."""
+def _ints(v: Sequence, p: int | None) -> tuple[int, Sequence[int]]:
+    """(d, d·v): v over a common denominator d, as integers.
+
+    Over Q, d is the lcm of the denominators, and the entries may be
+    anything `Fraction` accepts.  Over F_p, d is 1 and v is passed through
+    as it is: its ints need not lie in [0, p), because the row normal form
+    and the residual reduce mod p.
+    """
+    if p is not None:
+        return 1, v
     try:
         dens = [x.denominator for x in v]
     except AttributeError:
@@ -271,8 +279,12 @@ def _q_ints(v: Sequence) -> tuple[int, list[int]]:
     return d, [x.numerator * (d // e) for x, e in zip(v, dens)]
 
 
-def _q_row(row: Sequence[int], den: int) -> list:
-    """The rational vector row / den."""
+def _scalars(row: Sequence[int], den: int, p: int | None) -> list:
+    """The field vector row / den, for an integer row and den ≠ 0:
+    Fractions over Q, ints in [0, p) over F_p."""
+    if p is not None:
+        s = pow(den, -1, p)
+        return [x * s % p for x in row]
     return [Fraction(x, den) if x else _ZERO for x in row]
 
 
@@ -280,16 +292,40 @@ class _Echelon:
     """A fully reduced basis of integer rows, grown by fraction-free
     Gauss–Jordan elimination.
 
-    Each row has content 1, a positive entry at its pivot column and zeros
-    at the other pivot columns; rows are sorted by pivot.  Dividing each row
-    by its pivot entry gives the canonical RREF of the span over Q.
+    Rows are sorted by pivot and vanish at the other pivot columns.  Over
+    Q each row has content 1 and a positive entry at its pivot; over F_p
+    its entries lie in [0, p) and its pivot entry is 1.  Dividing each row
+    by its pivot entry gives the canonical RREF of the span.
     """
 
-    def __init__(self):
+    def __init__(self, field: Field, rows: Iterable[Sequence] = ()):
+        self.field = field
         self.rows: list[list[int]] = []
         self.pivots: list[int] = []
+        for r in rows:
+            self.add(_ints(r, field.p)[1])
 
-    def add(self, v: list[int]) -> list[int] | None:
+    def _normal(self, v: list[int]) -> tuple[int, list[int]] | None:
+        """(pivot, v in row normal form), or None when v is zero."""
+        p = self.field.p
+        if p is not None:
+            v = [x % p for x in v]
+        pc = next((i for i, x in enumerate(v) if x), None)
+        if pc is None:
+            return None
+        if p is not None:
+            s = pow(v[pc], -1, p)
+            if s != 1:
+                v = [x * s % p for x in v]
+            return pc, v
+        g = math.gcd(*v)
+        if v[pc] < 0:
+            g = -g
+        if g != 1:
+            v = [x // g for x in v]
+        return pc, v
+
+    def add(self, v: Sequence[int]) -> list[int] | None:
         """Reduce v against the basis; a nonzero remainder becomes a new
         row, which is returned (None when v lies in the span).
 
@@ -305,43 +341,51 @@ class _Echelon:
             for c, row, a in hits:
                 c *= m // a
                 v = [x - c * y for x, y in zip(v, row)]
-        pc = next((i for i, x in enumerate(v) if x), None)
-        if pc is None:
+        normal = self._normal(v)
+        if normal is None:
             return None
-        g = math.gcd(*v)
-        if v[pc] < 0:
-            g = -g
-        if g != 1:
-            v = [x // g for x in v]
+        pc, v = normal
         a = v[pc]
         for k, row in enumerate(rows):
             c = row[pc]
             if c:
                 g = math.gcd(a, c)
                 a1, c1 = a // g, c // g
-                row = [a1 * x - c1 * y for x, y in zip(row, v)]
-                g = math.gcd(*row)
-                rows[k] = [x // g for x in row] if g != 1 else row
+                rows[k] = self._normal([a1 * x - c1 * y
+                                        for x, y in zip(row, v)])[1]
         k = bisect.bisect(pivots, pc)
         pivots.insert(k, pc)
         rows.insert(k, v)
         return v
 
-    def fractions(self) -> list[list]:
-        """The rows of the canonical RREF, as Fractions."""
-        return [_q_row(row, row[p]) for p, row in zip(self.pivots, self.rows)]
+    def scalars(self) -> list[list]:
+        """The rows of the canonical RREF, as field scalars."""
+        p = self.field.p
+        return [_scalars(row, row[q], p) for q, row in zip(self.pivots, self.rows)]
 
     def subspace(self, ambient_dim: int) -> Subspace:
-        return Subspace(QQ, ambient_dim,
-                        tuple(tuple(r) for r in self.fractions()),
+        return Subspace(self.field, ambient_dim,
+                        tuple(tuple(r) for r in self.scalars()),
                         tuple(self.pivots))
 
-
-def _q_echelon(rows: Iterable[Sequence]) -> _Echelon:
-    e = _Echelon()
-    for r in rows:
-        e.add(_q_ints(r)[1])
-    return e
+    def kernel(self, ncols: int) -> Subspace:
+        """Null space, on the first ncols columns, of the rows with a pivot
+        among them: for each free column f, the vector with m at f and
+        −row[f]·m/row[pivot] at each pivot, m the lcm of the pivot
+        entries."""
+        echelon = [(q, row) for q, row in zip(self.pivots, self.rows) if q < ncols]
+        pivset = {q for q, _ in echelon}
+        m = math.lcm(*(row[q] for q, row in echelon))
+        scaled = [(q, row, m // row[q]) for q, row in echelon]
+        ker = _Echelon(self.field)
+        for f in range(ncols):
+            if f not in pivset:
+                v = [0] * ncols
+                v[f] = m
+                for q, row, s in scaled:
+                    v[q] = -row[f] * s
+                ker.add(v)
+        return ker.subspace(ncols)
 
 
 # ---------------------------------------------------------------------------
@@ -349,54 +393,17 @@ def _q_echelon(rows: Iterable[Sequence]) -> _Echelon:
 
 def rref(rows: Iterable[Sequence], field: Field) -> tuple[list[list], list[int]]:
     """Reduced row-echelon form; returns (nonzero rows, pivot columns)."""
-    if field.p is None:
-        e = _q_echelon(rows)
-        return e.fractions(), list(e.pivots)
-    m = [list(map(field.coerce, r)) for r in rows]
-    if not m:
-        return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        inv = field.inv(m[r][c])
-        if inv != 1:
-            m[r] = [field.mul(inv, x) for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m[:r], pivots
+    e = _Echelon(field, rows)
+    return e.scalars(), list(e.pivots)
 
 
 def reduce_vec(v: Sequence, basis: Sequence[Sequence], pivots: Sequence[int],
                field: Field) -> tuple[list, list]:
     """Reduce v against an RREF basis; returns (residual, coefficients)."""
-    if field.p is None:
-        space = Subspace(field, len(v), tuple(basis), tuple(pivots))
-        d, vi = _q_ints(v)
-        res = [_ZERO] * len(v)
-        den = d * space.int_basis[0]
-        for (j, _), x in zip(space._free_columns, space._residual(vi)):
-            if x:
-                res[j] = Fraction(x, den)
-        return res, [v[p] for p in pivots]
-    res = list(v)
-    coeffs = []
-    for row, pc in zip(basis, pivots):
-        c = res[pc]
-        coeffs.append(c)
-        if c != 0:
-            res = [field.sub(x, field.mul(c, y)) for x, y in zip(res, row)]
-    return res, coeffs
+    space = Subspace(field, len(v), tuple(basis), tuple(pivots))
+    d, vi = _ints(v, field.p)
+    res = _scalars(space._residual(vi), d * space.int_basis[0], field.p)
+    return res, [v[q] for q in pivots]
 
 
 @dataclass(frozen=True)
@@ -412,63 +419,57 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    @cached_property
+    @property
     def int_basis(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """Over Q: (D, D·basis), the basis over its lcm denominator D as
-        integer rows; the entry of row k at pivot k is D."""
+        """(D, D·basis): the basis over a common denominator D as integer
+        rows, so that the entry of row k at pivot k is D.  Over F_p this is
+        (1, basis); over Q it is computed once, D the lcm denominator."""
+        if self.field.p is not None:
+            return 1, self.basis
+        return self._q_int_basis
+
+    @cached_property
+    def _q_int_basis(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         d = math.lcm(*(x.denominator for r in self.basis for x in r))
         return d, tuple(tuple(x.numerator * (d // x.denominator) for x in r)
                         for r in self.basis)
 
-    @cached_property
-    def _free_columns(self) -> tuple[tuple[int, tuple[int, ...]], ...]:
-        """Over Q: (j, column j of D·basis) for each non-pivot column j."""
-        rows = self.int_basis[1]
-        pivset = set(self.pivots)
-        return tuple((j, tuple(r[j] for r in rows))
-                     for j in range(self.ambient_dim) if j not in pivset)
-
-    def _residual(self, v: Sequence[int]) -> list[int]:
-        """Over Q, for an integer vector v: the non-pivot entries of
-        D·v − Σ_k v[pivot k]·(D·basis_k), which vanish iff v lies in the
-        space (the pivot entries always vanish: the basis is an RREF)."""
-        d = self.int_basis[0]
-        cs = [v[p] for p in self.pivots]
-        return [d * v[j] - sum(map(mul, cs, col)) for j, col in self._free_columns]
+    def _residual(self, v: Sequence[int]) -> Sequence[int]:
+        """For an integer vector v: D·v − Σ_k v[pivot k]·(D·basis_k), mod p
+        over F_p.  It vanishes at every pivot (the basis is an RREF), and
+        everywhere iff v lies in the space."""
+        d, rows = self.int_basis
+        res = [d * x for x in v] if d != 1 else v
+        for q, row in zip(self.pivots, rows):
+            c = v[q]
+            if c:
+                res = [x - c * y for x, y in zip(res, row)]
+        p = self.field.p
+        return res if p is None else [x % p for x in res]
 
     def holds_ints(self, v: Sequence[int]) -> bool:
-        """Over Q: True iff the integer vector v (at any scale) lies in the
-        space."""
+        """True iff the integer vector v lies in the space (over Q, at any
+        scale)."""
         return not any(self._residual(v))
 
     def contains_vec(self, v: Sequence) -> bool:
-        if self.field.p is None:
-            return self.holds_ints(_q_ints(v)[1])
-        res, _ = reduce_vec(v, self.basis, self.pivots, self.field)
-        return vec_is_zero(res)
+        return self.holds_ints(_ints(v, self.field.p)[1])
 
     def coords(self, v: Sequence) -> list:
         """Coordinates of v in the echelon basis; raises if v is outside."""
-        if self.field.p is None:
-            if not self.holds_ints(_q_ints(v)[1]):
-                raise InvalidInputError("vector not in subspace")
-            # the basis is an RREF: the coordinates are v's pivot entries
-            return [v[p] for p in self.pivots]
-        res, coeffs = reduce_vec(v, self.basis, self.pivots, self.field)
-        if not vec_is_zero(res):
+        if not self.contains_vec(v):
             raise InvalidInputError("vector not in subspace")
-        return coeffs
+        # the basis is an RREF: the coordinates are v's pivot entries
+        return [v[q] for q in self.pivots]
 
 
 def echelonize(rows: Iterable[Sequence], ambient_dim: int, field: Field) -> Subspace:
     """Canonical subspace spanned by the given rows of length ambient_dim."""
-    rows = [list(r) for r in rows]
+    rows = list(rows)
     for r in rows:
         if len(r) != ambient_dim:
             raise DimensionError("row length != ambient dimension")
-    basis, pivots = rref(rows, field)
-    return Subspace(field, ambient_dim,
-                    tuple(tuple(r) for r in basis), tuple(pivots))
+    return _Echelon(field, rows).subspace(ambient_dim)
 
 
 def saturate(seeds: Iterable[Sequence], ops: Sequence[Callable[[list], Sequence]],
@@ -476,59 +477,28 @@ def saturate(seeds: Iterable[Sequence], ops: Sequence[Callable[[list], Sequence]
     """Smallest subspace that holds the seeds and is mapped into itself by
     every linear map in ops.
 
-    A fully reduced basis is kept: each new vector is reduced against it,
-    and each new basis vector is pushed through every op once.  The result
-    is the canonical echelon form, equal to `echelonize` of the closure.
-    Over Q the basis is kept as integer rows (`_Echelon`), and each op is
-    applied to an integer multiple of a new basis vector.
+    A fully reduced basis of integer rows is kept (`_Echelon`): each new
+    vector is reduced against it, and each new basis row is pushed through
+    every op once, as field scalars (over Q, an integer multiple of the
+    basis vector).  The result is the canonical echelon form, equal to
+    `echelonize` of the closure.
     """
-    if field.p is None:
-        e = _Echelon()
-        pending: list[list[int]] = []
-        for v in seeds:
-            if len(v) != ambient_dim:
-                raise DimensionError("row length != ambient dimension")
-            w = e.add(_q_ints(v)[1])
-            if w is not None:
-                pending.append(w)
-        while pending:
-            x = [Fraction(t) for t in pending.pop()]
-            for op in ops:
-                w = e.add(_q_ints(op(x))[1])
-                if w is not None:
-                    pending.append(w)
-        return e.subspace(ambient_dim)
-    basis: list[list] = []
-    pivots: list[int] = []
-    pending: list[list] = []
-
-    def add(v):
-        res, _ = reduce_vec(v, basis, pivots, field)
-        pc = next((i for i, x in enumerate(res) if x != 0), None)
-        if pc is None:
-            return
-        inv = field.inv(res[pc])
-        if inv != 1:
-            res = [field.mul(inv, x) for x in res]
-        for i, row in enumerate(basis):
-            c = row[pc]
-            if c != 0:
-                basis[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, res)]
-        basis.append(res)
-        pivots.append(pc)
-        pending.append(res)
-
+    p = field.p
+    e = _Echelon(field)
+    pending: list[list[int]] = []
     for v in seeds:
         if len(v) != ambient_dim:
             raise DimensionError("row length != ambient dimension")
-        add([field.coerce(x) for x in v])
+        w = e.add(_ints(v, p)[1])
+        if w is not None:
+            pending.append(w)
     while pending:
-        v = pending.pop()
+        x = _scalars(pending.pop(), 1, p)
         for op in ops:
-            add(op(v))
-    order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return Subspace(field, ambient_dim, tuple(tuple(basis[i]) for i in order),
-                    tuple(pivots[i] for i in order))
+            w = e.add(_ints(op(x), p)[1])
+            if w is not None:
+                pending.append(w)
+    return e.subspace(ambient_dim)
 
 
 def zero_subspace(ambient_dim: int, field: Field) -> Subspace:
@@ -592,84 +562,22 @@ def solve_linear(a: Sequence[Sequence], b: Sequence[Sequence], field: Field,
     """
     if len(a) != len(b):
         raise DimensionError("a.rows != b.rows")
-    if field.p is None:
-        return _solve_q(a, b)
-    a = [list(map(field.coerce, r)) for r in a]
-    b = [list(map(field.coerce, r)) for r in b]
-    nrows = len(a)
-    ncols = len(a[0]) if a else 0
-    nrhs = len(b[0]) if b and b[0] else (0 if b else 0)
-    aug = [a[i] + b[i] for i in range(nrows)]
-    reduced, pivots = rref(aug, field) if aug else ([], [])
-    piv_in_a = [pc for pc in pivots if pc < ncols]
-    # inconsistent iff some pivot falls in the augmented block
-    consistent = len(piv_in_a) == len(pivots)
-    kernel = _kernel_from_rref([row[:ncols] for row in reduced[:len(piv_in_a)]],
-                               piv_in_a, ncols, field)
-    if not consistent:
-        return None, kernel
-    x = [zero_vec(nrhs, field) for _ in range(ncols)]
-    for row, pc in zip(reduced, piv_in_a):
-        x[pc] = row[ncols:]
-    return x, kernel
-
-
-def _solve_q(a: Sequence[Sequence], b: Sequence[Sequence],
-             ) -> tuple[list | None, Subspace]:
-    """`solve_linear` over Q, on the integer echelon form of [a | b]."""
     ncols = len(a[0]) if a else 0
     nrhs = len(b[0]) if b else 0
-    e = _q_echelon(list(r) + list(t) for r, t in zip(a, b))
-    kernel = _q_kernel(e, ncols)
+    e = _Echelon(field, (list(r) + list(t) for r, t in zip(a, b)))
+    ker = e.kernel(ncols)
     # inconsistent iff some pivot falls in the augmented block
     if e.pivots and e.pivots[-1] >= ncols:
-        return None, kernel
-    x = [[_ZERO] * nrhs for _ in range(ncols)]
-    for p, row in zip(e.pivots, e.rows):
-        x[p] = _q_row(row[ncols:], row[p])
-    return x, kernel
-
-
-def _q_kernel(e: _Echelon, ncols: int) -> Subspace:
-    """Null space, on the first ncols columns, of the echelon rows with a
-    pivot among them: for each free column f, the vector with m at f and
-    −row[f]·m/row[pivot] at each pivot, m the lcm of the pivot entries."""
-    echelon = [(p, row) for p, row in zip(e.pivots, e.rows) if p < ncols]
-    pivset = {p for p, _ in echelon}
-    m = math.lcm(*(row[p] for p, row in echelon))
-    scaled = [(p, row, m // row[p]) for p, row in echelon]
-    ker = _Echelon()
-    for f in range(ncols):
-        if f not in pivset:
-            v = [0] * ncols
-            v[f] = m
-            for p, row, s in scaled:
-                v[p] = -row[f] * s
-            ker.add(v)
-    return ker.subspace(ncols)
-
-
-def _kernel_from_rref(rows, pivots, ncols, field: Field) -> Subspace:
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
-    basis = []
-    for f in free:
-        v = zero_vec(ncols, field)
-        v[f] = field.one()
-        for row, pc in zip(rows, pivots):
-            v[pc] = field.neg(row[f])
-        basis.append(v)
-    return echelonize(basis, ncols, field)
+        return None, ker
+    x = [zero_vec(nrhs, field) for _ in range(ncols)]
+    for q, row in zip(e.pivots, e.rows):
+        x[q] = _scalars(row[ncols:], row[q], field.p)
+    return x, ker
 
 
 def kernel(a: Sequence[Sequence], ncols: int, field: Field) -> Subspace:
     """Null space of a matrix with ncols columns (a may have zero rows)."""
-    if not a:
-        return full_subspace(ncols, field)
-    if field.p is None:
-        return _q_kernel(_q_echelon(a), ncols)
-    reduced, pivots = rref(a, field)
-    return _kernel_from_rref(reduced, pivots, ncols, field)
+    return _Echelon(field, a).kernel(ncols)
 
 
 def solve_one(a: Sequence[Sequence], rhs: Sequence, field: Field) -> list | None:
@@ -770,12 +678,11 @@ class QuotientSpace:
 
     def project(self, v: Sequence) -> tuple:
         rel = self.relations
-        if self.field.p is None:
-            # the free coordinates are the non-pivot columns of the relations
-            d, vi = _q_ints(v)
-            return tuple(_q_row(rel._residual(vi), d * rel.int_basis[0]))
-        res, _ = reduce_vec(v, rel.basis, rel.pivots, self.field)
-        return tuple(res[c] for c in self.free_coords)
+        p = self.field.p
+        d, vi = _ints(v, p)
+        res = rel._residual(vi)
+        return tuple(_scalars([res[c] for c in self.free_coords],
+                              d * rel.int_basis[0], p))
 
     def lift(self, qv: Sequence) -> list:
         v = zero_vec(self.ambient_dim, self.field)

@@ -278,6 +278,10 @@ def instantiate_family(b: Algebra, fam: MaximalFamily,
     if wm is None:
         wm = wedderburn_data(b, seed)
     dims = [blk.n for blk in wm.report.blocks]
+    for idx in (fam.block, fam.other):
+        if idx is not None and not 0 <= idx < len(dims):
+            raise InvalidInputError(
+                f"block {idx + 1} out of range: blocks are 1..{len(dims)}")
     f = b.field
     rad_rows = [list(r) for r in wm.radical.basis]
 

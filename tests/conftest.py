@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 
 import pytest
@@ -16,6 +17,19 @@ from maxsub.presentations import (
     incidence_algebra,
     path_algebra,
 )
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def recorded_invocations() -> dict:
+    """{report name: CLI arguments} of the reports under data/reports/, as
+    `scripts/record_reports.py` records them."""
+    spec = importlib.util.spec_from_file_location(
+        "record_reports", os.path.join(ROOT, "scripts", "record_reports.py"))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod.RECORDED
+
 
 # HYPOTHESIS_PROFILE=ci: the same examples on every run, and no
 # per-example deadline, which a slow shared runner could miss

@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from conftest import recorded_invocations
 from maxsub.cli import run
 from maxsub.errors import ParseError
 from maxsub.formats import dump_algebra, load_algebra, load_text, parse_algebra
@@ -43,18 +44,9 @@ def test_bundled_presentations_build(name):
     assert validate_algebra(alg).ok
 
 
-def _recorded_table():
-    import importlib.util
-    spec = importlib.util.spec_from_file_location(
-        "record_reports", os.path.join(ROOT, "scripts", "record_reports.py"))
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    return mod.RECORDED
-
-
 @pytest.mark.parametrize("name", sorted(os.listdir(REPORTS)))
 def test_recorded_reports_reproduce_byte_for_byte(name):
-    argv = _recorded_table()[name]
+    argv = recorded_invocations()[name]
     code, text = run(argv)
     assert code == 0
     with open(os.path.join(REPORTS, name), "r", encoding="utf-8") as fh:
@@ -187,6 +179,24 @@ def test_instantiate_roundtrip_from_enumerate():
                             "--field", "F2", "--family", rec])
         assert code2 == 0
         assert "codim: 1" in text2
+
+
+@pytest.mark.parametrize("block", ["0", "99"])
+def test_instantiate_block_out_of_range_is_an_error(block):
+    code, text = run(["maximal", "instantiate", "data/kxkxm2_f2.alg",
+                      "--family", f"kind=subfield_centralizer block={block} "
+                      "degree=2"])
+    assert code == 1
+    assert text == f"error: block {block} out of range: blocks are 1..3\n"
+
+
+@pytest.mark.parametrize("params", ["abc", "1/0", "1,x"])
+def test_instantiate_bad_params_is_a_parse_error(params):
+    code, text = run(["maximal", "instantiate", "data/kronecker.quiver",
+                      "--family", "kind=radical_hyperplane i=1 j=2 m=2 "
+                      "hyperplane=parametrized codim=1", "--params", params])
+    assert code == 2
+    assert text.startswith("parse error: bad --params: bad scalar literal")
 
 
 DUPLICATE_MUL = ("field Q\ndim 1\nbasis e\nunit 1\n"

@@ -375,7 +375,7 @@ def test_sylvester_rows_match_reference_and_kernel(field, data):
 
 
 # ---------------------------------------------------------------------------
-# the integer elimination over Q against the Fraction loops it replaced
+# the integer elimination core against the Field-scalar loops it replaced
 
 def _rref_fraction(rows, field):
     """Reference: the former Gauss-Jordan loop on Field scalars."""
@@ -446,17 +446,17 @@ def _saturate_fraction(seeds, ops, n, field):
                     tuple(pivots[i] for i in order))
 
 
-def _kernel_fraction(reduced, pivots, ncols):
-    """Reference: the former kernel read off a Fraction RREF."""
+def _kernel_fraction(reduced, pivots, ncols, field):
+    """Reference: the former kernel read off a Field-scalar RREF."""
     free = [c for c in range(ncols) if c not in pivots]
     vecs = []
     for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
+        v = [field.zero()] * ncols
+        v[f] = field.one()
         for row, pc in zip(reduced, pivots):
-            v[pc] = -row[f]
+            v[pc] = field.neg(row[f])
         vecs.append(v)
-    rows, piv = _rref_fraction(vecs, QQ)
+    rows, piv = _rref_fraction(vecs, field)
     return [tuple(r) for r in rows], piv
 
 
@@ -476,54 +476,69 @@ def _spell(entry):
 _RATIONAL = st.one_of(st.integers(-3, 3).map(Fraction),
                       st.fractions(-5, 5, max_denominator=10 ** 12))
 
+FP = [F2, F3, GF(5)]
+
+
+def _raw(field):
+    """Entries the elimination takes as input: the rationals above over Q;
+    over F_p, ints from -2p to 2p, so negative and ≥ p among them."""
+    if field.p is None:
+        return _RATIONAL
+    return st.integers(-2 * field.p, 2 * field.p)
+
+
+def _is_scalar(x, field):
+    if field.p is None:
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < field.p
+
 
 @st.composite
-def _q_matrix(draw, forms=("fraction", "int", "str"), max_rows=5, max_cols=5):
+def _matrix(draw, field, entry, max_rows=5, max_cols=5):
     """(ncols, rows): 0..max_rows rows of ncols entries (0×n and n×0 shapes
     included), with a repeated row, a multiple of a row and a zero row
     mixed in."""
     ncols = draw(st.integers(0, max_cols))
-    entry = st.tuples(_RATIONAL, st.sampled_from(forms)).map(_spell)
     rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
                          max_size=max_rows))
     if rows and draw(st.booleans()):
         rows.append(list(draw(st.sampled_from(rows))))
     if rows and draw(st.booleans()):
         k = draw(st.sampled_from([-2, -1, 3]))
-        rows.append([k * Fraction(x) for x in draw(st.sampled_from(rows))])
+        value = Fraction if field.p is None else int
+        rows.append([k * value(x) for x in draw(st.sampled_from(rows))])
     if draw(st.booleans()):
         rows.insert(draw(st.integers(0, len(rows))), [0] * ncols)
     return ncols, rows
 
 
-@settings(max_examples=150, deadline=None)
-@given(_q_matrix())
-def test_q_rref_matches_the_fraction_loop(shape):
-    _, rows = shape
-    got_rows, got_pivots = rref(rows, QQ)
-    want_rows, want_pivots = _rref_fraction(rows, QQ)
+def _q_matrix(forms=("fraction", "int", "str")):
+    return _matrix(QQ, st.tuples(_RATIONAL, st.sampled_from(forms)).map(_spell))
+
+
+def _check_rref(field, rows):
+    got_rows, got_pivots = rref(rows, field)
+    want_rows, want_pivots = _rref_fraction(rows, field)
     assert got_pivots == want_pivots
     assert got_rows == want_rows
-    assert all(type(x) is Fraction for row in got_rows for x in row)
+    assert all(_is_scalar(x, field) for row in got_rows for x in row)
 
 
-@settings(max_examples=150, deadline=None)
-@given(_q_matrix(forms=("fraction", "int")), st.data())
-def test_q_reduction_matches_the_fraction_loop(shape, data):
-    n, rows = shape
-    basis, pivots = _rref_fraction(rows, QQ)
-    entry = st.tuples(_RATIONAL, st.sampled_from(["fraction", "int"])).map(_spell)
+def _check_reduction(field, n, rows, data, entry):
+    """reduce_vec, contains_vec, coords and project of a vector with
+    entries drawn from `entry`, or of a combination of the basis."""
+    basis, pivots = _rref_fraction(rows, field)
     if basis and data.draw(st.booleans()):
-        coeffs = data.draw(st.lists(_RATIONAL, min_size=len(basis),
+        coeffs = data.draw(st.lists(entry, min_size=len(basis),
                                     max_size=len(basis)))
-        v = [sum((c * row[j] for c, row in zip(coeffs, basis)), Fraction(0))
+        v = [field.coerce(sum(c * row[j] for c, row in zip(coeffs, basis)))
              for j in range(n)]
     else:
         v = data.draw(st.lists(entry, min_size=n, max_size=n))
-    want_res, want_coeffs = _reduce_fraction(v, basis, pivots, QQ)
+    want_res, want_coeffs = _reduce_fraction(v, basis, pivots, field)
     inside = all(x == 0 for x in want_res)
-    assert reduce_vec(v, basis, pivots, QQ) == (want_res, want_coeffs)
-    space = echelonize(rows, n, QQ)
+    assert reduce_vec(v, basis, pivots, field) == (want_res, want_coeffs)
+    space = echelonize(rows, n, field)
     assert space.basis == tuple(tuple(r) for r in basis)
     assert space.contains_vec(v) == inside
     if inside:
@@ -531,47 +546,98 @@ def test_q_reduction_matches_the_fraction_loop(shape, data):
     else:
         with pytest.raises(InvalidInputError):
             space.coords(v)
-    q = quotient_space(n, rows, QQ)
+    q = quotient_space(n, rows, field)
     assert q.project(v) == tuple(want_res[c] for c in q.free_coords)
+
+
+def _check_saturate(field, data):
+    n = data.draw(st.integers(1, 5))
+    # mostly-zero seeds and maps, so that the closure is often a proper
+    # subspace
+    sparse = st.lists(st.one_of(st.just(0), st.just(0), _raw(field)),
+                      min_size=n, max_size=n)
+    seeds = data.draw(st.lists(sparse, max_size=2))
+    mats = data.draw(st.lists(st.lists(sparse, min_size=n, max_size=n),
+                              max_size=3))
+    ops = [lambda v, m=m: mat_vec(m, v, field) for m in mats]
+    assert saturate(seeds, ops, n, field) == _saturate_fraction(seeds, ops, n, field)
+
+
+def _check_kernel_and_solve(field, n, a, data):
+    if not a:
+        assert kernel(a, n, field) == full_subspace(n, field)
+        return
+    reduced, pivots = _rref_fraction(a, field)
+    ker = kernel(a, n, field)
+    assert (list(ker.basis), list(ker.pivots)) == _kernel_fraction(
+        reduced, pivots, n, field)
+    k = data.draw(st.integers(0, 2))
+    b = data.draw(st.lists(st.lists(_raw(field), min_size=k, max_size=k),
+                           min_size=len(a), max_size=len(a)))
+    x, ker2 = solve_linear(a, b, field)
+    assert ker2 == ker
+    aug, apiv = _rref_fraction([list(r) + list(t) for r, t in zip(a, b)], field)
+    if any(pc >= n for pc in apiv):
+        assert x is None
+        return
+    want = [[field.zero()] * k for _ in range(n)]
+    for row, pc in zip(aug, apiv):
+        want[pc] = row[n:]
+    assert x == want
+    if n:
+        assert mat_mul(a, x, field) == [list(map(field.coerce, r)) for r in b]
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_matrix())
+def test_q_rref_matches_the_fraction_loop(shape):
+    _check_rref(QQ, shape[1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_q_matrix(forms=("fraction", "int")), st.data())
+def test_q_reduction_matches_the_fraction_loop(shape, data):
+    n, rows = shape
+    entry = st.tuples(_RATIONAL, st.sampled_from(["fraction", "int"])).map(_spell)
+    _check_reduction(QQ, n, rows, data, entry)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_q_saturate_matches_the_fraction_loop(data):
-    n = data.draw(st.integers(1, 5))
-    # mostly-zero seeds and maps, so that the closure is often a proper
-    # subspace
-    sparse = st.lists(st.one_of(st.just(0), st.just(0), _RATIONAL),
-                      min_size=n, max_size=n)
-    seeds = data.draw(st.lists(sparse, max_size=2))
-    mats = data.draw(st.lists(st.lists(sparse, min_size=n, max_size=n),
-                              max_size=3))
-    ops = [lambda v, m=m: mat_vec(m, v, QQ) for m in mats]
-    assert saturate(seeds, ops, n, QQ) == _saturate_fraction(seeds, ops, n, QQ)
+    _check_saturate(QQ, data)
 
 
 @settings(max_examples=100, deadline=None)
 @given(_q_matrix(forms=("fraction", "int")), st.data())
 def test_q_kernel_and_solve_match_the_fraction_loop(shape, data):
-    n, a = shape
-    if not a:
-        assert kernel(a, n, QQ) == full_subspace(n, QQ)
-        return
-    reduced, pivots = _rref_fraction(a, QQ)
-    ker = kernel(a, n, QQ)
-    assert (list(ker.basis), list(ker.pivots)) == _kernel_fraction(reduced, pivots, n)
-    k = data.draw(st.integers(0, 2))
-    b = data.draw(st.lists(st.lists(_RATIONAL, min_size=k, max_size=k),
-                           min_size=len(a), max_size=len(a)))
-    x, ker2 = solve_linear(a, b, QQ)
-    assert ker2 == ker
-    aug, apiv = _rref_fraction([list(r) + list(t) for r, t in zip(a, b)], QQ)
-    if any(pc >= n for pc in apiv):
-        assert x is None
-        return
-    want = [[Fraction(0)] * k for _ in range(n)]
-    for row, pc in zip(aug, apiv):
-        want[pc] = row[n:]
-    assert x == want
-    if n:
-        assert mat_mul(a, x, QQ) == [list(map(Fraction, r)) for r in b]
+    _check_kernel_and_solve(QQ, *shape, data)
+
+
+@pytest.mark.parametrize("field", FP, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fp_rref_matches_the_scalar_loop(field, data):
+    _check_rref(field, data.draw(_matrix(field, _raw(field)))[1])
+
+
+@pytest.mark.parametrize("field", FP, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fp_reduction_matches_the_scalar_loop(field, data):
+    n, rows = data.draw(_matrix(field, _raw(field)))
+    _check_reduction(field, n, rows, data, st.integers(0, field.p - 1))
+
+
+@pytest.mark.parametrize("field", FP, ids=str)
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_fp_saturate_matches_the_scalar_loop(field, data):
+    _check_saturate(field, data)
+
+
+@pytest.mark.parametrize("field", FP, ids=str)
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_fp_kernel_and_solve_match_the_scalar_loop(field, data):
+    _check_kernel_and_solve(field, *data.draw(_matrix(field, _raw(field))), data)

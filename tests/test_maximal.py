@@ -132,6 +132,22 @@ def test_instantiate_subfield_centralizer(m2f2):
     assert centralizer(m2f2, sub.space).space == sub.space
 
 
+@pytest.mark.parametrize("fam", [
+    MaximalFamily("subfield_centralizer", -1, degree=2),
+    MaximalFamily("subfield_centralizer", 98, degree=2),
+    MaximalFamily("block_triangular", 3, k=1),
+    MaximalFamily("diagonal_merge", 0, other=-1),
+    MaximalFamily("diagonal_merge", 0, other=3),
+    MaximalFamily("radical_hyperplane", 0, other=5, multiplicity=1,
+                  functional=(1,)),
+], ids=["centralizer-0", "centralizer-99", "triangular-4", "merge-j0",
+        "merge-j4", "hyperplane-j6"])
+def test_instantiate_rejects_block_out_of_range(fam):
+    # K x K x M2 has three blocks; a record's block 0 or 99 is index -1 or 98
+    with pytest.raises(InvalidInputError, match="out of range"):
+        instantiate_family(kxkxm2(F2), fam)
+
+
 def test_certify_block_triangular(m2q):
     bt = subalgebra_from_rows(m2q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
     cert = certify_maximal(bt, m2q)
