@@ -205,6 +205,14 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     return ValidationReport(tuple(bad))
 
 
+def checked(a: Algebra) -> Algebra:
+    """a itself, once `validate_algebra` finds no violation."""
+    rep = validate_algebra(a)
+    if not rep.ok:
+        raise VerificationFailedError("; ".join(rep.violations[:3]))
+    return a
+
+
 def make_algebra(field: Field, basis_names: Sequence[str], unit: Sequence,
                  table: Sequence[Sequence[Sequence]],
                  presentation: Presentation | None = None,
@@ -215,11 +223,7 @@ def make_algebra(field: Field, basis_names: Sequence[str], unit: Sequence,
         for i in range(dim))
     a = Algebra(field, dim, tuple(basis_names),
                 tuple(field.coerce(v) for v in unit), coerced, presentation)
-    if check:
-        rep = validate_algebra(a)
-        if not rep.ok:
-            raise VerificationFailedError("; ".join(rep.violations[:3]))
-    return a
+    return checked(a) if check else a
 
 
 # ---------------------------------------------------------------------------
@@ -267,14 +271,9 @@ def subalgebra(parent: Algebra, space: Subspace, check: bool = True) -> Subalgeb
     if check:
         if not space.contains_vec(list(parent.unit)):
             raise InvalidInputError("subalgebra must contain the unit")
-        if parent.field.p is None:
-            if not _q_closed(parent, space):
-                raise InvalidInputError("subspace not closed under product")
-        else:
-            for x in space.basis:
-                for y in space.basis:
-                    if not space.contains_vec(parent.multiply(list(x), list(y))):
-                        raise InvalidInputError("subspace not closed under product")
+        rows = space.int_basis[1]
+        if not _products_in(parent, rows, rows, space):
+            raise InvalidInputError("subspace not closed under product")
     return Subalgebra(parent, space)
 
 
@@ -284,12 +283,16 @@ def subalgebra_from_rows(parent: Algebra, rows: Iterable[Sequence],
                       echelonize(rows, parent.dim, parent.field), check)
 
 
-def _q_closed(a: Algebra, space: Subspace) -> bool:
-    """Over Q: every product of two basis rows lies in space, tested on
-    the integer rows and products, with no Fraction built."""
-    rows = space.int_basis[1]
-    return all(space.holds_ints(a._multiply_ints(x, y))
-               for x in rows for y in rows)
+def _products_in(a: Algebra, lefts: Sequence[Sequence],
+                 rights: Sequence[Sequence], space: Subspace) -> bool:
+    """True iff x·y lies in space for every x in lefts and y in rights, for
+    rows as `Subspace.int_basis` gives them (over Q at any integer scale:
+    the products are tested on integers, with no Fraction built)."""
+    if a.field.p is None:
+        return all(space.holds_ints(a._multiply_ints(x, y))
+                   for x in lefts for y in rights)
+    return all(space.contains_vec(a.multiply(list(x), list(y)))
+               for x in lefts for y in rights)
 
 
 def full_subalgebra(a: Algebra) -> Subalgebra:
@@ -298,15 +301,9 @@ def full_subalgebra(a: Algebra) -> Subalgebra:
 
 def is_closed_subspace(a: Algebra, space: Subspace) -> bool:
     """Unital and multiplicatively closed; the subalgebra predicate."""
-    if not space.contains_vec(list(a.unit)):
-        return False
-    if a.field.p is None:
-        return _q_closed(a, space)
-    for x in space.basis:
-        for y in space.basis:
-            if not space.contains_vec(a.multiply(list(x), list(y))):
-                return False
-    return True
+    rows = space.int_basis[1]
+    return (space.contains_vec(list(a.unit))
+            and _products_in(a, rows, rows, space))
 
 
 @dataclass(frozen=True)
@@ -324,19 +321,13 @@ class BimoduleSubspace:
 
 def bimodule_subspace(parent: Algebra, acting: Subalgebra, space: Subspace,
                       check: bool = True) -> BimoduleSubspace:
-    if check and parent.field.p is None:
-        for arow in acting.space.int_basis[1]:
+    if check:
+        # pair by pair, so the first failing product names its side
+        for x in acting.space.int_basis[1]:
             for v in space.int_basis[1]:
-                if not space.holds_ints(parent._multiply_ints(arow, v)):
+                if not _products_in(parent, [x], [v], space):
                     raise InvalidInputError("not stable under left action")
-                if not space.holds_ints(parent._multiply_ints(v, arow)):
-                    raise InvalidInputError("not stable under right action")
-    elif check:
-        for arow in acting.space.basis:
-            for v in space.basis:
-                if not space.contains_vec(parent.multiply(list(arow), list(v))):
-                    raise InvalidInputError("not stable under left action")
-                if not space.contains_vec(parent.multiply(list(v), list(arow))):
+                if not _products_in(parent, [v], [x], space):
                     raise InvalidInputError("not stable under right action")
     return BimoduleSubspace(parent, acting, space)
 

@@ -68,6 +68,14 @@ def _load_span(path: str, algebra) -> Subalgebra:
     return subalgebra_from_rows(algebra, rows, check=True)
 
 
+def _coords(text: str, field, option: str) -> list:
+    """Comma-separated scalars; a bad literal is a parse error."""
+    try:
+        return [field.parse(c) for c in text.split(",")]
+    except InvalidInputError as exc:
+        raise ParseError(f"bad {option}: {exc}") from exc
+
+
 def _need(rest: list[str], count: int, usage: str) -> list[str]:
     if len(rest) != count:
         raise OperationError(f"expected arguments: {usage}")
@@ -149,12 +157,8 @@ def _cmd_maximal(args, field) -> dict:
         if not args.family:
             raise OperationError("instantiate needs --family RECORD")
         fam = _parse_family_record(args.family)
-        params = None
-        if args.params:
-            try:
-                params = [b.field.parse(c) for c in args.params.split(",")]
-            except InvalidInputError as exc:
-                raise ParseError(f"bad --params: {exc}") from exc
+        params = (_coords(args.params, b.field, "--params") if args.params
+                  else None)
         sub = instantiate_family(b, fam, params=params, seed=seed)
         return {"subalgebra_dim": sub.dim, "codim": b.dim - sub.dim,
                 "basis": _span_lines(sub.space, b.field)}
@@ -289,7 +293,7 @@ def _cmd_quiver(args, field) -> dict:
         alg = path_algebra(pres, f)
         hyper = None
         if args.hyperplane:
-            hyper = [[f.parse(c) for c in row.split(",")]
+            hyper = [_coords(row, f, "--hyperplane")
                      for row in args.hyperplane.split(";")]
         sub = quiver_maximal(alg, kind, a, b, hyper)
         cert = certify_maximal(sub, alg, args.seed)
@@ -396,10 +400,16 @@ def _common_options(parser, suppress: bool):
                              "(default Q)")
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):   # `run` returns exit code 2, not SystemExit
+        raise ParseError(
+            f"{self.format_usage()}{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _common_options(common, suppress=True)
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="maxsub",
         description="structure and maximal subalgebras of finite-dimensional "
                     "associative algebras, exactly")
@@ -453,11 +463,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    field = _field_from_option(args.field)
+    try:
+        args = build_parser().parse_args(argv)
+    except ParseError as exc:   # argparse's usage text, as it would print it
+        return 2, str(exc)
     t0 = time.monotonic()
     try:
+        field = _field_from_option(args.field)
         if args.cmd == "structure":
             result = _cmd_structure(args.algebra, field, args.seed)
             paths = [args.algebra]

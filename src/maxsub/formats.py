@@ -19,9 +19,9 @@ import hashlib
 import os
 from fractions import Fraction
 
-from .algebra import Algebra, make_algebra
+from .algebra import Algebra, checked
 from .errors import InvalidInputError, ParseError
-from .linalg import Field, GF, QQ
+from .linalg import Field, GF, QQ, _modp
 from .modules import Module, make_module
 from .presentations import (
     PathAlgebraPresentation,
@@ -121,9 +121,11 @@ def parse_algebra(text: str) -> Algebra:
                 raise ParseError(f"bad index in {term!r}", line_no) from None
             if not 1 <= k1 <= dim:
                 raise ParseError("term index out of range", line_no)
-            out[k1 - 1] = field.add(out[k1 - 1], _scalar(field, vv, line_no))
-        table[i1 - 1][j1 - 1] = out
-    return make_algebra(field, names, unit, table, check=True)
+            out[k1 - 1] += _scalar(field, vv, line_no)
+        table[i1 - 1][j1 - 1] = _modp(out, field.p)
+    # the constants are field scalars already: no second coercion
+    return checked(Algebra(field, dim, tuple(names), tuple(unit),
+                           tuple(tuple(map(tuple, row)) for row in table)))
 
 
 def dump_algebra(a: Algebra) -> str:

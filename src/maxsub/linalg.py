@@ -6,6 +6,10 @@ scalars; no floating point appears anywhere.  Subspaces are kept in
 reduced row-echelon form, so equality of subspaces is equality of their
 canonical bases.
 
+Vectors, matrices and polynomials are added and multiplied natively and
+reduced mod p once per result (`_modp`); per-scalar `Field.add` and
+`Field.mul` serve only the F_p branch of `Algebra.multiply`.
+
 Both fields run one elimination core on integer rows.  A vector is
 cleared to integers over a common denominator (its lcm denominator over
 Q, 1 over F_p), rows are combined fraction-free, and each row is kept in
@@ -67,7 +71,9 @@ def _is_prime(n: int) -> bool:
 
 @dataclass(frozen=True)
 class Field:
-    """The rationals (p is None) or the prime field F_p."""
+    """The rationals (p is None) or the prime field F_p: its zero, one,
+    coercion, inverses, parsing and elements.  Sums and products are
+    native Python arithmetic, reduced by `_modp`."""
 
     p: int | None = None
 
@@ -93,19 +99,22 @@ class Field:
         return Fraction(x)
 
     def add(self, a, b) -> Scalar:
+        """a + b; only for the F_p branch of `Algebra.multiply`."""
         if self.p is not None:
             return (a + b) % self.p
         return a + b
 
+    def mul(self, a, b) -> Scalar:
+        """a·b; only for the F_p branch of `Algebra.multiply`."""
+        if self.p is not None:
+            return (a * b) % self.p
+        return a * b
+
+    # no caller in the library: kept while bench/tracing.py wraps them
     def sub(self, a, b) -> Scalar:
         if self.p is not None:
             return (a - b) % self.p
         return a - b
-
-    def mul(self, a, b) -> Scalar:
-        if self.p is not None:
-            return (a * b) % self.p
-        return a * b
 
     def neg(self, a) -> Scalar:
         if self.p is not None:
@@ -163,12 +172,18 @@ def unit_vec(n: int, i: int, field: Field) -> list:
     return v
 
 
+def _modp(v: list, p: int | None) -> list:
+    """v with each entry reduced mod p over F_p; v itself over Q.  The
+    vector and polynomial helpers reduce each result once, here."""
+    return v if p is None else [x % p for x in v]
+
+
 def vec_add(u, v, field: Field) -> list:
-    return [field.add(a, b) for a, b in zip(u, v)]
+    return _modp([a + b for a, b in zip(u, v)], field.p)
 
 
 def vec_sub(u, v, field: Field) -> list:
-    return [field.sub(a, b) for a, b in zip(u, v)]
+    return _modp([a - b for a, b in zip(u, v)], field.p)
 
 
 def combine(coeffs: Sequence, rows: Sequence[Sequence], field: Field) -> list:
@@ -181,9 +196,8 @@ def combine(coeffs: Sequence, rows: Sequence[Sequence], field: Field) -> list:
     out = zero_vec(len(rows[0]) if rows else 0, field)
     for c, row in zip(coeffs, rows):
         if c != 0:
-            out = [field.add(o, field.mul(c, x)) if x else o
-                   for o, x in zip(out, row)]
-    return out
+            out = [o + c * x if x else o for o, x in zip(out, row)]
+    return _modp(out, field.p)
 
 
 def kron(u: Sequence, v: Sequence, field: Field) -> list:
@@ -193,8 +207,8 @@ def kron(u: Sequence, v: Sequence, field: Field) -> list:
     zeros = [zero] * len(v)
     out = []
     for a in u:
-        out += [field.mul(a, b) if b else zero for b in v] if a else zeros
-    return out
+        out += [a * b if b else zero for b in v] if a else zeros
+    return _modp(out, field.p)
 
 
 def sylvester_rows(a: Sequence[Sequence], b: Sequence[Sequence], field: Field,
@@ -213,8 +227,8 @@ def sylvester_rows(a: Sequence[Sequence], b: Sequence[Sequence], field: Field,
             row[i * c:(i + 1) * c] = cols[j]
             for t, x in enumerate(b[i]):
                 if x:
-                    row[t * c + j] = field.sub(row[t * c + j], x)
-            rows.append(row)
+                    row[t * c + j] -= x
+            rows.append(_modp(row, field.p))
     return rows
 
 
@@ -223,29 +237,19 @@ def vec_is_zero(v) -> bool:
 
 
 def mat_vec(m: Sequence[Sequence], v: Sequence, field: Field) -> list:
-    out = []
-    for row in m:
-        s = field.zero()
-        for a, b in zip(row, v):
-            if a != 0 and b != 0:
-                s = field.add(s, field.mul(a, b))
-        out.append(s)
-    return out
+    return _modp([_dot(row, v, field) for row in m], field.p)
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence], field: Field) -> list:
     if a and b and len(a[0]) != len(b):
         raise DimensionError("matrix product shape mismatch")
     cols = list(zip(*b)) if b else []
-    return [[_dot(row, col, field) for col in cols] for row in a]
+    return [mat_vec(cols, row, field) for row in a]
 
 
 def _dot(u, v, field: Field) -> Scalar:
-    s = field.zero()
-    for a, b in zip(u, v):
-        if a != 0 and b != 0:
-            s = field.add(s, field.mul(a, b))
-    return s
+    """Σ uᵢ·vᵢ over the nonzero pairs, not yet reduced mod p."""
+    return sum((a * b for a, b in zip(u, v) if a and b), field.zero())
 
 
 def identity_matrix(n: int, field: Field) -> list:

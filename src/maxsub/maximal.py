@@ -90,28 +90,21 @@ class MaximalFamily:
     degree: int | None = None
 
     def describe(self, dims: Sequence[int]) -> str:
+        codim = self.predicted_codim(dims)
         if self.kind == "block_triangular":
-            n = dims[self.block]
-            codim = self.k * (n - self.k)
             return (f"family kind=block_triangular block={self.block + 1} "
                     f"k={self.k} codim={codim}")
         if self.kind == "diagonal_merge":
-            codim = dims[self.block] ** 2
             return (f"family kind=diagonal_merge i={self.block + 1} "
                     f"j={self.other + 1} codim={codim}")
         if self.kind == "radical_hyperplane":
-            codim = dims[self.block] * dims[self.other]
             coords = ("parametrized" if self.functional is None else
                       ",".join(str(c) for c in self.functional))
             return (f"family kind=radical_hyperplane i={self.block + 1} "
                     f"j={self.other + 1} m={self.multiplicity} "
                     f"hyperplane={coords} codim={codim}")
-        if self.kind == "subfield_centralizer":
-            n = dims[self.block]
-            codim = n * n - n * n // self.degree
-            return (f"family kind=subfield_centralizer block={self.block + 1} "
-                    f"degree={self.degree} codim={codim}")
-        raise InvalidInputError(f"unknown family kind {self.kind!r}")
+        return (f"family kind=subfield_centralizer block={self.block + 1} "
+                f"degree={self.degree} codim={codim}")
 
     def predicted_codim(self, dims: Sequence[int]) -> int:
         if self.kind == "block_triangular":

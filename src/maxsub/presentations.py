@@ -23,6 +23,7 @@ from .errors import InvalidInputError, VerificationFailedError
 from .linalg import (
     Field,
     Subspace,
+    _modp,
     combine,
     echelonize,
     quotient_space,
@@ -207,9 +208,8 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
                 v = q.arrows[ai][2]
             p = (src, tuple(ids))
             if len(ids) <= bound:
-                out[index[p]] = field.add(out[index[p]],
-                                          field.coerce(coef))
-        return out
+                out[index[p]] += field.coerce(coef)
+        return _modp(out, field.p)
 
     # truncated path algebra T = KQ / J^{bound+1}: b_i * b_j is path j
     # followed by path i, or zero when they do not compose within the bound

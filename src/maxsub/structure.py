@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .algebra import Algebra, Subalgebra, centralizer, subalgebra_from_rows
+from .algebra import (
+    Algebra,
+    Subalgebra,
+    _products_in,
+    centralizer,
+    subalgebra_from_rows,
+)
 from .errors import (
     InvalidInputError,
     NotSplitError,
@@ -31,6 +37,7 @@ from .linalg import (
     Subspace,
     Vec,
     _is_prime,
+    _modp,
     combine,
     echelonize,
     full_subspace,
@@ -67,14 +74,9 @@ def ideal_closure(a: Algebra, rows: Sequence[Sequence]) -> Subspace:
 
 
 def is_two_sided_ideal(a: Algebra, s: Subspace) -> bool:
-    for v in s.basis:
-        for k in range(a.dim):
-            bk = a.basis_vector(k)
-            if not s.contains_vec(a.multiply(bk, list(v))):
-                return False
-            if not s.contains_vec(a.multiply(list(v), bk)):
-                return False
-    return True
+    units = [[int(i == k) for i in range(a.dim)] for k in range(a.dim)]
+    rows = s.int_basis[1]
+    return _products_in(a, units, rows, s) and _products_in(a, rows, units, s)
 
 
 def _nilpotency(a: Algebra, s: Subspace) -> int | None:
@@ -245,29 +247,29 @@ def _poly_trim(p: list, field: Field) -> list:
 
 
 def _poly_divmod(num: list, den: list, field: Field) -> tuple[list, list]:
+    """(quotient, remainder); the remainder is reduced once, at the end."""
+    p = field.p
     num = list(num)
     q = [field.zero()] * max(0, len(num) - len(den) + 1)
     inv = field.inv(den[-1])
     for i in range(len(num) - len(den), -1, -1):
-        c = field.mul(num[i + len(den) - 1], inv)
+        c = num[i + len(den) - 1] * inv
+        if p is not None:
+            c %= p
         q[i] = c
         if c != 0:
             for k, d in enumerate(den):
-                num[i + k] = field.sub(num[i + k], field.mul(c, d))
-    return _poly_trim(q, field), _poly_trim(num, field)
+                num[i + k] -= c * d
+    return _poly_trim(q, field), _poly_trim(_modp(num, p), field)
 
 
 def _poly_mul(a: list, b: list, field: Field) -> list:
+    """a·b, as the combination Σ aᵢ·xⁱb of the shifted copies of b."""
     if not a or not b:
         return []
-    out = [field.zero()] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            if y != 0:
-                out[i + j] = field.add(out[i + j], field.mul(x, y))
-    return out
+    pad = [0] * (len(a) - 1)
+    return combine(a, [pad[:i] + list(b) + pad[i:] for i in range(len(a))],
+                   field)
 
 
 def _poly_ext_gcd(a: list, b: list, field: Field) -> tuple[list, list, list]:
@@ -281,21 +283,15 @@ def _poly_ext_gcd(a: list, b: list, field: Field) -> tuple[list, list, list]:
         s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1, field), field)
         t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1, field), field)
     if r0:
-        lead = field.inv(r0[-1])
-        r0 = [field.mul(lead, c) for c in r0]
-        s0 = [field.mul(lead, c) for c in s0]
-        t0 = [field.mul(lead, c) for c in t0]
+        lead = [field.inv(r0[-1])]
+        r0, s0, t0 = (combine(lead, [v], field) for v in (r0, s0, t0))
     return r0, s0, t0
 
 
 def _poly_sub(a: list, b: list, field: Field) -> list:
-    n = max(len(a), len(b))
-    out = []
-    for i in range(n):
-        x = a[i] if i < len(a) else field.zero()
-        y = b[i] if i < len(b) else field.zero()
-        out.append(field.sub(x, y))
-    return _poly_trim(out, field)
+    pad = [field.zero()] * max(len(a), len(b))
+    return _poly_trim(vec_sub(list(a) + pad[len(a):], list(b) + pad[len(b):],
+                              field), field)
 
 
 def poly_eval_in_algebra(poly: Sequence, x: Sequence, unit: Sequence,
@@ -322,7 +318,7 @@ def _poly_roots(poly: Sequence, field: Field) -> list:
     for c in sorted(_distinct_roots_mod_p(poly, f)):
         while len(work) > 1 and _poly_eval(work, c, f) == 0:
             roots.append(c)
-            work, rem = _poly_divmod(work, [f.neg(c), f.one()], f)
+            work, rem = _poly_divmod(work, [-c % f.p, 1], f)
             assert not rem
     return roots
 
@@ -342,7 +338,7 @@ def _split_linear(g: list, f: Field) -> list[int]:
     """Roots of a monic, squarefree product of distinct linear factors over
     F_p (p odd), split by gcd((x + a)^((p-1)/2) - 1, g) for a = 0, 1, ..."""
     if len(g) <= 2:
-        return [f.neg(g[0])] if len(g) == 2 else []
+        return [-g[0] % f.p] if len(g) == 2 else []
     for a in range(f.p):
         half = _poly_powmod([a, 1], (f.p - 1) // 2, g, f)
         h, _, _ = _poly_ext_gcd(g, _poly_sub(half, [1], f), f)
@@ -455,10 +451,11 @@ def _int_div_linear(poly: list[int], a: int, b: int) -> list[int]:
 
 
 def _poly_eval(poly: Sequence, x, field: Field):
+    """poly(x) by Horner's rule, reduced mod p once at the end."""
     acc = field.zero()
     for c in reversed(list(poly)):
-        acc = field.add(field.mul(acc, x), c)
-    return acc
+        acc = acc * x + c
+    return acc if field.p is None else acc % field.p
 
 
 def minimal_polynomial(a: Algebra, x: Sequence, unit: Sequence) -> list:
@@ -474,8 +471,7 @@ def minimal_polynomial(a: Algebra, x: Sequence, unit: Sequence) -> list:
         coeffs = solve_one(cols, nxt, a.field)
         span = echelonize(powers, a.dim, a.field)
         if coeffs is not None and span.dim == len(powers):
-            mp = [a.field.neg(c) for c in coeffs] + [a.field.one()]
-            return mp
+            return _modp([-c for c in coeffs], a.field.p) + [a.field.one()]
         powers.append(nxt)
         if len(powers) > a.dim + 1:
             raise VerificationFailedError("minimal polynomial search diverged")
@@ -515,7 +511,7 @@ def _corner_split(s: Algebra, e: Sequence, y: Sequence) -> list | None:
     mp = minimal_polynomial(s, y, e)
     roots = _poly_roots(mp, f)
     for lam in roots:
-        lin = [f.neg(lam), f.one()]
+        lin = _modp([-lam, f.one()], f.p)
         fac = list(lin)
         rest, rem = _poly_divmod(mp, lin, f)
         while True:

@@ -55,6 +55,32 @@ ZIGZAG_POSET = Poset(("1", "2", "3", "4", "5"),
                      (("2", "1"), ("2", "3"), ("4", "3"), ("4", "5")))
 
 
+class Scalars:
+    """Per-scalar arithmetic of one field, reduced mod p on every operation.
+
+    The library computes on whole vectors; the reference loops that the
+    differential tests compare it with compute one scalar at a time, here.
+    """
+
+    def __init__(self, field: Field):
+        self.p = field.p
+
+    def _red(self, x):
+        return x if self.p is None else x % self.p
+
+    def add(self, a, b):
+        return self._red(a + b)
+
+    def sub(self, a, b):
+        return self._red(a - b)
+
+    def mul(self, a, b):
+        return self._red(a * b)
+
+    def neg(self, a):
+        return self._red(-a)
+
+
 def quiver_algebra(quiver: Quiver, field: Field):
     return path_algebra(PathAlgebraPresentation(quiver), field)
 

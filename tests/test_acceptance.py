@@ -16,6 +16,7 @@ from conftest import (
     DIAMOND_POSET,
     KRONECKER_QUIVER,
     ZIGZAG_POSET,
+    Scalars,
     kxk,
     kxkxm2,
     quiver_algebra,
@@ -271,9 +272,10 @@ def test_criterion_6_split_separable_constructions():
             merge = quiver_maximal(b, "merge", a_v, b_v)
             ts = tensor_square(merge, b)
             f = b.field
+            ops = Scalars(f)
             e = tuple([f.zero()] * ts.dim)
             for v in b.presentation.vertex_vectors:
-                e = tuple(f.add(x, y) for x, y in
+                e = tuple(ops.add(x, y) for x, y in
                           zip(e, ts.embed_pure(list(v), list(v))))
             assert ext._verify_separability(ts, e), label
             assert separability_idempotent(merge, b, ts) is not None, label

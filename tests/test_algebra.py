@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A3_QUIVER, f4_algebra, kxk, quiver_algebra
+from conftest import A3_QUIVER, Scalars, f4_algebra, kxk, quiver_algebra
 from maxsub.algebra import (
     Algebra,
     bimodule_subspace,
@@ -34,6 +34,7 @@ from maxsub.linalg import (
     saturate,
     solve_one,
 )
+from maxsub.structure import ideal_closure, is_two_sided_ideal
 
 F2 = GF(2)
 F3 = GF(3)
@@ -62,14 +63,15 @@ def test_validate_path_algebra(a3_q):
 
 def _reference_multiply(a, x, y):
     f = a.field
+    ops = Scalars(f)
     out = [f.zero()] * a.dim
     for i in range(a.dim):
         for j in range(a.dim):
             row = a.table[i][j]
             if x[i] == 0 or y[j] == 0 or all(c == 0 for c in row):
                 continue
-            c = f.mul(x[i], y[j])
-            out = [f.add(o, f.mul(c, r)) for o, r in zip(out, row)]
+            c = ops.mul(x[i], y[j])
+            out = [ops.add(o, ops.mul(c, r)) for o, r in zip(out, row)]
     return out
 
 
@@ -125,8 +127,9 @@ def test_q_multiply_matches_reference_loop(data):
 def test_validate_matches_reference_triple_loop(field, changes):
     m2 = matrix_algebra(2, field)
     table = [[list(v) for v in row] for row in m2.table]
+    ops = Scalars(field)
     for i, j, k, delta in changes:
-        table[i][j][k] = field.add(table[i][j][k], field.coerce(delta))
+        table[i][j][k] = ops.add(table[i][j][k], field.coerce(delta))
     bad = Algebra(field, 4, m2.basis_names, m2.unit,
                   tuple(tuple(tuple(v) for v in row) for row in table))
     violations = validate_algebra(bad).violations
@@ -352,11 +355,12 @@ def test_algebra_text_roundtrip(m2q, a3_q):
 
 def _centralizer_loop(a, s):
     """Reference centralizer: the kernel of the stacked R_v - L_v."""
+    ops = Scalars(a.field)
     rows = []
     for v in s.basis:
         lm = a.left_mult_matrix(list(v))
         rm = a.right_mult_matrix(list(v))
-        rows += [[a.field.sub(x, y) for x, y in zip(rr, lr)]
+        rows += [[ops.sub(x, y) for x, y in zip(rr, lr)]
                  for rr, lr in zip(rm, lm)]
     return kernel(rows, a.dim, a.field)
 
@@ -429,6 +433,99 @@ def test_q_closure_checks_match_the_fraction_loop(data):
     ops += [lambda v, x=x: a.multiply(v, list(x)) for x in gen.space.basis]
     for space in (saturate(rows, ops, n, QQ), echelonize(rows, n, QQ)):
         failure = _bimodule_failure_fraction(a, gen, space)
+        if failure is None:
+            assert bimodule_subspace(a, gen, space).space == space
+        else:
+            with pytest.raises(InvalidInputError, match=f"under {failure} action"):
+                bimodule_subspace(a, gen, space)
+
+
+# The closure loops of `subalgebra`, `is_closed_subspace`,
+# `bimodule_subspace` and `is_two_sided_ideal` before they shared
+# `products_in`, on per-scalar arithmetic, over Q and four prime fields.
+
+FIELDS = [QQ, F2, F3, GF(5), GF(2 ** 61 - 1)]
+_ALGEBRAS = {}
+
+
+def _algebra(kind, field):
+    key = (kind, field)
+    if key not in _ALGEBRAS:
+        _ALGEBRAS[key] = (
+            matrix_algebra(2, field) if kind == 0 else
+            block_triangular(3, (1, 2), field).as_algebra() if kind == 1 else
+            quiver_algebra(A3_QUIVER, field) if kind == 2 else
+            direct_product([kxk(field), matrix_algebra(2, field)]))
+    return _ALGEBRAS[key]
+
+
+def _in_span_loop(v, space):
+    ops = Scalars(space.field)
+    res = list(v)
+    for row, pc in zip(space.basis, space.pivots):
+        c = res[pc]
+        if c:
+            res = [ops.sub(x, ops.mul(c, y)) for x, y in zip(res, row)]
+    return not any(res)
+
+
+def _closure_failure_loop(a, space):
+    """The first error of `subalgebra(check=True)`, in its order."""
+    if not _in_span_loop(a.unit, space):
+        return "must contain the unit"
+    for x in space.basis:
+        for y in space.basis:
+            if not _in_span_loop(_reference_multiply(a, x, y), space):
+                return "not closed under product"
+    return None
+
+
+def _bimodule_failure_loop(a, acting, space):
+    for x in acting.space.basis:
+        for v in space.basis:
+            if not _in_span_loop(_reference_multiply(a, x, v), space):
+                return "left"
+            if not _in_span_loop(_reference_multiply(a, v, x), space):
+                return "right"
+    return None
+
+
+def _ideal_loop(a, s):
+    for v in s.basis:
+        for k in range(a.dim):
+            bk = a.basis_vector(k)
+            if not _in_span_loop(_reference_multiply(a, bk, list(v)), s):
+                return False
+            if not _in_span_loop(_reference_multiply(a, list(v), bk), s):
+                return False
+    return True
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(FIELDS), st.integers(0, 3), st.data())
+def test_closure_predicate_matches_the_scalar_loops(field, kind, data):
+    a = _algebra(kind, field)
+    n = a.dim
+    entry = (_rationals if field.p is None else
+             st.one_of(st.integers(0, 1), st.integers(0, field.p - 1)))
+    vec = st.lists(entry, min_size=n, max_size=n)
+    seeds = data.draw(st.lists(vec, max_size=2))
+    rows = data.draw(st.lists(vec, min_size=1, max_size=3))
+    gen = subalgebra_generated(a, seeds)
+    for space in (gen.space, echelonize([a.unit] + rows, n, field),
+                  echelonize(rows, n, field), ideal_closure(a, rows)):
+        failure = _closure_failure_loop(a, space)
+        assert is_closed_subspace(a, space) == (failure is None)
+        if failure is None:
+            assert subalgebra(a, space).space == space
+        else:
+            with pytest.raises(InvalidInputError, match=failure):
+                subalgebra(a, space)
+        assert is_two_sided_ideal(a, space) == _ideal_loop(a, space)
+    ops = [lambda v, x=x: a.multiply(list(x), v) for x in gen.space.basis]
+    ops += [lambda v, x=x: a.multiply(v, list(x)) for x in gen.space.basis]
+    for space in (saturate(rows, ops, n, field), echelonize(rows, n, field)):
+        failure = _bimodule_failure_loop(a, gen, space)
         if failure is None:
             assert bimodule_subspace(a, gen, space).space == space
         else:

@@ -199,6 +199,34 @@ def test_instantiate_bad_params_is_a_parse_error(params):
     assert text.startswith("parse error: bad --params: bad scalar literal")
 
 
+@pytest.mark.parametrize("coords", ["abc", "1/0", "1,x;1,1"])
+def test_quiver_hyperplane_bad_coordinates_is_a_parse_error(coords):
+    code, text = run(["quiver", "maximal", "data/kronecker.quiver", "split",
+                      "a", "b", "--hyperplane", coords])
+    assert code == 2
+    assert text.startswith("parse error: bad --hyperplane: bad scalar literal")
+
+
+def test_usage_error_returns_exit_2_with_the_usage_text():
+    # argparse reads "-1,0" as an option, so --params has no value
+    code, text = run(["maximal", "instantiate", "data/kronecker.quiver",
+                      "--family", "kind=radical_hyperplane i=1 j=2 m=2 "
+                      "hyperplane=parametrized codim=1", "--params", "-1,0"])
+    assert code == 2
+    assert text.startswith("usage: maxsub maximal")
+    assert text.endswith("maxsub maximal: error: argument --params: "
+                         "expected one argument\n")
+    code, text = run(["structure"])
+    assert code == 2
+    assert "error: the following arguments are required: algebra" in text
+
+
+def test_bad_field_option_is_a_parse_error():
+    code, text = run(["--field", "F4", "structure", "data/a3.quiver"])
+    assert code == 2
+    assert text.startswith("parse error:")
+
+
 DUPLICATE_MUL = ("field Q\ndim 1\nbasis e\nunit 1\n"
                  "mul 1 1 -> 1:1\nmul 1 1 -> 1:1\n")
 

@@ -10,6 +10,7 @@ from conftest import (
     D5_QUIVER,
     KRONECKER_QUIVER,
     ZIGZAG_POSET,
+    Scalars,
     kxk,
     quiver_algebra,
 )
@@ -117,9 +118,10 @@ def test_separability_vertex_sum_tree():
                                quiver.vertices[1])
         ts = tensor_square(merge, alg)
         f = alg.field
+        ops = Scalars(f)
         e = tuple([f.zero()] * ts.dim)
         for v in alg.presentation.vertex_vectors:
-            e = tuple(f.add(x, y)
+            e = tuple(ops.add(x, y)
                       for x, y in zip(e, ts.embed_pure(list(v), list(v))))
         assert ext._verify_separability(ts, e)
         assert separability_idempotent(merge, alg, ts) is not None
@@ -403,6 +405,7 @@ def _random_extension(data, field):
 
 def _tensor_relations_loop(a, b):
     """Reference relations of B (x)_A B: the former per-index loop."""
+    ops = Scalars(b.field)
     f, n = b.field, b.dim
     relations = []
     for arow in a.space.basis:
@@ -414,10 +417,10 @@ def _tensor_relations_loop(a, b):
                 rel = [f.zero()] * (n * n)
                 for s, c in enumerate(xa):
                     if c != 0:
-                        rel[s * n + j] = f.add(rel[s * n + j], c)
+                        rel[s * n + j] = ops.add(rel[s * n + j], c)
                 for t, c in enumerate(ay):
                     if c != 0:
-                        rel[i * n + t] = f.sub(rel[i * n + t], c)
+                        rel[i * n + t] = ops.sub(rel[i * n + t], c)
                 if any(x != 0 for x in rel):
                     relations.append(rel)
     return relations
@@ -428,6 +431,7 @@ def _induce_loop(m, a):
     b = a.parent
     f = b.field
     nb, nm = b.dim, m.dim
+    ops = Scalars(f)
     relations = []
     for k in range(a.dim):
         arow = list(a.space.basis[k])
@@ -438,11 +442,11 @@ def _induce_loop(m, a):
                 rel = [f.zero()] * (nb * nm)
                 for s, c in enumerate(xa):
                     if c != 0:
-                        rel[s * nm + v] = f.add(rel[s * nm + v], c)
+                        rel[s * nm + v] = ops.add(rel[s * nm + v], c)
                 for t in range(nm):
                     c = av[t][v]
                     if c != 0:
-                        rel[i * nm + t] = f.sub(rel[i * nm + t], c)
+                        rel[i * nm + t] = ops.sub(rel[i * nm + t], c)
                 if any(x != 0 for x in rel):
                     relations.append(rel)
     q = quotient_space(nb * nm, relations, f)
@@ -460,8 +464,8 @@ def _induce_loop(m, a):
                         continue
                     for s, c2 in enumerate(bx):
                         if c2 != 0:
-                            out[s * nm + v] = f.add(out[s * nm + v],
-                                                    f.mul(c, c2))
+                            out[s * nm + v] = ops.add(out[s * nm + v],
+                                                    ops.mul(c, c2))
             cols.append(q.project(out))
         mats.append([list(r) for r in zip(*cols)] if cols else [])
     return q, mats
@@ -471,6 +475,7 @@ def _flank_loop(ts, x, e, y):
     """Reference x . e . y: the former four-deep loop."""
     b = ts.b
     f, n = b.field, b.dim
+    ops = Scalars(f)
     full = ts.quotient.lift(e)
     out = [f.zero()] * (n * n)
     for i in range(n):
@@ -483,17 +488,18 @@ def _flank_loop(ts, x, e, y):
             for s in range(n):
                 if left[s] == 0:
                     continue
-                cs = f.mul(c, left[s])
+                cs = ops.mul(c, left[s])
                 for t in range(n):
                     if right[t] != 0:
-                        out[s * n + t] = f.add(out[s * n + t],
-                                               f.mul(cs, right[t]))
+                        out[s * n + t] = ops.add(out[s * n + t],
+                                               ops.mul(cs, right[t]))
     return ts.quotient.project(out)
 
 
 def _hom_loop(m1, m2):
     """Reference Hom(m1, m2): the former per-index row loop."""
     f = m1.algebra.field
+    ops = Scalars(f)
     d1, d2 = m1.dim, m2.dim
     rows = []
     for a1, a2 in zip(m1.action, m2.action):
@@ -501,9 +507,9 @@ def _hom_loop(m1, m2):
             for j in range(d1):
                 row = [f.zero()] * (d2 * d1)
                 for s in range(d1):
-                    row[i * d1 + s] = f.add(row[i * d1 + s], a1[s][j])
+                    row[i * d1 + s] = ops.add(row[i * d1 + s], a1[s][j])
                 for r in range(d2):
-                    row[r * d1 + j] = f.sub(row[r * d1 + j], a2[i][r])
+                    row[r * d1 + j] = ops.sub(row[r * d1 + j], a2[i][r])
                 rows.append(row)
     ker = kernel(rows, d2 * d1, f)
     return [[[row[i * d1 + j] for j in range(d1)] for i in range(d2)]
@@ -515,6 +521,7 @@ def _bimodule_system_loop(a, q, lifts):
     b = a.parent
     f = b.field
     aalg = a.as_algebra()
+    ops = Scalars(f)
     da, dq = a.dim, q.dim
     rows, rhs = [], []
     for k in range(da):
@@ -529,15 +536,15 @@ def _bimodule_system_loop(a, q, lifts):
                 rest = list(prod)
                 for g, c in zip(gamma, lifts):
                     if g != 0:
-                        rest = [f.sub(x, f.mul(g, y)) for x, y in zip(rest, c)]
+                        rest = [ops.sub(x, ops.mul(g, y)) for x, y in zip(rest, c)]
                 acoords = a.space.coords(rest)
                 for i in range(da):
                     row = [f.zero()] * (da * dq)
                     for u in range(da):
-                        row[t * da + u] = f.add(row[t * da + u], mat[i][u])
+                        row[t * da + u] = ops.add(row[t * da + u], mat[i][u])
                     for s in range(dq):
                         if gamma[s] != 0:
-                            row[s * da + i] = f.sub(row[s * da + i], gamma[s])
+                            row[s * da + i] = ops.sub(row[s * da + i], gamma[s])
                     rows.append(row)
                     rhs.append(acoords[i])
     return rows, rhs

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import Scalars
 from maxsub.errors import InvalidInputError, NotFiniteFieldError
 from maxsub.linalg import (
     GF,
@@ -311,27 +312,29 @@ def test_enumerate_filter_applied():
 
 def _kron_loop(u, v, field):
     """Reference tensor: the former hand-indexed pure-tensor loop."""
+    ops = Scalars(field)
     out = [field.zero()] * (len(u) * len(v))
     for i, ui in enumerate(u):
         if ui == 0:
             continue
         for j, vj in enumerate(v):
             if vj != 0:
-                out[i * len(v) + j] = field.mul(ui, vj)
+                out[i * len(v) + j] = ops.mul(ui, vj)
     return out
 
 
 def _sylvester_loop(a, b, field):
     """Reference rows of X -> X·A - B·X: the former Hom-space loop."""
+    ops = Scalars(field)
     c, r = len(a), len(b)
     rows = []
     for i in range(r):
         for j in range(c):
             row = [field.zero()] * (r * c)
             for s in range(c):
-                row[i * c + s] = field.add(row[i * c + s], a[s][j])
+                row[i * c + s] = ops.add(row[i * c + s], a[s][j])
             for t in range(r):
-                row[t * c + j] = field.sub(row[t * c + j], b[i][t])
+                row[t * c + j] = ops.sub(row[t * c + j], b[i][t])
             rows.append(row)
     return rows
 
@@ -379,6 +382,7 @@ def test_sylvester_rows_match_reference_and_kernel(field, data):
 
 def _rref_fraction(rows, field):
     """Reference: the former Gauss-Jordan loop on Field scalars."""
+    ops = Scalars(field)
     m = [list(map(field.coerce, r)) for r in rows]
     if not m:
         return [], []
@@ -392,11 +396,11 @@ def _rref_fraction(rows, field):
         m[r], m[pr] = m[pr], m[r]
         inv = field.inv(m[r][c])
         if inv != 1:
-            m[r] = [field.mul(inv, x) for x in m[r]]
+            m[r] = [ops.mul(inv, x) for x in m[r]]
         for i in range(len(m)):
             if i != r and m[i][c] != 0:
                 f = m[i][c]
-                m[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(m[i], m[r])]
+                m[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(m[i], m[r])]
         pivots.append(c)
         r += 1
         if r == len(m):
@@ -406,18 +410,20 @@ def _rref_fraction(rows, field):
 
 def _reduce_fraction(v, basis, pivots, field):
     """Reference: the former sequential reduction against an RREF basis."""
+    ops = Scalars(field)
     res = list(v)
     coeffs = []
     for row, pc in zip(basis, pivots):
         c = res[pc]
         coeffs.append(c)
         if c != 0:
-            res = [field.sub(x, field.mul(c, y)) for x, y in zip(res, row)]
+            res = [ops.sub(x, ops.mul(c, y)) for x, y in zip(res, row)]
     return res, coeffs
 
 
 def _saturate_fraction(seeds, ops, n, field):
     """Reference: the former `saturate`, a fully reduced Field-scalar basis."""
+    sc = Scalars(field)
     basis, pivots, pending = [], [], []
 
     def add(v):
@@ -426,11 +432,11 @@ def _saturate_fraction(seeds, ops, n, field):
         if pc is None:
             return
         inv = field.inv(res[pc])
-        res = [field.mul(inv, x) for x in res]
+        res = [sc.mul(inv, x) for x in res]
         for i, row in enumerate(basis):
             c = row[pc]
             if c != 0:
-                basis[i] = [field.sub(x, field.mul(c, y)) for x, y in zip(row, res)]
+                basis[i] = [sc.sub(x, sc.mul(c, y)) for x, y in zip(row, res)]
         basis.append(res)
         pivots.append(pc)
         pending.append(res)
@@ -448,13 +454,14 @@ def _saturate_fraction(seeds, ops, n, field):
 
 def _kernel_fraction(reduced, pivots, ncols, field):
     """Reference: the former kernel read off a Field-scalar RREF."""
+    ops = Scalars(field)
     free = [c for c in range(ncols) if c not in pivots]
     vecs = []
     for f in free:
         v = [field.zero()] * ncols
         v[f] = field.one()
         for row, pc in zip(reduced, pivots):
-            v[pc] = field.neg(row[f])
+            v[pc] = ops.neg(row[f])
         vecs.append(v)
     rows, piv = _rref_fraction(vecs, field)
     return [tuple(r) for r in rows], piv

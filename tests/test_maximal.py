@@ -9,6 +9,7 @@ from conftest import (
     A3_QUIVER,
     CHAIN3_POSET,
     KRONECKER_QUIVER,
+    Scalars,
     f4_algebra,
     kxk,
     kxkxm2,
@@ -380,6 +381,7 @@ def test_subfield_centralizer_degree_must_be_prime(degree):
 
 def _irreducible_poly_loop(p, d, field):
     """Reference search: the former copy of square-and-multiply on x."""
+    ops = Scalars(field)
     from maxsub.structure import _poly_divmod, _poly_eval, _poly_mul
 
     def pow_x_mod(exp, modpoly):
@@ -397,7 +399,7 @@ def _irreducible_poly_loop(p, d, field):
         if any(_poly_eval(poly, field.coerce(c), field) == 0 for c in range(p)):
             continue
         xq = pow_x_mod(p ** d, poly)
-        diff = [field.sub(u, v) for u, v in itertools.zip_longest(
+        diff = [ops.sub(u, v) for u, v in itertools.zip_longest(
             xq, [field.zero(), field.one()], fillvalue=field.zero())]
         if all(c == 0 for c in diff):
             return poly

@@ -17,6 +17,7 @@ from conftest import (
     DIAMOND_POSET,
     KRONECKER_QUIVER,
     ZIGZAG_POSET,
+    Scalars,
     quiver_algebra,
 )
 from maxsub.algebra import validate_algebra
@@ -318,11 +319,12 @@ def test_path_incidence_canonical_isomorphism():
             mapping.append(interval_index(ialg, tgt, src))
         assert sorted(mapping) == list(range(ialg.dim))
         f = QQ
+        ops = Scalars(f)
 
         def phi(vec):
             out = [f.zero()] * ialg.dim
             for c, tgt_idx in zip(vec, mapping):
-                out[tgt_idx] = f.add(out[tgt_idx], c)
+                out[tgt_idx] = ops.add(out[tgt_idx], c)
             return out
 
         assert phi(list(palg.unit)) == list(ialg.unit)

@@ -16,6 +16,7 @@ from conftest import (
     DIAMOND_POSET,
     KRONECKER_QUIVER,
     ZIGZAG_POSET,
+    Scalars,
     f4_algebra,
     kxkxm2,
     quiver_algebra,
@@ -320,6 +321,7 @@ def test_kxk_over_large_prime_is_fast():
 def _scan_roots(poly, f):
     """Every root of F_p with multiplicity, by the ascending scan over all
     p elements that the gcd/splitting root finder replaced."""
+    ops = Scalars(f)
     work = list(poly)
     while work and work[-1] == 0:
         work.pop()
@@ -327,7 +329,7 @@ def _scan_roots(poly, f):
     for c in range(f.p):
         while len(work) > 1 and _poly_eval(work, c, f) == 0:
             roots.append(c)
-            work, _ = _poly_divmod(work, [f.neg(c), f.one()], f)
+            work, _ = _poly_divmod(work, [ops.neg(c), f.one()], f)
     return roots
 
 
@@ -337,8 +339,9 @@ def test_poly_roots_mod_p_match_the_scan(data):
     p = data.draw(st.sampled_from([2, 3, 5, 7, 11, 13, 31, 101]))
     f = GF(p)
     poly = [data.draw(st.integers(1, p - 1))]
+    ops = Scalars(f)
     for r in data.draw(st.lists(st.integers(0, p - 1), max_size=6)):
-        poly = _poly_mul(poly, [f.neg(r), 1], f)    # force repeated roots
+        poly = _poly_mul(poly, [ops.neg(r), 1], f)    # force repeated roots
     tail = data.draw(st.lists(st.integers(0, p - 1), max_size=4))
     if tail:
         poly = _poly_mul(poly, tail + [1], f)
@@ -525,13 +528,14 @@ def test_conjugating_unit_radical_perturbation(kronecker_f2):
     al1 = list(pres.source.arrow_vector("al1"))
     f = kr.field
     fa = vec_add(ea, al1, f)
-    fb = [f.sub(x, y) for x, y in zip(eb, al1)]
+    ops = Scalars(f)
+    fb = [ops.sub(x, y) for x, y in zip(eb, al1)]
     sys_e = IdempotentSystem(kr, (tuple(ea), tuple(eb)))
     sys_f = IdempotentSystem(kr, (tuple(fa), tuple(fb)))
     a = conjugating_unit(kr, sys_e, sys_f)
     assert a is not None
     # the conjugator differs from 1 by a radical element
-    diff = [f.sub(x, y) for x, y in zip(a, kr.unit)]
+    diff = [ops.sub(x, y) for x, y in zip(a, kr.unit)]
     assert jacobson_radical(kr).contains_vec(diff)
 
 
