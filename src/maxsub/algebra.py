@@ -33,7 +33,6 @@ from .linalg import (
     solve_one,
     unit_vec,
     vec_is_zero,
-    vec_sub,
     zero_vec,
 )
 
@@ -104,7 +103,7 @@ class Algebra:
 
     def _multiply_ints(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
         """D·(x·y) for integer vectors x and y, D the denominator of
-        `_int_table`; over Q only."""
+        `_int_table` (1 over F_p, where the result is not reduced mod p)."""
         rows = self._int_table[1]
         acc = [0] * self.dim
         for group, xi in zip(rows, xs):
@@ -352,18 +351,20 @@ def centralizer(a: Algebra, s: Subspace) -> Subalgebra:
 
 
 def centralizer_in(sub: Subalgebra, elements: Iterable[Sequence]) -> Subalgebra:
-    """Centralizer of the given parent-coordinate elements inside sub."""
+    """Centralizer of the given parent-coordinate elements inside sub, from
+    commutators of integer rows (a scale changes no kernel or span)."""
     par = sub.parent
-    f = par.field
+    p = par.field.p
+    xs = sub.space.int_basis[1]
     rows = []
     for v in elements:
-        v = list(v)
+        v = _ints(v, p)[1]
         # column i is the commutator s_i v - v s_i of the i-th basis element
-        cols = [vec_sub(par.multiply(list(x), v), par.multiply(v, list(x)), f)
-                for x in sub.space.basis]
+        cols = [[l - r for l, r in zip(par._multiply_ints(x, v),
+                                       par._multiply_ints(v, x))] for x in xs]
         rows += [list(r) for r in zip(*cols)]
-    ker = kernel(rows, sub.dim, f)
-    out_rows = [sub.embed(list(k)) for k in ker.basis]
+    ker = kernel(rows, sub.dim, par.field)
+    out_rows = [combine(k, xs, par.field) for k in ker.basis]
     return subalgebra_from_rows(par, out_rows, check=False)
 
 

@@ -280,8 +280,8 @@ def _cmd_mod(args, field) -> dict:
 
 
 def _cmd_quiver(args, field) -> dict:
-    pres = formats.parse_quiver(formats.load_text(args.quiver))
     f = field or QQ
+    pres = formats.parse_quiver(formats.load_text(args.quiver), f)
     rest = args.rest
     if args.action == "build":
         alg = path_algebra(pres, f)

@@ -142,7 +142,8 @@ def dump_algebra(a: Algebra) -> str:
     return "\n".join(out) + "\n"
 
 
-def parse_quiver(text: str) -> PathAlgebraPresentation:
+def parse_quiver(text: str, field: Field = QQ) -> PathAlgebraPresentation:
+    """A quiver file, with its relation coefficients as scalars of field."""
     vertices = []
     arrows = []
     relations = []
@@ -158,7 +159,7 @@ def parse_quiver(text: str) -> PathAlgebraPresentation:
                 raise ParseError("arrow needs: arrow NAME SRC TGT", i)
             arrows.append((toks[1], toks[2], toks[3]))
         elif key == "relation":
-            relations.append(_parse_relation(" ".join(toks[1:]), i))
+            relations.append(_parse_relation(" ".join(toks[1:]), i, field))
         elif key == "bound":
             try:
                 bound = int(toks[1])
@@ -175,7 +176,7 @@ def parse_quiver(text: str) -> PathAlgebraPresentation:
     return PathAlgebraPresentation(quiver, tuple(relations), bound)
 
 
-def _parse_relation(body: str, line: int):
+def _parse_relation(body: str, line: int, field: Field):
     terms = []
     for chunk in body.split("+"):
         chunk = chunk.strip()
@@ -185,9 +186,10 @@ def _parse_relation(body: str, line: int):
             raise ParseError(f"term {chunk!r} must read COEF*PATH", line)
         coef_s, path_s = chunk.split("*", 1)
         try:
-            coef = Fraction(coef_s.strip())
-        except ValueError:
-            raise ParseError(f"bad coefficient {coef_s!r}", line) from None
+            coef = field.coerce(Fraction(coef_s.strip()))
+        except (ValueError, ZeroDivisionError, InvalidInputError):
+            raise ParseError(f"bad coefficient {coef_s!r} over {field}",
+                             line) from None
         arrow_names = [t.strip() for t in path_s.strip().split(".")]
         if any(not t for t in arrow_names):
             raise ParseError(f"bad path {path_s!r}", line)
@@ -250,7 +252,7 @@ def load_algebra(path: str, field: Field | None = None) -> Algebra:
     if kind == "algebra":
         return parse_algebra(text)
     if kind == "quiver":
-        return path_algebra(parse_quiver(text), field or QQ)
+        return path_algebra(parse_quiver(text, field or QQ), field or QQ)
     if kind == "poset":
         return incidence_algebra(parse_poset(text), field or QQ)
     raise ParseError(f"{path} does not define an algebra")

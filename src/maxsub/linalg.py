@@ -94,9 +94,14 @@ class Field:
         return 1 if self.p is not None else Fraction(1)
 
     def coerce(self, x) -> Scalar:
-        if self.p is not None:
-            return int(x) % self.p
-        return Fraction(x)
+        """x in the field; over F_p a Fraction a/b is a·b⁻¹ mod p."""
+        if self.p is None:
+            return Fraction(x)
+        if isinstance(x, Fraction):
+            if x.denominator % self.p == 0:
+                raise InvalidInputError(f"{x} has no value mod {self.p}")
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
+        return int(x) % self.p
 
     def add(self, a, b) -> Scalar:
         """a + b; only for the F_p branch of `Algebra.multiply`."""

@@ -36,6 +36,7 @@ from .linalg import (
     Field,
     QuotientSpace,
     Subspace,
+    _ints,
     _is_prime,
     all_vectors,
     combine,
@@ -139,14 +140,23 @@ class RadicalComponents:
 def radical_components(b: Algebra, wm: WMData) -> RadicalComponents:
     j = wm.radical
     f = b.field
-    jj_rows = [j.coords(b.multiply(list(x), list(y)))
-               for x in j.basis for y in j.basis]
-    t = quotient_space(j.dim, jj_rows, f)
+    mul = b._multiply_ints
+    jb = j.int_basis[1]
 
-    def sandwich(u: Sequence, tvec: Sequence, v: Sequence) -> tuple:
-        x = combine(t.lift(tvec), j.basis, f)
-        prod = b.multiply(b.multiply(list(u), x), list(v))
-        return t.project(j.coords(prod))
+    def coords(z: list[int]) -> list[int]:
+        # z lies in the ideal J, whose basis is an RREF: z's coordinates are
+        # its entries at the pivots
+        return [z[q] for q in j.pivots]
+
+    t = quotient_space(j.dim, [coords(mul(x, y)) for x in jb for y in jb], f)
+    # the basis of T = J/J^2 lifts to the J-basis rows at its free coordinates
+    lifts = [jb[c] for c in t.free_coords]
+
+    def sandwich(u: Sequence, v: Sequence) -> Subspace:
+        """The span of u·T·v in T."""
+        u, v = _ints(u, f.p)[1], _ints(v, f.p)[1]
+        rows = [t.project(coords(mul(mul(u, x), v))) for x in lifts]
+        return echelonize(rows, t.dim, f)
 
     components = {}
     corners = {}
@@ -154,17 +164,11 @@ def radical_components(b: Algebra, wm: WMData) -> RadicalComponents:
     total = 0
     for i in range(nblocks):
         for jdx in range(nblocks):
-            ei = list(wm.block_idempotents[i])
-            ej = list(wm.block_idempotents[jdx])
-            comp_rows = [sandwich(ei, unit_vec(t.dim, kk, f), ej)
-                         for kk in range(t.dim)]
-            comp = echelonize(comp_rows, t.dim, f)
-            u00 = list(wm.block_units[i][0][0])
-            v00 = list(wm.block_units[jdx][0][0])
-            corner_rows = [sandwich(u00, unit_vec(t.dim, kk, f), v00)
-                           for kk in range(t.dim)]
-            corner = echelonize(corner_rows, t.dim, f)
+            comp = sandwich(wm.block_idempotents[i],
+                            wm.block_idempotents[jdx])
             if comp.dim:
+                corner = sandwich(wm.block_units[i][0][0],
+                                  wm.block_units[jdx][0][0])
                 components[(i, jdx)] = comp
                 corners[(i, jdx)] = corner
                 ni = wm.report.blocks[i].n

@@ -11,6 +11,7 @@ before it is returned.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
@@ -36,20 +37,23 @@ from .linalg import (
     QuotientSpace,
     Subspace,
     Vec,
+    _Echelon,
+    _ints,
     _is_prime,
     _modp,
     combine,
     echelonize,
     full_subspace,
+    identity_matrix,
     kernel,
     mat_vec,
     quotient_space,
     saturate,
+    solve_linear,
     solve_one,
     span_elements,
     subspace_intersection,
     subspace_sum,
-    unit_vec,
     vec_add,
     vec_is_zero,
     vec_sub,
@@ -226,15 +230,12 @@ def verify_radical(a: Algebra, j: Subspace):
 def quotient_algebra(a: Algebra, ideal: Subspace) -> tuple[Algebra, QuotientSpace]:
     """The quotient algebra a/ideal plus the projection/section pair."""
     q = quotient_space(a.dim, ideal.basis, a.field)
-    dim = q.dim
-    names = tuple(f"q{i+1}" for i in range(dim))
-    lifts = [q.lift(unit_vec(dim, i, a.field)) for i in range(dim)]
-    table = tuple(
-        tuple(tuple(q.project(a.multiply(lifts[i], lifts[j])))
-              for j in range(dim))
-        for i in range(dim))
-    unit = tuple(q.project(list(a.unit)))
-    return Algebra(a.field, dim, names, unit, table), q
+    # the lifts of the quotient basis are the basis vectors at the free
+    # coordinates, so their products are entries of the table
+    free = q.free_coords
+    table = tuple(tuple(q.project(a.table[i][j]) for j in free) for i in free)
+    names = tuple(f"q{i+1}" for i in range(q.dim))
+    return Algebra(a.field, q.dim, names, q.project(a.unit), table), q
 
 
 # ---------------------------------------------------------------------------
@@ -461,20 +462,21 @@ def _poly_eval(poly: Sequence, x, field: Field):
 def minimal_polynomial(a: Algebra, x: Sequence, unit: Sequence) -> list:
     """Minimal polynomial of x relative to the given local unit.
 
-    Powers are x^0 := unit, x, x*x, ...; the first linear dependence gives
-    the monic minimal polynomial as an ascending coefficient list.
+    Powers x^0 := unit, x, x*x, ... join one echelon basis until the first
+    dependent one, whose coordinates give the monic minimal polynomial as
+    an ascending coefficient list.
     """
-    powers = [list(unit)]
-    while True:
-        cols = [list(c) for c in zip(*powers)]
-        nxt = a.multiply(powers[-1], list(x))
-        coeffs = solve_one(cols, nxt, a.field)
-        span = echelonize(powers, a.dim, a.field)
-        if coeffs is not None and span.dim == len(powers):
-            return _modp([-c for c in coeffs], a.field.p) + [a.field.one()]
+    f = a.field
+    span = _Echelon(f)
+    powers = []
+    nxt = list(unit)
+    while span.add(_ints(nxt, f.p)[1]) is not None:
         powers.append(nxt)
-        if len(powers) > a.dim + 1:
-            raise VerificationFailedError("minimal polynomial search diverged")
+        nxt = a.multiply(nxt, list(x))
+    if not powers:
+        raise VerificationFailedError("minimal polynomial of a zero unit")
+    coeffs = solve_one([list(c) for c in zip(*powers)], nxt, f)
+    return _modp([-c for c in coeffs], f.p) + [f.one()]
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +506,11 @@ class StructureReport:
 def _corner_split(s: Algebra, e: Sequence, y: Sequence) -> list | None:
     """Split the idempotent e using the element y = e*y*e, if possible.
 
-    Returns a nontrivial idempotent below e, or None when the minimal
-    polynomial of y admits no coprime factorization over the base field.
+    Only linear factors are split off: for a root λ of the minimal
+    polynomial, u is 1 modulo the full power of x - λ and 0 modulo its
+    cofactor.  Returns a nontrivial idempotent below e, or None when no
+    root gives one, even if the polynomial has coprime factors of higher
+    degree.
     """
     f = s.field
     mp = minimal_polynomial(s, y, e)
@@ -537,36 +542,38 @@ def _corner_split(s: Algebra, e: Sequence, y: Sequence) -> list | None:
 def _split_central_idempotents(s: Algebra, center: Subspace, seed: int,
                                ) -> tuple[list[list], bool]:
     """Primitive idempotents of the center; flag is False when some corner
-    cannot be split over the base field."""
+    cannot be split over the base field.
+
+    Each split takes the first (candidate, e) pair, in that order, whose
+    corner splits.  Pairs that never split are skipped: those that failed
+    once, and those with e primitive (dim e·Z = 1, so e·z·e = λe).
+    """
     f = s.field
-    idems = [list(s.unit)]
+    idems = [tuple(s.unit)]
     candidates = [list(v) for v in center.basis]
     rng = random.Random(seed)
     for _ in range(8):
         coeffs = [f.coerce(rng.randint(0, 5)) for _ in center.basis]
         candidates.append(combine(coeffs, center.basis, f))
-    changed = True
-    while changed:
-        changed = False
-        for z in candidates:
-            for e in idems:
-                y = s.multiply(s.multiply(list(e), z), list(e))
-                u = _corner_split(s, e, y)
-                if u is not None:
-                    rest = vec_sub(e, u, f)
-                    idems.remove(e)
-                    idems.extend([u, rest])
-                    changed = True
-                    break
-            if changed:
-                break
-    all_primitive = True
-    for e in idems:
-        corner = echelonize([s.multiply(list(e), list(z)) for z in center.basis],
-                            s.dim, f)
-        if corner.dim != 1:
-            all_primitive = False
-    return idems, all_primitive
+
+    @functools.cache
+    def primitive(e: tuple) -> bool:
+        rows = [s.multiply(e, z) for z in center.basis]
+        return echelonize(rows, s.dim, f).dim == 1
+
+    failed = set()
+    while True:
+        pair = next(((k, e) for k in range(len(candidates)) for e in idems
+                     if (k, e) not in failed and not primitive(e)), None)
+        if pair is None:
+            return [list(e) for e in idems], all(map(primitive, idems))
+        k, e = pair
+        u = _corner_split(s, e, s.multiply(s.multiply(e, candidates[k]), e))
+        if u is None:
+            failed.add(pair)
+        else:
+            idems.remove(e)
+            idems += [tuple(u), tuple(vec_sub(e, u, f))]
 
 
 def _find_primitive_idempotent(s: Algebra, e: Sequence, seed: int,
@@ -611,6 +618,15 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence, seed: int,
     return None
 
 
+def _are_matrix_units(a: Algebra, units: list[list[list]]) -> bool:
+    """u_pq·u_rt = δ_qr·u_pt for all p, q, r, t, checked exactly."""
+    n = len(units)
+    zero = zero_vec(a.dim, a.field)
+    return all(a.multiply(units[p][q], units[r][t])
+               == (units[p][t] if q == r else zero)
+               for p, q, r, t in itertools.product(range(n), repeat=4))
+
+
 def _matrix_units_for_block(s: Algebra, e_central: Sequence, seed: int,
                             ) -> tuple[int, list[list[list]]] | None:
     """Exhibit matrix units for the block e_central * S; None if not split."""
@@ -618,9 +634,8 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence, seed: int,
     block_rows = [s.multiply(list(e_central), s.basis_vector(k))
                   for k in range(s.dim)]
     block = echelonize(block_rows, s.dim, f)
-    d = block.dim
-    n = int(round(d ** 0.5))
-    if n * n != d:
+    n = math.isqrt(block.dim)
+    if n * n != block.dim:
         return None
     e = _find_primitive_idempotent(s, list(e_central), seed)
     if e is None:
@@ -629,37 +644,21 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence, seed: int,
     vspace = echelonize([s.multiply(list(w), e) for w in block.basis], s.dim, f)
     if vspace.dim != n:
         return None
-    vbasis = [list(v) for v in vspace.basis]
-    # rho(w) = matrix of left multiplication by w on the module
-    def rho(w):
-        cols = []
-        for v in vbasis:
-            img = s.multiply(list(w), v)
-            cols.append(vspace.coords(img))
-        return [list(r) for r in zip(*cols)]
-    flat_cols = []
-    for w in block.basis:
-        mat = rho(w)
-        flat_cols.append([mat[i][j] for i in range(n) for j in range(n)])
-    system = [list(r) for r in zip(*flat_cols)]
-    units: list[list[list]] = [[None] * n for _ in range(n)]
-    for p in range(n):
-        for q in range(n):
-            rhs = [f.one() if (i == p and j == q) else f.zero()
-                   for i in range(n) for j in range(n)]
-            t = solve_one(system, rhs, f)
-            if t is None:
-                return None
-            units[p][q] = combine(t, block.basis, f)
-    # verify the matrix-unit relations exactly
-    for p in range(n):
-        for q in range(n):
-            for r in range(n):
-                for t2 in range(n):
-                    prod = s.multiply(units[p][q], units[r][t2])
-                    want = units[p][t2] if q == r else zero_vec(s.dim, f)
-                    if prod != want:
-                        return None
+    # column w of the system is rho(w), the matrix of left multiplication
+    # by w on the module, flattened row by row: entry (i, j) is coordinate
+    # i of w·v_j
+    images = [[vspace.coords(s.multiply(w, v)) for v in vspace.basis]
+              for w in block.basis]
+    system = [[im[j][i] for im in images] for i in range(n) for j in range(n)]
+    # unit (p, q) solves rho(u) = E_pq, column p·n + q of the identity
+    sol, _ = solve_linear(system, identity_matrix(n * n, f), f)
+    if sol is None:
+        return None
+    cols = list(zip(*sol))
+    units = [[combine(cols[p * n + q], block.basis, f) for q in range(n)]
+             for p in range(n)]
+    if not _are_matrix_units(s, units):
+        return None
     diagonal = [units[p][p] for p in range(n)]
     if combine([f.one()] * n, diagonal, f) != list(e_central):
         return None
@@ -737,23 +736,22 @@ def lift_idempotents(b: Algebra, j: Subspace, bar_system: Sequence[Sequence],
     sbar, q = quotient_algebra(b, j)
     f = b.field
     # verify the bar system really is complete and orthogonal
+    bars = [list(map(f.coerce, e)) for e in bar_system]
     total = zero_vec(sbar.dim, f)
-    for i, e in enumerate(bar_system):
-        e = list(map(f.coerce, e))
+    for i, e in enumerate(bars):
         if sbar.multiply(e, e) != e:
             raise InvalidInputError(f"bar idempotent {i} is not idempotent")
-        for k, e2 in enumerate(bar_system):
-            if k != i and not vec_is_zero(
-                    sbar.multiply(e, list(map(f.coerce, e2)))):
-                raise InvalidInputError("bar system is not orthogonal")
+        if any(k != i and not vec_is_zero(sbar.multiply(e, e2))
+               for k, e2 in enumerate(bars)):
+            raise InvalidInputError("bar system is not orthogonal")
         total = vec_add(total, e, f)
     if total != list(sbar.unit):
         raise InvalidInputError("bar system does not sum to 1")
     rounds = 4 * (b.dim + 2)
     lifted: list[list] = []
     partial = zero_vec(b.dim, f)
-    for e_bar in bar_system:
-        g = _newton_idempotent(b, q.lift(list(map(f.coerce, e_bar))), rounds)
+    for e_bar in bars:
+        g = _newton_idempotent(b, q.lift(e_bar), rounds)
         rest = vec_sub(list(b.unit), partial, f)
         x = b.multiply(b.multiply(rest, g), rest)
         e = _newton_idempotent(b, x, rounds)
@@ -766,7 +764,7 @@ def lift_idempotents(b: Algebra, j: Subspace, bar_system: Sequence[Sequence],
             want = e if i == k else zero_vec(b.dim, f)
             if b.multiply(e, e2) != want:
                 raise VerificationFailedError("lifted system not orthogonal")
-        if q.project(e) != tuple(map(f.coerce, bar_system[i])):
+        if q.project(e) != tuple(bars[i]):
             raise VerificationFailedError("lift does not reduce to its input")
     return IdempotentSystem(b, tuple(tuple(e) for e in lifted))
 
@@ -846,28 +844,16 @@ def wedderburn_data(b: Algebra, seed: int = 0) -> WMData:
                 raise VerificationFailedError("matrix-unit lifting failed")
             a_of[p] = a_p
             b_of[p] = b_p
-        units = [[None] * n for _ in range(n)]
-        for p in range(n):
-            for q2 in range(n):
-                if p == 0:
-                    u = a_of[q2] if q2 != 0 else f11
-                elif q2 == 0:
-                    u = b_of[p]
-                else:
-                    u = b.multiply(b_of[p], a_of[q2])
-                units[p][q2] = u
+        units = [[a_of[q2] if p == 0 else b_of[p] if q2 == 0
+                  else b.multiply(b_of[p], a_of[q2]) for q2 in range(n)]
+                 for p in range(n)]
         # exact verification of the lifted units
-        for p in range(n):
-            for q2 in range(n):
-                if q.project(units[p][q2]) != blk.units[p][q2]:
-                    raise VerificationFailedError("lifted unit does not reduce")
-                for r in range(n):
-                    for t2 in range(n):
-                        prod = b.multiply(units[p][q2], units[r][t2])
-                        want = units[p][t2] if q2 == r else zero_vec(b.dim, f)
-                        if prod != want:
-                            raise VerificationFailedError(
-                                "lifted matrix units do not multiply correctly")
+        if any(q.project(units[p][q2]) != blk.units[p][q2]
+               for p in range(n) for q2 in range(n)):
+            raise VerificationFailedError("lifted unit does not reduce")
+        if not _are_matrix_units(b, units):
+            raise VerificationFailedError(
+                "lifted matrix units do not multiply correctly")
         block_units.append(tuple(tuple(tuple(u) for u in row) for row in units))
         diagonal = [units[p][p] for p in range(n)]
         block_idems.append(tuple(combine([f.one()] * n, diagonal, f)))

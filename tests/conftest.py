@@ -9,7 +9,15 @@ import pytest
 from hypothesis import settings
 
 from maxsub.algebra import direct_product, make_algebra, matrix_algebra
-from maxsub.linalg import GF, QQ, Field
+from maxsub.linalg import (
+    GF,
+    QQ,
+    Field,
+    combine,
+    echelonize,
+    identity_matrix,
+    solve_linear,
+)
 from maxsub.presentations import (
     PathAlgebraPresentation,
     Poset,
@@ -98,6 +106,53 @@ def kxk(field: Field):
 def kxkxm2(field: Field):
     return direct_product([matrix_algebra(1, field), matrix_algebra(1, field),
                            matrix_algebra(2, field)])
+
+
+def random_basis(n: int, field: Field, rng) -> list[list]:
+    """Rows of a random invertible n×n matrix over the field.
+
+    Over Q it is unimodular: a signed permutation followed by 2n row
+    additions with multipliers ±1 and ±2.  Over F_p it is uniformly random
+    among the invertible matrices.
+    """
+    if field.p is not None:
+        while True:
+            rows = [[rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
+            if echelonize(rows, n, field).dim == n:
+                return rows
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [[rng.choice((-1, 1)) if j == order[i] else 0 for j in range(n)]
+            for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2)
+        c = rng.choice((-2, -1, 1, 2))
+        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
+    return [[QQ.coerce(x) for x in r] for r in rows]
+
+
+def rebased(alg, rows):
+    """alg in the basis given by rows (parent coordinates), with no
+    presentation."""
+    f = alg.field
+    inv, _ = solve_linear(rows, identity_matrix(alg.dim, f), f)
+    table = [[combine(alg.multiply(x, y), inv, f) for y in rows] for x in rows]
+    return make_algebra(f, [f"b{i + 1}" for i in range(alg.dim)],
+                        combine(alg.unit, inv, f), table, check=True)
+
+
+def polynomial_quotient(modulus, field: Field):
+    """K[x]/(m) on the basis 1, x, ..., x^(d-1), for a monic m given by its
+    ascending coefficients."""
+    d = len(modulus) - 1
+    powers = [[int(i == k) for i in range(d)] for k in range(d)]
+    while len(powers) < 2 * d - 1:
+        top = powers[-1][-1]
+        shifted = [0] + powers[-1][:-1]
+        powers.append([s - top * c for s, c in zip(shifted, modulus)])
+    table = [[powers[i + j] for j in range(d)] for i in range(d)]
+    return make_algebra(field, [f"x{k}" for k in range(d)], powers[0], table,
+                        check=True)
 
 
 def strip_presentation(alg):

@@ -227,6 +227,32 @@ def test_bad_field_option_is_a_parse_error():
     assert text.startswith("parse error:")
 
 
+A3_RELATION = ("vertex 1\nvertex 2\nvertex 3\narrow a 1 2\narrow b 2 3\n"
+               "relation {}*b.a\n")
+
+
+@pytest.mark.parametrize("coef", ["2", "1/2", "-1", "5/4"])
+def test_fraction_relation_coefficients_are_divided_mod_p(tmp_path, coef):
+    """Each coefficient is 2 in F_3, so b·a = 0 and the algebra is 5-dim."""
+    path = tmp_path / "rel.quiver"
+    path.write_text(A3_RELATION.format(coef))
+    code, text = run(["--field", "F3", "--json", "quiver", "build", str(path)])
+    assert code == 0
+    assert json.loads(text)["result"]["dim"] == 5
+
+
+@pytest.mark.parametrize("command", [["quiver", "build"], ["structure"]])
+@pytest.mark.parametrize("field, coef", [("F3", "1/3"), ("F3", "2/6"),
+                                         ("F5", "1/0"), ("Q", "1/0")])
+def test_relation_coefficient_without_a_value_is_a_parse_error(
+        tmp_path, command, field, coef):
+    path = tmp_path / "rel.quiver"
+    path.write_text(A3_RELATION.format(coef))
+    code, text = run(["--field", field] + command + [str(path)])
+    assert (code, text) == (
+        2, f"parse error: line 6: bad coefficient '{coef}' over {field}\n")
+
+
 DUPLICATE_MUL = ("field Q\ndim 1\nbasis e\nunit 1\n"
                  "mul 1 1 -> 1:1\nmul 1 1 -> 1:1\n")
 

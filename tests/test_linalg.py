@@ -66,6 +66,31 @@ def test_field_rejects_characteristic_from_2_64_up():
     assert time.perf_counter() - start < 1.0
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([F2, F3, GF(5), GF(2 ** 61 - 1)]),
+       st.integers(-10 ** 30, 10 ** 30), st.integers(1, 10 ** 30))
+def test_coerce_divides_a_fraction_mod_p(field, num, den):
+    """a/b is the x in [0, p) with b·x = a mod p; a denominator divisible
+    by p has no value and is refused."""
+    p = field.p
+    if den % p == 0:
+        with pytest.raises(InvalidInputError):
+            field.coerce(Fraction(num, den) if num % p else Fraction(1, den))
+        return
+    x = field.coerce(Fraction(num, den))
+    assert type(x) is int and 0 <= x < p
+    assert (x * den - num) % p == 0
+    assert field.coerce(num) == num % p
+
+
+def test_coerce_over_f3_by_hand():
+    assert [F3.coerce(Fraction(*t)) for t in ((1, 2), (5, 4), (-1, 2), (6, 1))] \
+        == [2, 2, 1, 0]
+    for bad in (Fraction(1, 3), Fraction(2, 9)):
+        with pytest.raises(InvalidInputError):
+            F3.coerce(bad)
+
+
 def test_echelonize_zero_matrix():
     s = echelonize([[0, 0, 0], [0, 0, 0]], 3, QQ)
     assert s.dim == 0

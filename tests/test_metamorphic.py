@@ -1,9 +1,10 @@
-"""Metamorphic properties over Q: a change of basis keeps every invariant.
+"""Metamorphic properties: a change of basis keeps every invariant.
 
-Each algebra is rewritten in a random unimodular basis and loses its
-presentation, so the radical, the blocks and the families are found from
-the structure constants alone.  That runs the integer elimination over Q
-end to end.
+Each algebra is rewritten in a random basis and loses its presentation,
+so the radical, the blocks and the families are found from the structure
+constants alone.  Over Q the basis is unimodular, which runs the integer
+elimination end to end; over F_2 and F_3 it is any invertible matrix,
+which runs the trace-functional radical and the root finding mod p.
 """
 
 import random
@@ -14,41 +15,24 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import KRONECKER_QUIVER, kxkxm2, quiver_algebra
-from maxsub.algebra import block_triangular, make_algebra, matrix_algebra
-from maxsub.linalg import QQ, combine, identity_matrix, solve_linear
+from conftest import (
+    KRONECKER_QUIVER,
+    kxkxm2,
+    quiver_algebra,
+    random_basis,
+    rebased,
+)
+from maxsub.algebra import block_triangular, matrix_algebra
+from maxsub.linalg import GF, QQ
 from maxsub.maximal import enumerate_maximal_families, max_proper_subalgebra_dim
 from maxsub.structure import jacobson_radical, structure_report
 
 BASES = {
-    "M2": lambda: matrix_algebra(2, QQ),
-    "T3": lambda: block_triangular(3, (1, 1, 1), QQ).as_algebra(),
-    "Kronecker": lambda: quiver_algebra(KRONECKER_QUIVER, QQ),
-    "KxKxM2": lambda: kxkxm2(QQ),
+    "M2": lambda f: matrix_algebra(2, f),
+    "T3": lambda f: block_triangular(3, (1, 1, 1), f).as_algebra(),
+    "Kronecker": lambda f: quiver_algebra(KRONECKER_QUIVER, f),
+    "KxKxM2": kxkxm2,
 }
-
-
-def _unimodular(n, rng):
-    """A random n×n integer matrix of determinant ±1: a signed permutation
-    followed by 2n row additions with multipliers ±1 and ±2."""
-    order = list(range(n))
-    rng.shuffle(order)
-    rows = [[rng.choice((-1, 1)) if j == order[i] else 0 for j in range(n)]
-            for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2)
-        c = rng.choice((-2, -1, 1, 2))
-        rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-    return rows
-
-
-def _rebased(alg, rows):
-    """alg in the basis given by rows (parent coordinates), with no
-    presentation."""
-    inv, _ = solve_linear(rows, identity_matrix(alg.dim, QQ), QQ)
-    table = [[combine(alg.multiply(x, y), inv, QQ) for y in rows] for x in rows]
-    return make_algebra(QQ, [f"b{i + 1}" for i in range(alg.dim)],
-                        combine(alg.unit, inv, QQ), table, check=True)
 
 
 def _invariants(alg):
@@ -59,18 +43,27 @@ def _invariants(alg):
 
 
 @lru_cache(maxsize=None)
-def _base_invariants(name):
-    return _invariants(BASES[name]())
+def _base_invariants(name, field=QQ):
+    return _invariants(BASES[name](field))
 
 
 @pytest.mark.parametrize("name", sorted(BASES))
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2 ** 32))
 def test_change_of_basis_keeps_the_invariants(name, seed):
-    base = BASES[name]()
-    rows = [[QQ.coerce(x) for x in r]
-            for r in _unimodular(base.dim, random.Random(seed))]
-    assert _invariants(_rebased(base, rows)) == _base_invariants(name)
+    base = BASES[name](QQ)
+    rows = random_basis(base.dim, QQ, random.Random(seed))
+    assert _invariants(rebased(base, rows)) == _base_invariants(name)
+
+
+@pytest.mark.parametrize("field", [GF(2), GF(3)], ids=str)
+@pytest.mark.parametrize("name", sorted(BASES))
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2 ** 32))
+def test_fp_change_of_basis_keeps_the_invariants(name, field, seed):
+    base = BASES[name](field)
+    rows = random_basis(base.dim, field, random.Random(seed))
+    assert _invariants(rebased(base, rows)) == _base_invariants(name, field)
 
 
 def test_base_invariants_are_the_known_ones():
@@ -79,3 +72,23 @@ def test_base_invariants_are_the_known_ones():
     assert _base_invariants("T3")[:4] == (3, True, (1, 1, 1), 5)
     assert _base_invariants("Kronecker")[:4] == (2, True, (1, 1), 3)
     assert _base_invariants("KxKxM2")[:4] == (0, True, (1, 1, 2), 5)
+
+
+def test_fp_base_invariants_are_the_known_ones():
+    """Over F_p the families also count the hyperplanes point by point
+    and the subfield centralizers of each M_2 block (degree 2)."""
+    for field in (GF(2), GF(3)):
+        p = field.p
+        assert _base_invariants("M2", field) == (
+            0, True, (2,), 3,
+            [("block_triangular", 1), ("subfield_centralizer", 1)])
+        assert _base_invariants("T3", field) == (
+            3, True, (1, 1, 1), 5,
+            [("diagonal_merge", 3), ("radical_hyperplane", 2)])
+        assert _base_invariants("Kronecker", field) == (
+            2, True, (1, 1), 3,
+            [("diagonal_merge", 1), ("radical_hyperplane", p + 1)])
+        assert _base_invariants("KxKxM2", field) == (
+            0, True, (1, 1, 2), 5,
+            [("block_triangular", 1), ("diagonal_merge", 1),
+             ("subfield_centralizer", 1)])
