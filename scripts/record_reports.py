@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Regenerate the recorded CLI reports under data/reports/.
 
-Each report is the byte-exact output of one CLI invocation at seed 0;
-the test suite replays the same invocations and compares.  Run from the
+Each report is the byte-exact output of one CLI invocation; the test
+suite replays the same invocations and compares.  Run from the
 repository root:
     python scripts/record_reports.py
 """

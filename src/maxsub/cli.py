@@ -1,9 +1,10 @@
 """Command-line front end.
 
-Reports are deterministic given the inputs and the seed: output carries
-the command echo, input digests and a structured result; wall-clock
-timing appears only under --timing so recorded reports reproduce
-byte-for-byte.  Exit codes: 0 success, 1 operation error, 2 parse error.
+Reports are deterministic given the inputs: output carries the command
+echo, a fixed `seed: 0` line (kept so that the recorded reports replay),
+input digests and a structured result; wall-clock timing appears only
+under --timing so recorded reports reproduce byte-for-byte.  Exit codes:
+0 success, 1 operation error, 2 parse error.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from .presentations import (
     path_algebra,
     quiver_maximal,
 )
-from .structure import structure_report, wedderburn_data
+from .structure import _wedderburn_data_of, structure_report, wedderburn_data
 
 
 def _field_from_option(token: str | None):
@@ -118,9 +119,9 @@ def _parse_family_record(record: str) -> MaximalFamily:
 # ---------------------------------------------------------------------------
 # handlers
 
-def _cmd_structure(path: str, field, seed: int) -> dict:
+def _cmd_structure(path: str, field) -> dict:
     b = formats.load_algebra(path, field)
-    rep = structure_report(b, seed)
+    rep = structure_report(b)
     payload = {
         "dim": b.dim,
         "field": formats.field_name(b.field),
@@ -130,7 +131,7 @@ def _cmd_structure(path: str, field, seed: int) -> dict:
     }
     if rep.schur:
         payload["block_dims"] = list(rep.block_dims)
-        wm = wedderburn_data(b, seed)
+        wm = _wedderburn_data_of(b, rep)
         payload["complement_dim"] = wm.complement.dim
         payload["complement_basis"] = _span_lines(wm.complement.space, b.field)
     else:
@@ -138,18 +139,17 @@ def _cmd_structure(path: str, field, seed: int) -> dict:
     return payload
 
 
-def _cmd_maxdim(path: str, field, seed: int) -> dict:
+def _cmd_maxdim(path: str, field) -> dict:
     b = formats.load_algebra(path, field)
     return {"dim": b.dim,
-            "max_proper_subalgebra_dim": max_proper_subalgebra_dim(b, seed)}
+            "max_proper_subalgebra_dim": max_proper_subalgebra_dim(b)}
 
 
 def _cmd_maximal(args, field) -> dict:
     b = formats.load_algebra(args.algebra, field)
-    seed = args.seed
     if args.action == "enumerate":
-        wm = wedderburn_data(b, seed)
-        fams = enumerate_maximal_families(b, seed, wm)
+        wm = wedderburn_data(b)
+        fams = enumerate_maximal_families(b, wm)
         dims = [blk.n for blk in wm.report.blocks]
         return {"family_count": len(fams),
                 "families": [f.describe(dims) for f in fams]}
@@ -159,7 +159,7 @@ def _cmd_maximal(args, field) -> dict:
         fam = _parse_family_record(args.family)
         params = (_coords(args.params, b.field, "--params") if args.params
                   else None)
-        sub = instantiate_family(b, fam, params=params, seed=seed)
+        sub = instantiate_family(b, fam, params=params)
         return {"subalgebra_dim": sub.dim, "codim": b.dim - sub.dim,
                 "basis": _span_lines(sub.space, b.field)}
     if args.action in ("certify", "classify"):
@@ -167,7 +167,7 @@ def _cmd_maximal(args, field) -> dict:
             raise OperationError(f"{args.action} needs a span file")
         sub = _load_span(args.span, b)
         if args.action == "certify":
-            cert = certify_maximal(sub, b, seed)
+            cert = certify_maximal(sub, b)
             payload = {"status": cert.status, "method": cert.method,
                        "quotient_dim": cert.quotient_dim}
             if cert.witness is not None:
@@ -175,7 +175,7 @@ def _cmd_maximal(args, field) -> dict:
                 payload["witness_basis"] = _span_lines(cert.witness.space,
                                                        b.field)
             return payload
-        verdict = classify_type(sub, b, seed)
+        verdict = classify_type(sub, b)
         payload = {"type": verdict.kind,
                    "radical_contained": verdict.radical_contained}
         if verdict.kind == "split":
@@ -191,7 +191,7 @@ def _cmd_maximal(args, field) -> dict:
         classes = []
         for cls in res.classes:
             rep0 = cls[0]
-            verdict = classify_type(rep0, b, args.seed)
+            verdict = classify_type(rep0, b)
             classes.append({
                 "size": len(cls),
                 "dim": rep0.dim,
@@ -237,7 +237,6 @@ def _module_lines(m: Module) -> list[str]:
 
 
 def _cmd_mod(args, field) -> dict:
-    seed = args.seed
     base = os.path.dirname(os.path.abspath(args.module))
     if args.action in ("decompose", "dimvec"):
         m = formats.parse_module(formats.load_text(args.module), base, field)
@@ -245,7 +244,7 @@ def _cmd_mod(args, field) -> dict:
             vec, thin = dimension_vector(m)
             return {"dimension_vector": ",".join(str(x) for x in vec),
                     "thin": thin}
-        parts = decompose_module(m, seed)
+        parts = decompose_module(m)
         payload = {"dim": m.dim, "summand_count": len(parts),
                    "summand_dims": [p.dim for p in parts]}
         pres = m.algebra.presentation
@@ -260,7 +259,7 @@ def _cmd_mod(args, field) -> dict:
         m = formats.parse_module(formats.load_text(args.module), base, field)
         sub = _load_span(args.span, m.algebra)
         res = restrict(m, sub)
-        parts = decompose_module(res, seed)
+        parts = decompose_module(res)
         return {"dim": res.dim, "subalgebra_dim": sub.dim,
                 "summand_dims": [p.dim for p in parts],
                 "action": _module_lines(res)}
@@ -273,7 +272,7 @@ def _cmd_mod(args, field) -> dict:
         m = formats.parse_module(formats.load_text(args.module), base, field,
                                  algebra_override=sub.as_algebra())
         ind = induce(m, sub)
-        parts = decompose_module(ind, seed)
+        parts = decompose_module(ind)
         return {"dim": ind.dim, "summand_dims": [p.dim for p in parts],
                 "action": _module_lines(ind)}
     raise OperationError(f"unknown mod action {args.action!r}")
@@ -296,7 +295,7 @@ def _cmd_quiver(args, field) -> dict:
             hyper = [_coords(row, f, "--hyperplane")
                      for row in args.hyperplane.split(";")]
         sub = quiver_maximal(alg, kind, a, b, hyper)
-        cert = certify_maximal(sub, alg, args.seed)
+        cert = certify_maximal(sub, alg)
         return {"subalgebra_dim": sub.dim, "certified": cert.status,
                 "basis": _span_lines(sub.space, f)}
     if args.action == "collapse":
@@ -310,9 +309,9 @@ def _cmd_quiver(args, field) -> dict:
             "collapsed_vertices": list(res.quiver.vertices),
         }
         if res.condition_star:
-            cert = certify_maximal(res.inclusion, res.ambient, args.seed)
+            cert = certify_maximal(res.inclusion, res.ambient)
             payload["certified"] = cert.status
-            verdict = classify_type(res.inclusion, res.ambient, args.seed)
+            verdict = classify_type(res.inclusion, res.ambient)
             payload["type"] = verdict.kind
         return payload
     if args.action == "delete":
@@ -342,7 +341,7 @@ def _cmd_poset(args, field) -> dict:
         kind, a, b = _need(rest, 3, "poset maximal FILE s|t A B")
         alg = incidence_algebra(poset, f)
         sub = incidence_maximal(alg, kind, a, b)
-        cert = certify_maximal(sub, alg, args.seed)
+        cert = certify_maximal(sub, alg)
         return {"subalgebra_dim": sub.dim, "certified": cert.status,
                 "basis": _span_lines(sub.space, f)}
     if args.action == "clamped":
@@ -388,9 +387,6 @@ def _common_options(parser, suppress: bool):
     parser.add_argument("--json", action="store_true",
                         default=d if suppress else False,
                         help="machine-readable output")
-    parser.add_argument("--seed", type=int,
-                        default=d if suppress else 0,
-                        help="seed for the deterministic searches (default 0)")
     parser.add_argument("--timing", action="store_true",
                         default=d if suppress else False,
                         help="include wall-clock timing in the report")
@@ -471,10 +467,10 @@ def run(argv: list[str]) -> tuple[int, str]:
     try:
         field = _field_from_option(args.field)
         if args.cmd == "structure":
-            result = _cmd_structure(args.algebra, field, args.seed)
+            result = _cmd_structure(args.algebra, field)
             paths = [args.algebra]
         elif args.cmd == "maxdim":
-            result = _cmd_maxdim(args.algebra, field, args.seed)
+            result = _cmd_maxdim(args.algebra, field)
             paths = [args.algebra]
         elif args.cmd == "maximal":
             result = _cmd_maximal(args, field)
@@ -512,7 +508,7 @@ def run(argv: list[str]) -> tuple[int, str]:
         echo.extend(args.rest)
     report = {
         "command": " ".join(echo),
-        "seed": args.seed,
+        "seed": 0,
         "inputs": digests,
         "result": result,
     }

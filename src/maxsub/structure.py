@@ -197,7 +197,7 @@ def _radical_from_traces(a: Algebra) -> Subspace:
     return trace_form_radical(a)
 
 
-def jacobson_radical(a: Algebra, check: bool = True) -> Subspace:
+def jacobson_radical(a: Algebra) -> Subspace:
     """The Jacobson radical as a canonical subspace.
 
     Uses the presentation-derived radical when one is attached (quiver,
@@ -209,8 +209,7 @@ def jacobson_radical(a: Algebra, check: bool = True) -> Subspace:
         cand = echelonize(pres.radical_rows, a.dim, a.field)
     else:
         cand = _radical_from_traces(a)
-    if check:
-        verify_radical(a, cand)
+    verify_radical(a, cand)
     return cand
 
 
@@ -539,7 +538,7 @@ def _corner_split(s: Algebra, e: Sequence, y: Sequence) -> list | None:
     return None
 
 
-def _split_central_idempotents(s: Algebra, center: Subspace, seed: int,
+def _split_central_idempotents(s: Algebra, center: Subspace,
                                ) -> tuple[list[list], bool]:
     """Primitive idempotents of the center; flag is False when some corner
     cannot be split over the base field.
@@ -551,7 +550,7 @@ def _split_central_idempotents(s: Algebra, center: Subspace, seed: int,
     f = s.field
     idems = [tuple(s.unit)]
     candidates = [list(v) for v in center.basis]
-    rng = random.Random(seed)
+    rng = random.Random(0)  # the recorded reports depend on this order
     for _ in range(8):
         coeffs = [f.coerce(rng.randint(0, 5)) for _ in center.basis]
         candidates.append(combine(coeffs, center.basis, f))
@@ -576,8 +575,7 @@ def _split_central_idempotents(s: Algebra, center: Subspace, seed: int,
             idems += [tuple(u), tuple(vec_sub(e, u, f))]
 
 
-def _find_primitive_idempotent(s: Algebra, e: Sequence, seed: int,
-                               ) -> list | None:
+def _find_primitive_idempotent(s: Algebra, e: Sequence) -> list | None:
     """A primitive idempotent below e inside the block e*S*e, or None
     when a corner refuses to split (non-split division part)."""
     f = s.field
@@ -586,7 +584,7 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence, seed: int,
     corner = echelonize(corner_rows, s.dim, f)
     if corner.dim == 1:
         return list(e)
-    rng = random.Random(seed)
+    rng = random.Random(0)  # the recorded reports depend on this order
 
     def candidates():
         yield from corner.basis
@@ -611,7 +609,7 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence, seed: int,
         if u is not None:
             rest = vec_sub(e, u, f)
             for half in (u, rest):
-                found = _find_primitive_idempotent(s, half, seed)
+                found = _find_primitive_idempotent(s, half)
                 if found is not None:
                     return found
             return None
@@ -627,7 +625,7 @@ def _are_matrix_units(a: Algebra, units: list[list[list]]) -> bool:
                for p, q, r, t in itertools.product(range(n), repeat=4))
 
 
-def _matrix_units_for_block(s: Algebra, e_central: Sequence, seed: int,
+def _matrix_units_for_block(s: Algebra, e_central: Sequence,
                             ) -> tuple[int, list[list[list]]] | None:
     """Exhibit matrix units for the block e_central * S; None if not split."""
     f = s.field
@@ -637,7 +635,7 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence, seed: int,
     n = math.isqrt(block.dim)
     if n * n != block.dim:
         return None
-    e = _find_primitive_idempotent(s, list(e_central), seed)
+    e = _find_primitive_idempotent(s, list(e_central))
     if e is None:
         return None
     # the simple left module of the block
@@ -665,7 +663,7 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence, seed: int,
     return n, units
 
 
-def semisimple_blocks(b: Algebra, j: Subspace, seed: int = 0) -> StructureReport:
+def semisimple_blocks(b: Algebra, j: Subspace) -> StructureReport:
     """Block decomposition of b/j with explicit matrix units.
 
     On success schur=True and block_dims lists the matrix sizes ascending.
@@ -676,13 +674,13 @@ def semisimple_blocks(b: Algebra, j: Subspace, seed: int = 0) -> StructureReport
     if s.dim == 0:
         raise InvalidInputError("quotient algebra is zero")
     center = centralizer(s, full_subspace(s.dim, s.field)).space
-    idems, primitive = _split_central_idempotents(s, center, seed)
+    idems, primitive = _split_central_idempotents(s, center)
     if not primitive:
         return StructureReport(j, None, tuple(tuple(e) for e in idems), False,
                                s, q, (), failure="center does not split")
     blocks = []
     for e in idems:
-        got = _matrix_units_for_block(s, e, seed)
+        got = _matrix_units_for_block(s, e)
         if got is None:
             return StructureReport(j, None, tuple(tuple(e) for e in idems),
                                    False, s, q, (),
@@ -698,8 +696,8 @@ def semisimple_blocks(b: Algebra, j: Subspace, seed: int = 0) -> StructureReport
                            True, s, q, tuple(blocks))
 
 
-def structure_report(b: Algebra, seed: int = 0) -> StructureReport:
-    return semisimple_blocks(b, jacobson_radical(b), seed)
+def structure_report(b: Algebra) -> StructureReport:
+    return semisimple_blocks(b, jacobson_radical(b))
 
 
 # ---------------------------------------------------------------------------
@@ -800,9 +798,13 @@ def _corner_inverse(b: Algebra, f_unit: list, t: list) -> list:
     return acc
 
 
-def wedderburn_data(b: Algebra, seed: int = 0) -> WMData:
+def wedderburn_data(b: Algebra) -> WMData:
     """Compute B = A_0 (+) J with matrix units of A_0 lifted from B/J."""
-    rep = structure_report(b, seed)
+    return _wedderburn_data_of(b, structure_report(b))
+
+
+def _wedderburn_data_of(b: Algebra, rep: StructureReport) -> WMData:
+    """`wedderburn_data` from the structure report of b already built."""
     if not rep.schur:
         raise NotSplitError(rep.failure or "semisimple quotient is not split")
     f = b.field
@@ -869,15 +871,15 @@ def wedderburn_data(b: Algebra, seed: int = 0) -> WMData:
     return WMData(b, rep, comp, tuple(block_units), tuple(block_idems))
 
 
-def wedderburn_malcev_complement(b: Algebra, seed: int = 0) -> Subalgebra:
-    return wedderburn_data(b, seed).complement
+def wedderburn_malcev_complement(b: Algebra) -> Subalgebra:
+    return wedderburn_data(b).complement
 
 
 # ---------------------------------------------------------------------------
 # conjugating unit between idempotent systems
 
-def conjugating_unit(b: Algebra, e_sys: IdempotentSystem, f_sys: IdempotentSystem,
-                     seed: int = 0) -> list | None:
+def conjugating_unit(b: Algebra, e_sys: IdempotentSystem,
+                     f_sys: IdempotentSystem) -> list | None:
     """An invertible a with f_i = a e_i a^{-1}, or None if none is found.
 
     Searches f_i B e_i for witnesses a_i with two-sided partners
@@ -953,9 +955,9 @@ def _solve_partner(b: Algebra, a_i: list, ebf: Subspace, e: list, fi: list,
 # ---------------------------------------------------------------------------
 # simple modules
 
-def simple_modules(b: Algebra, seed: int = 0) -> list[Module]:
+def simple_modules(b: Algebra) -> list[Module]:
     """One simple module per block, with explicit action matrices."""
-    rep = structure_report(b, seed)
+    rep = structure_report(b)
     if not rep.schur:
         raise NotSplitError(rep.failure or "blocks are not split")
     s = rep.quotient

@@ -1,13 +1,19 @@
 """CLI: bundled files parse and validate, reports reproduce byte-for-byte."""
 
+import importlib
+import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 import time
 
 import pytest
 
+import maxsub.cli
+import maxsub.extensions
+import maxsub.structure
 from conftest import recorded_invocations
 from maxsub.cli import run
 from maxsub.errors import ParseError
@@ -139,12 +145,57 @@ def test_malformed_algebra_rejected(tmp_path):
     assert "line" in text
 
 
-def test_seed_echoed_and_deterministic():
-    code1, text1 = run(["--seed", "7", "structure", "data/m2_q.alg"])
-    code2, text2 = run(["--seed", "7", "structure", "data/m2_q.alg"])
+def test_structure_report_repeats_with_its_fixed_seed_line():
+    code1, text1 = run(["structure", "data/m2_q.alg"])
+    code2, text2 = run(["structure", "data/m2_q.alg"])
     assert code1 == code2 == 0
     assert text1 == text2
-    assert "seed: 7" in text1
+    assert "seed: 0" in text1
+
+
+def test_no_seed_or_single_value_options():
+    """No library function takes a seed, and the two options that had
+    only one value in use stay folded into constants."""
+    walked = set()
+    for info in pkgutil.iter_modules(maxsub.__path__):
+        mod = importlib.import_module(f"maxsub.{info.name}")
+        for fn in _functions_of(mod):
+            assert "seed" not in inspect.signature(fn).parameters, \
+                f"{mod.__name__}.{fn.__qualname__}"
+            walked.add(fn.__qualname__)
+    assert {"certify_maximal", "Algebra.multiply", "run"} <= walked
+    assert "check" not in inspect.signature(
+        maxsub.structure.jacobson_radical).parameters
+    assert "dim_cap" not in inspect.signature(
+        maxsub.extensions.check_summand_property).parameters
+    code, text = run(["--seed", "0", "structure", "data/m2_q.alg"])
+    assert code == 2
+    assert text.startswith("usage: maxsub")
+
+
+def _functions_of(mod):
+    """The functions and methods defined in a module."""
+    for obj in vars(mod).values():
+        if getattr(obj, "__module__", None) != mod.__name__:
+            continue
+        if inspect.isfunction(obj):
+            yield obj
+        elif inspect.isclass(obj):
+            yield from (m for m in vars(obj).values() if inspect.isfunction(m))
+
+
+def test_structure_builds_the_decomposition_once(monkeypatch):
+    calls = []
+    original = maxsub.structure.structure_report
+
+    def counted(b):
+        calls.append(b)
+        return original(b)
+    monkeypatch.setattr(maxsub.structure, "structure_report", counted)
+    monkeypatch.setattr(maxsub.cli, "structure_report", counted)
+    code, text = run(["structure", "data/m2_f2.alg"])
+    assert code == 0 and "complement_dim: 4" in text
+    assert len(calls) == 1
 
 
 def test_maxdim_m3_value():
@@ -274,3 +325,39 @@ def test_cli_rejects_repeated_mul_pair(tmp_path):
     assert proc.returncode == 2
     assert "given twice" in proc.stdout + proc.stderr
     assert "Traceback" not in proc.stdout + proc.stderr
+
+
+def _json_result(argv):
+    code, text = run(["--json"] + argv)
+    assert code == 0, text
+    return json.loads(text)["result"]
+
+
+def test_mod_decompose_keeps_the_zigzag_module_whole():
+    res = _json_result(["mod", "decompose", "data/zigzag_defining.mod"])
+    assert res["summand_dims"] == [5]
+    assert res["summand_dimension_vectors"] == ["1,1,1,1,1"]
+
+
+def test_poset_maximal_certifies_the_diamond_split():
+    res = _json_result(["poset", "maximal", "data/diamond.poset",
+                        "s", "1", "2"])
+    assert (res["subalgebra_dim"], res["certified"]) == (8, "maximal")
+
+
+def test_mod_induce_of_the_restricted_zigzag_module(tmp_path):
+    """The restriction to D4 recorded in restrict_zigzag_d4.txt, induced
+    back to the zigzag algebra, is a single 5-dim summand."""
+    lines = load_text(
+        os.path.join(REPORTS, "restrict_zigzag_d4.txt")).splitlines()
+    action = [line[2:] for line in lines[lines.index("action:") + 1:]]
+    module = tmp_path / "d4.mod"
+    module.write_text("module over d4 dim 5\n" + "\n".join(action) + "\n")
+    res = _json_result(["mod", "induce", str(module), "data/d4_in_zigzag.span",
+                        "--algebra", "data/zigzag_a5.alg"])
+    assert (res["dim"], res["summand_dims"]) == (5, [5])
+
+
+def test_poset_build_of_the_diamond():
+    res = _json_result(["poset", "build", "data/diamond.poset"])
+    assert (res["dim"], res["valid"]) == (9, True)

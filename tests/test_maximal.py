@@ -16,6 +16,8 @@ from conftest import (
     quiver_algebra,
 )
 from maxsub.algebra import (
+    block_triangular,
+    direct_product,
     is_closed_subspace,
     matrix_algebra,
     subalgebra_from_rows,
@@ -186,6 +188,26 @@ def test_certify_scalars_in_m2f2_not_maximal(m2f2):
     assert not spin_up_recheck(scalars, m2f2)
 
 
+def test_certify_finds_a_one_dim_stable_line_in_t3_f2():
+    """A = diagonal + E13 in T_3/F_2: B/A is 2-dim and its line of E12
+    pulls back to the 5-dim subalgebra A + E12."""
+    bt = block_triangular(3, [1, 1, 1], F2)
+    t3 = bt.as_algebra()
+
+    def unit(i, j):
+        v = [0] * 9
+        v[3 * i + j] = 1
+        return bt.space.coords(v)
+    a = subalgebra_from_rows(t3, [unit(0, 0), unit(1, 1), unit(2, 2),
+                                  unit(0, 2)])
+    cert = certify_maximal(a, t3)
+    assert cert.quotient_dim == 2
+    assert (cert.status, cert.method) == ("not_maximal", "stable_subspace")
+    assert cert.witness.dim == 5
+    assert is_closed_subspace(t3, cert.witness.space)
+    assert not spin_up_recheck(a, t3)
+
+
 def test_certify_rejects_improper(m2q):
     from maxsub.algebra import full_subalgebra
     with pytest.raises(InvalidInputError):
@@ -238,6 +260,18 @@ def test_oracle_kronecker_f2(kronecker_f2):
     merge = [c for c in res.classes
              if classify_type(c[0], kronecker_f2).kind == "semisimple"]
     assert len(split) == 3 and len(merge) == 1
+
+
+def test_oracle_runs_at_its_dimension_cap():
+    """T_3 x F_2 has dimension 7, the cap; one factor more is refused."""
+    t3 = block_triangular(3, [1, 1, 1], F2).as_algebra()
+    res = brute_force_maximal(direct_product([t3, matrix_algebra(1, F2)]))
+    assert len(res.maximal) == 10
+    assert len(res.classes) == 8
+    assert res.max_dim == 6
+    with pytest.raises(CapExceededError):
+        brute_force_maximal(direct_product([t3, matrix_algebra(1, F2),
+                                            matrix_algebra(1, F2)]))
 
 
 def test_oracle_caps():

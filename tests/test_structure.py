@@ -61,6 +61,7 @@ from maxsub.structure import (
     is_two_sided_ideal,
     jacobson_radical,
     lift_idempotents,
+    nilpotency_degree,
     quotient_algebra,
     semisimple_blocks,
     simple_modules,
@@ -561,6 +562,15 @@ def test_ideal_closure_is_ideal(a3_q):
     ideal = ideal_closure(a3_q, [a3_q.basis_vector(ia)])
     assert is_two_sided_ideal(a3_q, ideal)
     assert ideal.dim == 2  # a and b.a
+
+
+@pytest.mark.parametrize("field", [QQ, F2], ids=["Q", "F2"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nilpotency_degree_of_the_triangular_radical_is_n(n, field):
+    """J(T_n) is the strictly upper triangular part: J^(n-1) holds E_1n,
+    J^n = 0."""
+    t = block_triangular(n, [1] * n, field).as_algebra()
+    assert nilpotency_degree(t, jacobson_radical(t)) == n
 
 
 @given(st.integers(0, 2), st.integers(0, 2), st.integers(0, 2))
