@@ -263,6 +263,11 @@ class Subalgebra:
     def contains_vec(self, v: Sequence) -> bool:
         return self.space.contains_vec(v)
 
+    def check_parent(self, b: Algebra) -> None:
+        if self.parent is not b:
+            raise InvalidInputError(
+                "subalgebra does not live in the given algebra")
+
 
 def subalgebra(parent: Algebra, space: Subspace, check: bool = True) -> Subalgebra:
     if space.field != parent.field or space.ambient_dim != parent.dim:

@@ -18,6 +18,7 @@ from .algebra import (
     BimoduleSubspace,
     Subalgebra,
     bimodule_subspace,
+    subalgebra_from_rows,
 )
 from .errors import (
     CapExceededError,
@@ -51,12 +52,13 @@ from .linalg import (
 )
 from .modules import Module, make_module, regular_module
 from .structure import (
+    StructureReport,
     WMData,
     is_two_sided_ideal,
     jacobson_radical,
     lift_idempotents,
     quotient_algebra,
-    semisimple_blocks,
+    structure_report,
 )
 
 HOM_SWEEP_CAP = 1 << 12
@@ -72,8 +74,7 @@ def split_complement(a: Subalgebra, b: Algebra) -> BimoduleSubspace | None:
     Solves for an A-bimodule projection pi: B -> A restricting to the
     identity on A; unknowns are the values of pi on a lift of B/A.
     """
-    if a.parent is not b:
-        raise InvalidInputError("subalgebra does not live in the given algebra")
+    a.check_parent(b)
     f = b.field
     da = a.dim
     q = quotient_space(b.dim, a.space.basis, f)
@@ -205,6 +206,7 @@ def _balanced_quotient(b: Algebra, a: Subalgebra, actions: Sequence,
 
 def tensor_square(a: Subalgebra, b: Algebra) -> TensorSquare:
     """B (x)_A B as a quotient of the dim^2 coordinate tensor space."""
+    a.check_parent(b)
     actions = [b.left_mult_matrix(list(r)) for r in a.space.basis]
     return TensorSquare(b, a, _balanced_quotient(b, a, actions, b.dim))
 
@@ -228,6 +230,7 @@ def separability_idempotent(a: Subalgebra, b: Algebra,
     The defining conditions are linear; any solution is verified by
     substitution before it is returned.
     """
+    a.check_parent(b)
     if ts is None:
         ts = tensor_square(a, b)
     f = b.field
@@ -265,6 +268,7 @@ def separable_type_idempotent(a: Subalgebra, b: Algebra, wm: WMData,
     B (x)_A B and satisfies both identities whenever J(B) lies in A and
     no block size is divisible by the characteristic.
     """
+    a.check_parent(b)
     for r in wm.radical.basis:
         if not a.space.contains_vec(list(r)):
             raise InvalidInputError("subalgebra does not contain the radical")
@@ -304,8 +308,7 @@ class SplitTypeReduction:
 
 
 def split_type_reduction(a: Subalgebra, b: Algebra) -> SplitTypeReduction:
-    from .algebra import subalgebra_from_rows
-
+    a.check_parent(b)
     aalg = a.as_algebra()
     ja = jacobson_radical(aalg)
     h = echelonize([a.embed(list(r)) for r in ja.basis], b.dim, b.field)
@@ -452,15 +455,11 @@ def _primitive_system_finite(s: Algebra) -> list[list] | None:
     return idems
 
 
-def _primitive_bar_system(e_alg: Algebra, j: Subspace) -> list[list]:
-    """Primitive orthogonal idempotents of E/J(E), as E/J coordinates."""
-    rep = semisimple_blocks(e_alg, j)
+def _primitive_bar_system(rep: StructureReport) -> list[list]:
+    """Primitive orthogonal idempotents of E/J(E), from E's report."""
     if rep.schur:
-        bars = []
-        for blk in rep.blocks:
-            for p in range(blk.n):
-                bars.append(list(blk.units[p][p]))
-        return bars
+        return [list(blk.units[p][p]) for blk in rep.blocks
+                for p in range(blk.n)]
     found = _primitive_system_finite(rep.quotient)
     if found is None:
         raise UnsupportedFieldError(
@@ -479,11 +478,11 @@ def decompose_module(m: Module) -> list[Module]:
         return []
     f = m.algebra.field
     e_alg, mats = endomorphism_algebra(m)
-    j = jacobson_radical(e_alg)
-    bars = _primitive_bar_system(e_alg, j)
+    rep = structure_report(e_alg)
+    bars = _primitive_bar_system(rep)
     if len(bars) == 1:
         return [m]
-    lifted = lift_idempotents(e_alg, j, bars)
+    lifted = lift_idempotents(e_alg, rep, bars)
     out = []
     total = 0
     for coords in lifted.idempotents:
@@ -510,8 +509,7 @@ def decompose_module(m: Module) -> list[Module]:
 def is_local_module(m: Module) -> bool:
     """Does End(M) have a one-dimensional semisimple quotient?"""
     e_alg, _ = endomorphism_algebra(m)
-    j = jacobson_radical(e_alg)
-    return len(_primitive_bar_system(e_alg, j)) == 1
+    return len(_primitive_bar_system(structure_report(e_alg))) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -618,6 +616,7 @@ def check_summand_property(a: Subalgebra, b: Algebra,
     direction="separable_up": dually, every indecomposable B-module is a
     summand of the induction of a summand of its own restriction.
     """
+    a.check_parent(b)
     aalg = a.as_algebra()
     witnesses = []
     partner_dims: list[tuple[int, ...]] = []

@@ -57,9 +57,10 @@ from .linalg import (
 )
 from .structure import (
     WMData,
-    jacobson_radical,
+    _radical_candidate,
     semisimple_blocks,
     structure_report,
+    verify_radical,
     wedderburn_data,
 )
 
@@ -450,6 +451,7 @@ def certify_maximal(a: Subalgebra, b: Algebra) -> Certificate:
     finite field an exhaustive fallback enumerates the stable subspaces
     and checks each pullback for closure, so the answer there is exact.
     """
+    a.check_parent(b)
     if a.dim >= b.dim:
         raise InvalidInputError("subalgebra is not proper")
     f = b.field
@@ -516,6 +518,7 @@ def spin_up_recheck(a: Subalgebra, b: Algebra) -> bool:
     Burnside step: spin-ups of every line of B/A, then the exhaustive
     stable-subspace closure check when some spin-up is proper.
     """
+    a.check_parent(b)
     if not b.field.is_finite:
         raise NotFiniteFieldError("spin-up recheck needs a finite field")
     q, lops, rops = _quotient_bimodule_ops(a, b)
@@ -540,17 +543,16 @@ def classify_type(a: Subalgebra, b: Algebra) -> TypeVerdict:
     Split verdicts carry the verified evidence J(A) = A meet J(B) and the
     equality of simple-dimension multisets.
     """
-    jb = jacobson_radical(b)
-    contained = all(a.space.contains_vec(list(r)) for r in jb.basis)
-    if contained:
+    a.check_parent(b)
+    jb = _radical_candidate(b)
+    if all(a.space.contains_vec(list(r)) for r in jb.basis):
+        verify_radical(b, jb)
         return TypeVerdict("semisimple", True)
-    aalg = a.as_algebra()
-    ja = jacobson_radical(aalg)
-    ja_in_b = echelonize([a.embed(list(r)) for r in ja.basis], b.dim, b.field)
-    meet = subspace_intersection(a.space, jb)
-    match = ja_in_b == meet
-    arep = semisimple_blocks(aalg, ja)
     brep = semisimple_blocks(b, jb)
+    arep = structure_report(a.as_algebra())
+    ja_in_b = echelonize([a.embed(list(r)) for r in arep.radical.basis],
+                         b.dim, b.field)
+    match = ja_in_b == subspace_intersection(a.space, jb)
     if not arep.schur or not brep.schur:
         raise NotSplitError("cannot compare simple dimensions: not split")
     return TypeVerdict("split", False, match, arep.block_dims, brep.block_dims)

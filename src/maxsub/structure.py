@@ -1,12 +1,13 @@
 """Radical, semisimple blocks, idempotent lifting, Wedderburn-Malcev.
 
 The radical over Q is the kernel of the trace form of the left regular
-representation.  Over a prime field the trace form only bounds the
-radical from above; the radical is the last term of the Cohen-Ivanyos-
-Wales filtration, which refines the trace-form kernel by the traces of
-p^i-th powers of integer lifts.  Every answer is verified (a nilpotent
-two-sided ideal whose quotient has zero radical by the same computation)
-before it is returned.
+representation, read off the integer table.  Over a prime field the trace
+form only bounds the radical from above; the radical is the last term of
+the Cohen-Ivanyos-Wales filtration, which refines the trace-form kernel by
+the traces of p^i-th powers of integer lifts.  Every answer is verified (a
+nilpotent two-sided ideal whose quotient has zero radical by the same
+computation), and the quotient B/J that check builds is the only one a
+decomposition uses: its blocks and idempotent lifts read it off one report.
 """
 
 from __future__ import annotations
@@ -116,12 +117,16 @@ def nilpotency_degree(a: Algebra, s: Subspace) -> int:
 # the Jacobson radical
 
 def trace_form_radical(a: Algebra) -> Subspace:
-    """Kernel of (x, y) -> tr(L_x L_y); contains J(a) in any characteristic."""
-    f = a.field
-    # tl[k] = tr(L_{b_k}), the sum of the diagonal (b_k b_m)_m
-    diag = [[a.table[k][m][m] for m in range(a.dim)] for k in range(a.dim)]
-    tl = mat_vec(diag, [f.one()] * a.dim, f)
-    gram = [mat_vec(a.table[i], tl, f) for i in range(a.dim)]
+    """Kernel of (x, y) -> tr(L_x L_y); contains J(a) in any characteristic.
+    On the integer table C, tl[k] = Σ_m C_kmm = D·tr(L_{b_k}) and gram[i][j]
+    = Σ_k C_ijk·tl[k] = D²·tr(L_{b_i b_j}), which has the same kernel."""
+    rows = a._int_table[1]
+    tl = [sum(c for m, row in group for k, c in row if k == m)
+          for group in rows]
+    gram = [[0] * a.dim for _ in rows]
+    for i, group in enumerate(rows):
+        for j, row in group:
+            gram[i][j] = sum(c * tl[k] for k, c in row)
     return kernel(gram, a.dim, a.field)
 
 
@@ -159,19 +164,19 @@ def _power_trace(m: list[list[int]], e: int, mod: int) -> int:
 
 
 def trace_functional_radical(a: Algebra) -> Subspace:
-    """J(a) over F_p by the Cohen-Ivanyos-Wales filtration (Ronyai 1990;
-    Cohen, Ivanyos and Wales 1997) of the left regular representation.
+    """J(a) by the Cohen-Ivanyos-Wales filtration (Ronyai 1990; Cohen,
+    Ivanyos and Wales 1997) of the left regular representation.
 
     With n = dim a and q = p^i, g_i(x) = (Tr(L^q) mod pq) / q for any
     integer lift L of L_x; it is linear on I_{i-1}.  I_{-1} = a and
     I_i = {x in I_{i-1} : g_i(b_m x) = 0 for every m}, so I_0 is the
     trace-form kernel, and I_l = J(a) for the largest l with p^l <= n.
+    Over Q the filtration stops at I_0, which is J(a) in characteristic 0.
     """
     f = a.field
     p, n = f.p, a.dim
-    space = full_subspace(n, f)
-    q = 1
-    while q <= n and space.dim > 0:
+    space, q = trace_form_radical(a), p
+    while p is not None and q <= n and space.dim > 0:
         # g_i on the echelon basis of I_{i-1}, carried to a functional phi
         # on a that agrees with g_i on I_{i-1}
         phi = zero_vec(n, f)
@@ -189,41 +194,33 @@ def trace_functional_radical(a: Algebra) -> Subspace:
     return space
 
 
-def _radical_from_traces(a: Algebra) -> Subspace:
-    """J(a) from the structure constants alone: the trace-form kernel over
-    Q, the trace-functional filtration over F_p."""
-    if a.field.is_finite:
-        return trace_functional_radical(a)
-    return trace_form_radical(a)
+def _radical_candidate(a: Algebra) -> Subspace:
+    """The unverified radical: a presentation's rows, else the traces."""
+    pres = a.presentation
+    if pres is not None and pres.radical_rows is not None:
+        return echelonize(pres.radical_rows, a.dim, a.field)
+    return trace_functional_radical(a)
 
 
 def jacobson_radical(a: Algebra) -> Subspace:
-    """The Jacobson radical as a canonical subspace.
-
-    Uses the presentation-derived radical when one is attached (quiver,
-    incidence, matrix, product); otherwise the trace form over Q and the
-    trace-functional filtration over F_p.  The result is always verified.
-    """
-    pres = a.presentation
-    if pres is not None and pres.radical_rows is not None:
-        cand = echelonize(pres.radical_rows, a.dim, a.field)
-    else:
-        cand = _radical_from_traces(a)
+    """The Jacobson radical as a canonical subspace, always verified."""
+    cand = _radical_candidate(a)
     verify_radical(a, cand)
     return cand
 
 
-def verify_radical(a: Algebra, j: Subspace):
+def verify_radical(a: Algebra, j: Subspace) -> tuple[Algebra, QuotientSpace]:
     """Check the radical candidate: a nilpotent two-sided ideal whose
-    quotient has zero radical, computed from traces (exact over Q and over
-    F_p at every size)."""
+    quotient has zero radical by the traces (exact over Q and F_p at every
+    size).  Returns that quotient a/j and its projection/section pair."""
     if not is_two_sided_ideal(a, j):
         raise VerificationFailedError("radical candidate is not an ideal")
     if not is_nilpotent_space(a, j):
         raise VerificationFailedError("radical candidate is not nilpotent")
-    quot, _ = quotient_algebra(a, j)
-    if _radical_from_traces(quot).dim > 0:
+    quot, q = quotient_algebra(a, j)
+    if trace_functional_radical(quot).dim > 0:
         raise VerificationFailedError("quotient still has a radical")
+    return quot, q
 
 
 def quotient_algebra(a: Algebra, ideal: Subspace) -> tuple[Algebra, QuotientSpace]:
@@ -666,11 +663,13 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence,
 def semisimple_blocks(b: Algebra, j: Subspace) -> StructureReport:
     """Block decomposition of b/j with explicit matrix units.
 
-    On success schur=True and block_dims lists the matrix sizes ascending.
+    j must be the radical: `verify_radical` checks it and builds the
+    quotient decomposed here.  On success schur=True and block_dims lists the
+    matrix sizes ascending.
     When some minimal polynomial refuses to split over the base field the
     report carries schur=False and block_dims=None.
     """
-    s, q = quotient_algebra(b, j)
+    s, q = verify_radical(b, j)
     if s.dim == 0:
         raise InvalidInputError("quotient algebra is zero")
     center = centralizer(s, full_subspace(s.dim, s.field)).space
@@ -697,7 +696,7 @@ def semisimple_blocks(b: Algebra, j: Subspace) -> StructureReport:
 
 
 def structure_report(b: Algebra) -> StructureReport:
-    return semisimple_blocks(b, jacobson_radical(b))
+    return semisimple_blocks(b, _radical_candidate(b))
 
 
 # ---------------------------------------------------------------------------
@@ -723,27 +722,26 @@ def _newton_idempotent(b: Algebra, x: list, max_rounds: int) -> list:
     raise VerificationFailedError("idempotent lifting did not converge")
 
 
-def lift_idempotents(b: Algebra, j: Subspace, bar_system: Sequence[Sequence],
-                     ) -> IdempotentSystem:
+def lift_idempotents(b: Algebra, rep: StructureReport,
+                     bar_system: Sequence[Sequence]) -> IdempotentSystem:
     """Lift a complete orthogonal system of B/J idempotents into B.
 
+    The bars are coordinates in the quotient of b's structure report rep.
     Newton iteration e <- 3e^2 - 2e^3 through the nilpotent ideal, then
     sequential orthogonalization; completeness comes for free because
     1 - sum is an idempotent inside J.
     """
-    sbar, q = quotient_algebra(b, j)
+    sbar, q = rep.quotient, rep.onto_quotient
     f = b.field
     # verify the bar system really is complete and orthogonal
     bars = [list(map(f.coerce, e)) for e in bar_system]
-    total = zero_vec(sbar.dim, f)
     for i, e in enumerate(bars):
         if sbar.multiply(e, e) != e:
             raise InvalidInputError(f"bar idempotent {i} is not idempotent")
         if any(k != i and not vec_is_zero(sbar.multiply(e, e2))
                for k, e2 in enumerate(bars)):
             raise InvalidInputError("bar system is not orthogonal")
-        total = vec_add(total, e, f)
-    if total != list(sbar.unit):
+    if combine([f.one()] * len(bars), bars, f) != list(sbar.unit):
         raise InvalidInputError("bar system does not sum to 1")
     rounds = 4 * (b.dim + 2)
     lifted: list[list] = []
@@ -809,7 +807,6 @@ def _wedderburn_data_of(b: Algebra, rep: StructureReport) -> WMData:
         raise NotSplitError(rep.failure or "semisimple quotient is not split")
     f = b.field
     q = rep.onto_quotient
-    s = rep.quotient
     if rep.radical.dim == 0:
         # B itself is semisimple: units live in B already (q is identity-like)
         block_units = tuple(
@@ -820,13 +817,9 @@ def _wedderburn_data_of(b: Algebra, rep: StructureReport) -> WMData:
         comp = Subalgebra(b, full_subspace(b.dim, f))
         return WMData(b, rep, comp, block_units, block_idems)
     # lift the complete system of diagonal bar units
-    diag_bars = []
-    index = []   # (block, p) per diagonal idempotent
-    for bi, blk in enumerate(rep.blocks):
-        for p in range(blk.n):
-            diag_bars.append(list(blk.units[p][p]))
-            index.append((bi, p))
-    lifted = lift_idempotents(b, rep.radical, diag_bars)
+    index = [(bi, p) for bi, blk in enumerate(rep.blocks) for p in range(blk.n)]
+    diag_bars = [list(rep.blocks[bi].units[p][p]) for bi, p in index]
+    lifted = lift_idempotents(b, rep, diag_bars)
     diag = {pos: list(e) for pos, e in zip(index, lifted.idempotents)}
     block_units = []
     block_idems = []

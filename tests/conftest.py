@@ -89,6 +89,31 @@ class Scalars:
         return self._red(-a)
 
 
+# the Hamilton quaternions over Q, a division algebra: B/J = B is simple
+# but not a full matrix algebra over Q
+QUATERNIONS_ALG = """field Q
+dim 4
+basis 1 i j k
+unit 1 0 0 0
+mul 1 1 -> 1:1
+mul 1 2 -> 2:1
+mul 1 3 -> 3:1
+mul 1 4 -> 4:1
+mul 2 1 -> 2:1
+mul 3 1 -> 3:1
+mul 4 1 -> 4:1
+mul 2 2 -> 1:-1
+mul 3 3 -> 1:-1
+mul 4 4 -> 1:-1
+mul 2 3 -> 4:1
+mul 3 2 -> 4:-1
+mul 3 4 -> 2:1
+mul 4 3 -> 2:-1
+mul 4 2 -> 3:1
+mul 2 4 -> 3:-1
+"""
+
+
 def quiver_algebra(quiver: Quiver, field: Field):
     return path_algebra(PathAlgebraPresentation(quiver), field)
 

@@ -14,7 +14,7 @@ import pytest
 import maxsub.cli
 import maxsub.extensions
 import maxsub.structure
-from conftest import recorded_invocations
+from conftest import QUATERNIONS_ALG, recorded_invocations
 from maxsub.cli import run
 from maxsub.errors import ParseError
 from maxsub.formats import dump_algebra, load_algebra, load_text, parse_algebra
@@ -196,6 +196,48 @@ def test_structure_builds_the_decomposition_once(monkeypatch):
     code, text = run(["structure", "data/m2_f2.alg"])
     assert code == 0 and "complement_dim: 4" in text
     assert len(calls) == 1
+
+
+# quotient_algebra calls per recorded invocation: one B/J per algebra whose
+# radical is computed (`classify_type` builds B/J, and A/J(A) too for a
+# split verdict)
+QUOTIENTS_BUILT = {
+    "structure_a3_quiver.txt": 1, "structure_m2_f2.txt": 1,
+    "structure_zigzag.txt": 1, "maxdim_m3_q.txt": 1, "maxdim_m4_q.txt": 1,
+    "enumerate_kronecker_f2.txt": 1, "classify_f4_m2f2.txt": 1,
+    "restrict_zigzag_d4.txt": 1, "collapse_a4.txt": 1,
+    "brute_m2_f2.txt": 2, "brute_kronecker_f2.txt": 7,
+    "certify_b11_m2q.txt": 0, "ext_diag_kxk.txt": 0,
+    "dimvec_zigzag.txt": 0, "delete_d5.txt": 0, "clamped_diamond.txt": 0,
+}
+
+
+@pytest.mark.parametrize("name", sorted(recorded_invocations()))
+def test_recorded_invocations_build_each_quotient_once(monkeypatch, name):
+    calls = []
+    original = maxsub.structure.quotient_algebra
+
+    def counted(a, ideal):
+        calls.append(a)
+        return original(a, ideal)
+    monkeypatch.setattr(maxsub.structure, "quotient_algebra", counted)
+    monkeypatch.setattr(maxsub.extensions, "quotient_algebra", counted)
+    code, _ = run(recorded_invocations()[name])
+    assert code == 0
+    assert len(calls) == QUOTIENTS_BUILT[name]
+
+
+def test_the_quaternions_are_not_split(tmp_path):
+    path = tmp_path / "quaternions.alg"
+    path.write_text(QUATERNIONS_ALG)
+    code, text = run(["structure", str(path)])
+    assert code == 0
+    assert "radical_dim: 0" in text
+    assert "not_split: a block is not a full matrix algebra" in text
+    for argv in (["maxdim", str(path)], ["maximal", "enumerate", str(path)]):
+        code, text = run(argv)
+        assert code == 1
+        assert "error: a block is not a full matrix algebra" in text
 
 
 def test_maxdim_m3_value():

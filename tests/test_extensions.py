@@ -16,12 +16,13 @@ from conftest import (
 )
 from maxsub.algebra import (
     block_triangular,
+    direct_product,
     full_subalgebra,
     matrix_algebra,
     subalgebra_from_rows,
     subalgebra_generated,
 )
-from maxsub.errors import UnsupportedFieldError
+from maxsub.errors import InvalidInputError, UnsupportedFieldError
 from maxsub.extensions import (
     analyze_extension,
     check_summand_property,
@@ -52,7 +53,13 @@ from maxsub.linalg import (
     unit_vec,
     vec_add,
 )
-from maxsub.maximal import enumerate_maximal_families, instantiate_family
+from maxsub.maximal import (
+    certify_maximal,
+    classify_type,
+    enumerate_maximal_families,
+    instantiate_family,
+    spin_up_recheck,
+)
 from maxsub.modules import make_module, regular_module
 from maxsub.presentations import (
     delete_arrows,
@@ -374,6 +381,27 @@ def test_split_type_reduction_is_trivial_extension(a3_q, kronecker_q):
     red = split_type_reduction(sub, kronecker_q)
     comp = split_complement(red.reduced, red.quotient)
     assert comp is not None and complement_flags(comp.space, red.quotient)["trivial"]
+
+
+@pytest.mark.parametrize("entry", [
+    certify_maximal,
+    spin_up_recheck,
+    classify_type,
+    tensor_square,
+    separability_idempotent,
+    lambda a, b: separable_type_idempotent(a, b, wedderburn_data(b)),
+    ext.split_type_reduction,
+    lambda a, b: check_summand_property(a, b, "split_down"),
+    split_complement,
+], ids=["certify_maximal", "spin_up_recheck", "classify_type", "tensor_square",
+        "separability_idempotent", "separable_type_idempotent",
+        "split_type_reduction", "check_summand_property", "split_complement"])
+def test_a_subalgebra_of_another_algebra_is_refused(entry):
+    # T2 lives in its own M2(F_2); its space is not even closed in F_2^4
+    a = block_triangular(2, [1, 1], F2)
+    b = direct_product([matrix_algebra(1, F2)] * 4)
+    with pytest.raises(InvalidInputError, match="does not live in"):
+        entry(a, b)
 
 
 # ---------------------------------------------------------------------------

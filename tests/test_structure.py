@@ -9,12 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxsub.maximal
+import maxsub.structure
 from conftest import (
     A3_QUIVER,
     D4_QUIVER,
     D5_QUIVER,
     DIAMOND_POSET,
     KRONECKER_QUIVER,
+    QUATERNIONS_ALG,
     ZIGZAG_POSET,
     Scalars,
     f4_algebra,
@@ -29,6 +32,7 @@ from maxsub.algebra import (
     subalgebra_from_rows,
 )
 from maxsub.errors import NotSplitError, VerificationFailedError
+from maxsub.extensions import decompose_module
 from maxsub.formats import parse_algebra
 from maxsub.linalg import (
     GF,
@@ -44,7 +48,12 @@ from maxsub.linalg import (
     vec_is_zero,
     zero_subspace,
 )
-from maxsub.modules import module_violation
+from maxsub.maximal import (
+    classify_type,
+    enumerate_maximal_families,
+    instantiate_family,
+)
+from maxsub.modules import module_violation, regular_module
 from maxsub.presentations import incidence_algebra
 from maxsub.structure import (
     SWEEP_CAP,
@@ -235,6 +244,52 @@ def test_verify_radical_rejects_a_proper_subideal_of_j():
     start = time.perf_counter()
     assert jacobson_radical(t4) == j
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("field", [QQ, F2])
+def test_semisimple_blocks_refuses_an_ideal_that_is_not_the_radical(field):
+    # T3 is split, but T3/0 and T3/J² are not semisimple: their "blocks"
+    # would read as not full matrix algebras
+    t3 = block_triangular(3, (1, 1, 1), field).as_algebra()
+    j = jacobson_radical(t3)
+    j2 = ideal_closure(t3, [t3.multiply(list(x), list(y))
+                            for x in j.basis for y in j.basis])
+    for ideal in (zero_subspace(t3.dim, field), j2):
+        with pytest.raises(VerificationFailedError):
+            semisimple_blocks(t3, ideal)
+
+
+def test_the_quaternions_are_not_a_full_matrix_algebra_over_q():
+    rep = structure_report(parse_algebra(QUATERNIONS_ALG))
+    assert rep.radical.dim == 0
+    assert not rep.schur and rep.block_dims is None
+    assert rep.failure == "a block is not a full matrix algebra"
+
+
+def test_each_call_verifies_each_radical_and_builds_its_quotient_once(
+        monkeypatch, a3_q, kronecker_f2):
+    subs = {f.kind: instantiate_family(kronecker_f2, f)
+            for f in enumerate_maximal_families(kronecker_f2)}
+    seen = {"verify_radical": [], "quotient_algebra": []}
+    for name, calls in seen.items():
+        def counted(a, j, calls=calls, original=getattr(maxsub.structure, name)):
+            calls.append(a)
+            return original(a, j)
+        monkeypatch.setattr(maxsub.structure, name, counted)
+    monkeypatch.setattr(maxsub.maximal, "verify_radical",
+                        maxsub.structure.verify_radical)
+    for call in (lambda: structure_report(a3_q),
+                 lambda: wedderburn_data(a3_q),
+                 lambda: classify_type(subs["diagonal_merge"], kronecker_f2),
+                 lambda: classify_type(subs["radical_hyperplane"],
+                                       kronecker_f2),
+                 lambda: decompose_module(regular_module(a3_q))):
+        for calls in seen.values():
+            calls.clear()
+        call()
+        for calls in seen.values():
+            assert calls
+            assert all(sum(b is a for b in calls) == 1 for a in calls)
 
 
 def test_blocks_m2(m2q):
@@ -440,7 +495,7 @@ def test_lift_trivial_radical(m2q):
     rep = structure_report(m2q)
     bars = [list(blk.units[p][p]) for blk in rep.blocks
             for p in range(blk.n)]
-    sys = lift_idempotents(m2q, rep.radical, bars)
+    sys = lift_idempotents(m2q, rep, bars)
     assert len(sys.idempotents) == 2
 
 
@@ -448,7 +503,7 @@ def test_lift_uppertri_exact(uppertri2):
     j = jacobson_radical(uppertri2)
     rep = semisimple_blocks(uppertri2, j)
     bars = [list(blk.idempotent) for blk in rep.blocks]
-    sys = lift_idempotents(uppertri2, j, bars)
+    sys = lift_idempotents(uppertri2, rep, bars)
     f = uppertri2.field
     total = [f.zero()] * 3
     for e in sys.idempotents:
@@ -462,7 +517,7 @@ def test_lift_dual_numbers():
                         [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], check=True)
     j = jacobson_radical(dual)
     assert j.dim == 1
-    sys = lift_idempotents(dual, j, [[1]])
+    sys = lift_idempotents(dual, semisimple_blocks(dual, j), [[1]])
     assert list(sys.idempotents[0]) == list(dual.unit)
 
 
