@@ -24,6 +24,7 @@ from .linalg import (
     Subspace,
     Vec,
     _ints,
+    _modp,
     _scalars,
     combine,
     echelonize,
@@ -178,13 +179,17 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     table: both sides carry the scale D², and over F_p both are taken mod p.
     """
     bad = []
-    for i in range(a.dim):
-        bi = a.basis_vector(i)
-        if a.multiply(a.unit, bi) != bi:
-            bad.append(f"unit * {a.basis_names[i]} != {a.basis_names[i]}")
-        if a.multiply(bi, list(a.unit)) != bi:
-            bad.append(f"{a.basis_names[i]} * unit != {a.basis_names[i]}")
     p = a.field.p
+    du, unit = _ints(a.unit, p)
+    scale = a._int_table[0] * du
+    for i in range(a.dim):
+        # the products with the unit carry the scale D·du of the integer unit
+        bi = [int(k == i) for k in range(a.dim)]
+        want = [scale * x for x in bi]
+        if _modp(a._multiply_ints(unit, bi), p) != want:
+            bad.append(f"unit * {a.basis_names[i]} != {a.basis_names[i]}")
+        if _modp(a._multiply_ints(bi, unit), p) != want:
+            bad.append(f"{a.basis_names[i]} * unit != {a.basis_names[i]}")
     grid = [dict(group) for group in a._int_table[1]]
     names = a.basis_names
     for i, gi in enumerate(grid):

@@ -81,6 +81,8 @@ def parse_algebra(text: str) -> Algebra:
                 dim = int(toks[1])
             except (IndexError, ValueError):
                 raise ParseError("dim needs an integer", i) from None
+            if dim < 1:
+                raise ParseError(f"dim must be at least 1, got {dim}", i)
         elif key == "basis":
             names = toks[1:]
         elif key == "unit":

@@ -686,12 +686,16 @@ class QuotientSpace:
         return len(self.free_coords)
 
     def project(self, v: Sequence) -> tuple:
-        rel = self.relations
         p = self.field.p
         d, vi = _ints(v, p)
-        res = rel._residual(vi)
-        return tuple(_scalars([res[c] for c in self.free_coords],
-                              d * rel.int_basis[0], p))
+        return tuple(_scalars(self._project_ints(vi),
+                              d * self.relations.int_basis[0], p))
+
+    def _project_ints(self, v: Sequence[int]) -> list[int]:
+        """The projection of an integer vector v times D, the denominator
+        of `relations.int_basis` (mod p over F_p, where D is 1)."""
+        res = self.relations._residual(v)
+        return [res[c] for c in self.free_coords]
 
     def lift(self, qv: Sequence) -> list:
         v = zero_vec(self.ambient_dim, self.field)

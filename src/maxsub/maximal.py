@@ -36,15 +36,14 @@ from .linalg import (
     Field,
     QuotientSpace,
     Subspace,
+    _Echelon,
     _ints,
     _is_prime,
     all_vectors,
     combine,
     echelonize,
     enumerate_subspaces,
-    identity_matrix,
     kernel,
-    mat_mul,
     mat_vec,
     quotient_space,
     saturate,
@@ -400,31 +399,49 @@ class Certificate:
 
 def _quotient_bimodule_ops(a: Subalgebra, b: Algebra,
                            ) -> tuple[QuotientSpace, list[list], list[list]]:
-    q = quotient_space(b.dim, a.space.basis, b.field)
-    d = q.dim
-    lifts = [q.lift(unit_vec(d, kk, b.field)) for kk in range(d)]
-    left_ops, right_ops = [], []
-    for r in a.space.basis:
-        lcols = [q.project(b.multiply(list(r), lifts[kk])) for kk in range(d)]
-        rcols = [q.project(b.multiply(lifts[kk], list(r))) for kk in range(d)]
-        left_ops.append([list(col) for col in zip(*lcols)])
-        right_ops.append([list(col) for col in zip(*rcols)])
-    return q, left_ops, right_ops
+    """B/A as an A-bimodule: the quotient, and the matrices of left and of
+    right multiplication by each integer basis row of A.
 
-
-def _generated_operator_dim(mats: list[list], d: int, field: Field) -> int:
-    """Dimension of the unital algebra of d x d matrices they generate.
-
-    It is the span of all words in the matrices: the identity saturated
-    under right multiplication by each, on row-major flattened matrices.
+    The lift of quotient basis vector c is the basis vector at free
+    coordinate c, so column c of an operator is read off one integer
+    product, reduced modulo A at the free coordinates.  Every matrix is the
+    same positive multiple of the exact operator (1 over F_p), which
+    changes no span, spin-up, stable subspace or witness.
     """
-    def times(flat, g):
-        m = [flat[i * d:(i + 1) * d] for i in range(d)]
-        return [x for row in mat_mul(m, g, field) for x in row]
+    q = quotient_space(b.dim, a.space.basis, b.field)
+    lifts = [[int(i == c) for i in range(b.dim)] for c in q.free_coords]
+    mul = b._multiply_ints
 
-    ident = [x for row in identity_matrix(d, field) for x in row]
-    ops = [lambda flat, g=g: times(flat, g) for g in mats]
-    return saturate([ident], ops, d * d, field).dim
+    def matrix(cols):
+        return [list(row) for row in zip(*map(q._project_ints, cols))]
+
+    rows = a.space.int_basis[1]
+    return (q, [matrix(mul(r, e) for e in lifts) for r in rows],
+            [matrix(mul(e, r) for e in lifts) for r in rows])
+
+
+def _generated_operator_dim(lops: list[list], rops: list[list], d: int,
+                            field: Field) -> int:
+    """Dimension of the algebra of d x d matrices that the left and the
+    right operators of a bimodule generate (see `certify_maximal`).
+
+    That algebra is span L(A)·R(A): the products of an echelon basis of
+    span L(A) with one of span R(A), on row-major flattened integer
+    matrices, stopping once they span all d² dimensions.
+    """
+    def basis(ops):
+        return _Echelon(field, ([x for row in m for x in row] for m in ops)).rows
+
+    lefts = [[row[i * d:(i + 1) * d] for i in range(d)] for row in basis(lops)]
+    rights = [[row[i::d] for i in range(d)] for row in basis(rops)]
+    span = _Echelon(field)
+    for lm in lefts:
+        for cols in rights:
+            span.add([sum(x * y for x, y in zip(r, c) if x and y)
+                      for r in lm for c in cols])
+            if len(span.rows) == d * d:
+                return d * d
+    return len(span.rows)
 
 
 def _spin_up(v: Sequence, ops: list[list], d: int, field: Field) -> Subspace:
@@ -447,9 +464,15 @@ def certify_maximal(a: Subalgebra, b: Algebra) -> Certificate:
     """Certify that a proper subalgebra is maximal, or exhibit a witness.
 
     Sufficient test: the algebra generated by the left/right actions of A
-    on B/A is all of End(B/A), so B/A is a simple bimodule.  Over a
-    finite field an exhaustive fallback enumerates the stable subspaces
-    and checks each pullback for closure, so the answer there is exact.
+    on B/A is all of End(B/A), so B/A is a simple bimodule.  Left
+    multiplication L: A -> End(B/A) is a unital homomorphism and right
+    multiplication R a unital anti-homomorphism, and L(a) commutes with
+    R(a') by associativity, (a·x)·a' = a·(x·a').  So every word in the
+    operators is some L(a)·R(a'), and the algebra they generate is
+    span L(A)·R(A): products of two echelon bases, with no words to
+    saturate.  Over a finite field an exhaustive fallback enumerates the
+    stable subspaces and checks each pullback for closure, so the answer
+    there is exact.
     """
     a.check_parent(b)
     if a.dim >= b.dim:
@@ -457,9 +480,9 @@ def certify_maximal(a: Subalgebra, b: Algebra) -> Certificate:
     f = b.field
     q, lops, rops = _quotient_bimodule_ops(a, b)
     d = q.dim
-    ops = lops + rops
-    if _generated_operator_dim(ops, d, f) == d * d:
+    if _generated_operator_dim(lops, rops, d, f) == d * d:
         return Certificate("maximal", "burnside", d)
+    ops = lops + rops
     if f.is_finite:
         return _finite_certificate(a, b, q, ops)
     # over an infinite field: look for cyclic sub-bimodule witnesses

@@ -42,10 +42,10 @@ from .linalg import (
     _ints,
     _is_prime,
     _modp,
+    _scalars,
     combine,
     echelonize,
     full_subspace,
-    identity_matrix,
     kernel,
     mat_vec,
     quotient_space,
@@ -130,8 +130,9 @@ def trace_form_radical(a: Algebra) -> Subspace:
     return kernel(gram, a.dim, a.field)
 
 
-def _int_left_matrix(a: Algebra, w: Sequence) -> list[list[int]]:
-    """An integer lift of L_w over F_p, read from the integer table."""
+def _int_left_matrix(a: Algebra, w: Sequence[int]) -> list[list[int]]:
+    """D·L_w for an integer vector w, read from the integer table (D its
+    denominator, 1 over F_p, where this is an integer lift of L_w)."""
     n = a.dim
     m = [[0] * n for _ in range(n)]
     for wi, group in zip(w, a._int_table[1]):
@@ -227,9 +228,13 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> tuple[Algebra, QuotientSpac
     """The quotient algebra a/ideal plus the projection/section pair."""
     q = quotient_space(a.dim, ideal.basis, a.field)
     # the lifts of the quotient basis are the basis vectors at the free
-    # coordinates, so their products are entries of the table
-    free = q.free_coords
-    table = tuple(tuple(q.project(a.table[i][j]) for j in free) for i in free)
+    # coordinates: their integer products carry the denominator of the
+    # table, and their projections that of the ideal's basis too
+    lifts = [[int(k == c) for k in range(a.dim)] for c in q.free_coords]
+    den = a._int_table[0] * q.relations.int_basis[0]
+    table = tuple(tuple(tuple(_scalars(q._project_ints(a._multiply_ints(x, y)),
+                                       den, a.field.p)) for y in lifts)
+                  for x in lifts)
     names = tuple(f"q{i+1}" for i in range(q.dim))
     return Algebra(a.field, q.dim, names, q.project(a.unit), table), q
 
@@ -546,6 +551,7 @@ def _split_central_idempotents(s: Algebra, center: Subspace,
     """
     f = s.field
     idems = [tuple(s.unit)]
+    zs = center.int_basis[1]
     candidates = [list(v) for v in center.basis]
     rng = random.Random(0)  # the recorded reports depend on this order
     for _ in range(8):
@@ -554,8 +560,8 @@ def _split_central_idempotents(s: Algebra, center: Subspace,
 
     @functools.cache
     def primitive(e: tuple) -> bool:
-        rows = [s.multiply(e, z) for z in center.basis]
-        return echelonize(rows, s.dim, f).dim == 1
+        ei = _ints(e, f.p)[1]
+        return len(_Echelon(f, (s._multiply_ints(ei, z) for z in zs)).rows) == 1
 
     failed = set()
     while True:
@@ -576,9 +582,10 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence) -> list | None:
     """A primitive idempotent below e inside the block e*S*e, or None
     when a corner refuses to split (non-split division part)."""
     f = s.field
-    corner_rows = [s.multiply(s.multiply(list(e), s.basis_vector(k)), list(e))
-                   for k in range(s.dim)]
-    corner = echelonize(corner_rows, s.dim, f)
+    ei = _ints(e, f.p)[1]
+    # the columns of L_e are the products e·b_k
+    corner = _Echelon(f, (s._multiply_ints(col, ei) for col in
+                          zip(*_int_left_matrix(s, ei)))).subspace(s.dim)
     if corner.dim == 1:
         return list(e)
     rng = random.Random(0)  # the recorded reports depend on this order
@@ -614,21 +621,31 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence) -> list | None:
 
 
 def _are_matrix_units(a: Algebra, units: list[list[list]]) -> bool:
-    """u_pq·u_rt = δ_qr·u_pt for all p, q, r, t, checked exactly."""
-    n = len(units)
-    zero = zero_vec(a.dim, a.field)
-    return all(a.multiply(units[p][q], units[r][t])
-               == (units[p][t] if q == r else zero)
-               for p, q, r, t in itertools.product(range(n), repeat=4))
+    """u_pq·u_rt = δ_qr·u_pt for all p, q, r, t, checked exactly on integer
+    rows: over one common denominator D of the units, the product of D·u_pq
+    and D·u_rt is D_table·D²·u_pq·u_rt (`Algebra._multiply_ints`), which is
+    compared with D_table·D times D·u_pt (mod p over F_p, where both
+    scales are 1)."""
+    n, m, p = len(units), a.dim, a.field.p
+    d, flat = _ints([x for row in units for u in row for x in u], p)
+    ints = [flat[k * m:(k + 1) * m] for k in range(n * n)]   # u_pq at p·n + q
+    scale = a._int_table[0] * d
+    zero = [0] * m
+    for i, j, k, l in itertools.product(range(n), repeat=4):
+        want = [scale * x for x in ints[i * n + l]] if j == k else zero
+        if _modp(a._multiply_ints(ints[i * n + j], ints[k * n + l]), p) != want:
+            return False
+    return True
 
 
 def _matrix_units_for_block(s: Algebra, e_central: Sequence,
                             ) -> tuple[int, list[list[list]]] | None:
     """Exhibit matrix units for the block e_central * S; None if not split."""
     f = s.field
-    block_rows = [s.multiply(list(e_central), s.basis_vector(k))
-                  for k in range(s.dim)]
-    block = echelonize(block_rows, s.dim, f)
+    mul = s._multiply_ints
+    # the columns of L_e are the products e·b_k, which span the block
+    block = _Echelon(f, zip(*_int_left_matrix(s, _ints(e_central, f.p)[1]))
+                     ).subspace(s.dim)
     n = math.isqrt(block.dim)
     if n * n != block.dim:
         return None
@@ -636,21 +653,32 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence,
     if e is None:
         return None
     # the simple left module of the block
-    vspace = echelonize([s.multiply(list(w), e) for w in block.basis], s.dim, f)
+    ws = block.int_basis[1]
+    ei = _ints(e, f.p)[1]
+    vspace = _Echelon(f, (mul(w, ei) for w in ws)).subspace(s.dim)
     if vspace.dim != n:
         return None
-    # column w of the system is rho(w), the matrix of left multiplication
-    # by w on the module, flattened row by row: entry (i, j) is coordinate
-    # i of w·v_j
-    images = [[vspace.coords(s.multiply(w, v)) for v in vspace.basis]
-              for w in block.basis]
+    # column k of the system is rho(W_k), the matrix of left multiplication
+    # by the integer block row W_k on the module, flattened row by row:
+    # entry (i, j) is coordinate i of W_k·v_j, read at the pivots of the
+    # integer product W_k·V_j, which carries the scale D_table·D_v
+    vs = vspace.int_basis[1]
+    images = []
+    for w in ws:
+        prods = [mul(w, v) for v in vs]
+        if not all(map(vspace.holds_ints, prods)):
+            raise InvalidInputError("vector not in subspace")
+        images.append([[x[q] for q in vspace.pivots] for x in prods])
     system = [[im[j][i] for im in images] for i in range(n) for j in range(n)]
-    # unit (p, q) solves rho(u) = E_pq, column p·n + q of the identity
-    sol, _ = solve_linear(system, identity_matrix(n * n, f), f)
+    # unit (p, q) is Σ y_k·W_k for the solution y of rho(u) = E_pq at that
+    # scale: column p·n + q of the scaled identity
+    scale = s._int_table[0] * vspace.int_basis[0]
+    rhs = [[scale if r == c else 0 for c in range(n * n)] for r in range(n * n)]
+    sol, _ = solve_linear(system, rhs, f)
     if sol is None:
         return None
     cols = list(zip(*sol))
-    units = [[combine(cols[p * n + q], block.basis, f) for q in range(n)]
+    units = [[combine(cols[p * n + q], ws, f) for q in range(n)]
              for p in range(n)]
     if not _are_matrix_units(s, units):
         return None

@@ -145,6 +145,16 @@ def test_malformed_algebra_rejected(tmp_path):
     assert "line" in text
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+@pytest.mark.parametrize("command", [["structure"], ["maxdim"]])
+def test_algebra_of_dim_below_one_is_a_parse_error(tmp_path, command, dim):
+    empty = tmp_path / "empty.alg"
+    empty.write_text(f"field Q\ndim {dim}\nbasis\nunit\n")
+    code, text = run(command + [str(empty)])
+    assert code == 2
+    assert text == f"parse error: line 2: dim must be at least 1, got {dim}\n"
+
+
 def test_structure_report_repeats_with_its_fixed_seed_line():
     code1, text1 = run(["structure", "data/m2_q.alg"])
     code2, text2 = run(["structure", "data/m2_q.alg"])

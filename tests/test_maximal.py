@@ -13,6 +13,7 @@ from conftest import (
     f4_algebra,
     kxk,
     kxkxm2,
+    polynomial_quotient,
     quiver_algebra,
 )
 from maxsub.algebra import (
@@ -25,6 +26,7 @@ from maxsub.algebra import (
 from maxsub.errors import CapExceededError, InvalidInputError, NotSplitError
 from maxsub.linalg import GF, QQ
 from maxsub.maximal import (
+    Certificate,
     MaximalFamily,
     brute_force_maximal,
     certify_maximal,
@@ -206,6 +208,23 @@ def test_certify_finds_a_one_dim_stable_line_in_t3_f2():
     assert cert.witness.dim == 5
     assert is_closed_subspace(t3, cert.witness.space)
     assert not spin_up_recheck(a, t3)
+
+
+def test_certify_scalars_in_the_cube_root_of_two_is_inconclusive():
+    """Q ⊂ Q(∛2): B/A is the plane of x and x², no line of which pulls
+    back to a subalgebra, and the Q search tries lines only."""
+    b = polynomial_quotient([-2, 0, 0, 1], QQ)
+    scalars = subalgebra_from_rows(b, [list(b.unit)])
+    assert certify_maximal(scalars, b) == Certificate(
+        "inconclusive", "burnside_failed", 2)
+
+
+def test_certify_diagonal_in_m2q_finds_the_upper_triangular_witness(m2q):
+    diagonal = subalgebra_from_rows(m2q, [[1, 0, 0, 0], [0, 0, 0, 1]])
+    cert = certify_maximal(diagonal, m2q)
+    assert (cert.status, cert.method, cert.quotient_dim) == (
+        "not_maximal", "stable_subspace", 2)
+    assert cert.witness.space == block_triangular(2, (1, 1), QQ, m2q).space
 
 
 def test_certify_rejects_improper(m2q):

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import maxsub.linalg
 import maxsub.maximal
 import maxsub.structure
 from conftest import (
@@ -233,7 +234,18 @@ def test_verify_radical_rejects_zero_for_t5_over_f3():
         verify_radical(t5, zero_subspace(t5.dim, t5.field))
 
 
-def test_verify_radical_rejects_a_proper_subideal_of_j():
+def _forbid_element_sweeps(monkeypatch):
+    """Make every enumeration of the elements of F_p, of F_p^n or of a
+    subspace raise, so a test fails on the path that sweeps them."""
+    def sweep(*args, **kwargs):
+        raise AssertionError("swept the elements of a finite field")
+    monkeypatch.setattr(maxsub.structure, "span_elements", sweep)
+    monkeypatch.setattr(maxsub.linalg, "span_elements", sweep)
+    monkeypatch.setattr(maxsub.linalg, "all_vectors", sweep)
+    monkeypatch.setattr(maxsub.linalg.Field, "elements", sweep)
+
+
+def test_verify_radical_rejects_a_proper_subideal_of_j(monkeypatch):
     t4 = strip_presentation(block_triangular(4, (1,) * 4, F2).as_algebra())
     j = jacobson_radical(t4)
     j2 = ideal_closure(t4, [t4.multiply(list(x), list(y))
@@ -241,9 +253,10 @@ def test_verify_radical_rejects_a_proper_subideal_of_j():
     assert 0 < j2.dim < j.dim
     with pytest.raises(VerificationFailedError, match="quotient"):
         verify_radical(t4, j2)
-    start = time.perf_counter()
+    # the traces give the radical: no sweep over the 2^8 elements of the
+    # trace-form kernel
+    _forbid_element_sweeps(monkeypatch)
     assert jacobson_radical(t4) == j
-    assert time.perf_counter() - start < 0.1
 
 
 @pytest.mark.parametrize("field", [QQ, F2])
@@ -365,13 +378,23 @@ def test_blocks_split_m2_in_hard_basis(text):
     assert rep.block_dims == (2,)
 
 
-def test_kxk_over_large_prime_is_fast():
-    alg = parse_algebra("field F 1000003\ndim 2\nbasis a b\nunit 1 1\n"
-                        "mul 1 1 -> 1:1\nmul 2 2 -> 2:1\n")
-    t0 = time.perf_counter()
-    rep = structure_report(alg)
-    assert time.perf_counter() - t0 < 0.1
-    assert rep.schur and rep.block_dims == (1, 1)
+def test_kxk_over_large_prime_is_fast(monkeypatch):
+    evals = []
+    poly_eval = maxsub.structure._poly_eval
+    monkeypatch.setattr(maxsub.structure, "_poly_eval",
+                        lambda *args: evals.append(args) or poly_eval(*args))
+    _forbid_element_sweeps(monkeypatch)
+    # a² = c·a and b² = c·b for c = ±1: the minimal polynomials have the
+    # roots 0 and c, and c = -1 is the last element a scan of F_p tries
+    for c in (1, 1000002):
+        alg = parse_algebra(f"field F 1000003\ndim 2\nbasis a b\n"
+                            f"unit {c} {c}\nmul 1 1 -> 1:{c}\nmul 2 2 -> 2:{c}\n")
+        evals.clear()
+        rep = structure_report(alg)
+        assert rep.schur and rep.block_dims == (1, 1)
+        # the roots come from gcd(poly, x^p - x), one evaluation per root
+        # divided out, not from evaluating at each of the p elements
+        assert len(evals) <= 8
 
 
 def _scan_roots(poly, f):
