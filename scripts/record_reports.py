@@ -1,10 +1,17 @@
 #!/usr/bin/env python3
-"""Regenerate the recorded CLI reports under data/reports/.
+"""Regenerate the recorded CLI reports under data/reports/, or check them.
 
 Each report is the byte-exact output of one CLI invocation; the test
-suite replays the same invocations and compares.  Run from the
-repository root:
+suite replays the same invocations in one process and compares.  Run from
+the repository root:
     python scripts/record_reports.py
+    python scripts/record_reports.py --check
+
+--check writes nothing: it runs each invocation as `python -m maxsub.cli`
+in a fresh subprocess with PYTHONPATH=src, and compares the exit code and
+the stdout bytes with the report.  That covers what the in-process replay
+cannot see: state carried from one run to the next, and the output path
+of `main()`.
 """
 
 from __future__ import annotations
@@ -45,7 +52,34 @@ RECORDED = {
 }
 
 
+def check() -> int:
+    """Replay every recorded invocation in a fresh subprocess; 1 if any
+    exit code or stdout differs from its report, else 0."""
+    import subprocess  # here, not at the top: bench/ imports this file
+
+    env = dict(os.environ, PYTHONPATH="src", PYTHONIOENCODING="utf-8")
+    bad = 0
+    for name, argv in RECORDED.items():
+        proc = subprocess.run([sys.executable, "-m", "maxsub.cli", *argv],
+                              cwd=ROOT, env=env, capture_output=True)
+        with open(os.path.join(REPORTS, name), "rb") as fh:
+            want = fh.read()
+        if proc.returncode == 0 and proc.stdout == want:
+            print("ok", name)
+        else:
+            bad += 1
+            print(f"DIFFERS {name}: exit {proc.returncode}, "
+                  f"{len(proc.stdout)} bytes against {len(want)}")
+            sys.stdout.write(proc.stderr.decode("utf-8", "replace"))
+    print(f"{len(RECORDED) - bad} of {len(RECORDED)} reports reproduced")
+    return 1 if bad else 0
+
+
 def main():
+    if sys.argv[1:] == ["--check"]:
+        raise SystemExit(check())
+    if sys.argv[1:]:
+        raise SystemExit(f"usage: {sys.argv[0]} [--check]")
     os.makedirs(REPORTS, exist_ok=True)
     os.chdir(ROOT)
     for name, argv in RECORDED.items():

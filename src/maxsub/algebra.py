@@ -244,18 +244,27 @@ class Subalgebra:
     def dim(self) -> int:
         return self.space.dim
 
-    def basis_rows(self) -> list[list]:
-        return [list(r) for r in self.space.basis]
-
     @cached_property
     def _algebra(self) -> Algebra:
-        par = self.parent
-        rows = self.basis_rows()
+        """The structure constants are read off integer products: for the
+        basis rows over their denominator d (`Subspace.int_basis`), x·y is
+        D·d² times the product (`Algebra._multiply_ints`), and once it lies
+        in the space its coordinates are its entries at the pivots."""
+        par, space = self.parent, self.space
+        p = par.field.p
+
+        def coords(v: Sequence[int], den: int) -> tuple:
+            if not space.holds_ints(v):
+                raise InvalidInputError("vector not in subspace")
+            return tuple(_scalars([v[q] for q in space.pivots], den, p))
+
+        d, rows = space.int_basis
+        den = par._int_table[0] * d * d
+        table = tuple(tuple(coords(par._multiply_ints(x, y), den) for y in rows)
+                      for x in rows)
+        du, unit = _ints(par.unit, p)
         names = tuple(f"s{i+1}" for i in range(len(rows)))
-        unit = self.space.coords(list(par.unit))
-        table = tuple(tuple(tuple(self.space.coords(par.multiply(x, y)))
-                            for y in rows) for x in rows)
-        return Algebra(par.field, len(rows), names, tuple(unit), table)
+        return Algebra(par.field, len(rows), names, coords(unit, du), table)
 
     def as_algebra(self) -> Algebra:
         """The subalgebra as an abstract structure-constant algebra."""

@@ -30,6 +30,9 @@ from .linalg import (
     Field,
     QuotientSpace,
     Subspace,
+    _Echelon,
+    _ints,
+    _sylvester,
     all_vectors,
     combine,
     echelonize,
@@ -83,10 +86,13 @@ def split_complement(a: Subalgebra, b: Algebra) -> BimoduleSubspace | None:
         space = echelonize([], b.dim, f)
         return bimodule_subspace(b, a, space, check=False)
     lifts = [q.lift(unit_vec(dq, t, f)) for t in range(dq)]
-    rows, rhs = _bimodule_system(a, q, lifts)
-    sol = solve_one(rows, rhs, f)
+    e = _Echelon(f)
+    for row, c in zip(*_bimodule_system(a, q, lifts)):
+        e.add(row + [c])
+    sol = e.solution(da * dq, 1)
     if sol is None:
         return None
+    sol = [row[0] for row in sol]
     comp_rows = [vec_sub(lifts[t], a.embed(sol[t * da:(t + 1) * da]), f)
                  for t in range(dq)]
     space = echelonize(comp_rows, b.dim, f)
@@ -100,30 +106,45 @@ def split_complement(a: Subalgebra, b: Algebra) -> BimoduleSubspace | None:
 def _bimodule_system(a: Subalgebra, q: QuotientSpace, lifts: list,
                      ) -> tuple[list, list]:
     """The linear system for the values of an A-bimodule projection
-    pi: B -> A on the lifts l_t of a basis of B/A.
+    pi: B -> A on the lifts l_t of a basis of B/A, as integer rows (not
+    reduced mod p over F_p).
 
     X holds the A-coordinates of pi(l_t) in row t.  With L the matrix of a_k
     acting on A from the left (or right) and G[t] the B/A coordinates of
     a_k*l_t (or l_t*a_k), A-linearity reads X L^T - G X = C, where C[t] are
     the A-coordinates of the rest of that product.
+
+    It is read off integer products of A's basis rows over their
+    denominator D_s (`Subspace.int_basis`) with the lifts, which are
+    D_b·D_s times the exact products (`Algebra._multiply_ints`).  G is
+    D_b·D_s² times their B/A coordinates (`QuotientSpace._project_ints`);
+    C is their entries at A's pivots, where the lifts vanish; L is D_A
+    times the exact matrix (`_int_table` of A).  Every equation is scaled
+    by D_A·D_b·D_s², which leaves the span of the rows [X | C] as it is.
     """
     b = a.parent
-    f = b.field
-    table = a.as_algebra().table
-
-    def decompose(v: Sequence) -> tuple[list, list]:
-        gamma = list(q.project(v))
-        return a.space.coords(vec_sub(v, q.lift(gamma), f)), gamma
-
+    p = b.field.p
+    ds, arows = a.space.int_basis
+    dt, groups = a.as_algebra()._int_table
+    db = b._int_table[0]
+    da = a.dim
+    table = [[[0] * da for _ in range(da)] for _ in range(da)]
+    for i, group in enumerate(groups):
+        for j, terms in group:
+            for k, c in terms:
+                table[i][j][k] = c
+    ls = [_ints(l, p)[1] for l in lifts]
+    mul = b._multiply_ints
+    scale = db * ds * ds
     rows, rhs = [], []
-    for k, arow in enumerate(a.space.basis):
-        arow = list(arow)
-        left = ([b.multiply(arow, l) for l in lifts], table[k])
-        right = ([b.multiply(l, arow) for l in lifts], [r[k] for r in table])
+    for k, r in enumerate(arows):
+        left = ([mul(r, l) for l in ls], table[k])
+        right = ([mul(l, r) for l in ls], [row[k] for row in table])
         for prods, lt in (left, right):
-            parts = [decompose(v) for v in prods]
-            rows += sylvester_rows(lt, [gamma for _, gamma in parts], f)
-            rhs += [c for acoords, _ in parts for c in acoords]
+            lt = [[scale * x for x in row] for row in lt]
+            gammas = [[dt * x for x in q._project_ints(v)] for v in prods]
+            rows += _sylvester(lt, gammas, 0)
+            rhs += [dt * ds * v[c] for v in prods for c in a.space.pivots]
     return rows, rhs
 
 

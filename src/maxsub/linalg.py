@@ -223,17 +223,23 @@ def sylvester_rows(a: Sequence[Sequence], b: Sequence[Sequence], field: Field,
     A is c×c and B is r×r, so X is r×c; row i·c + j gives entry (i, j) of
     the image.  Its kernel is {X : X·A = B·X}.
     """
+    return [_modp(row, field.p) for row in _sylvester(a, b, field.zero())]
+
+
+def _sylvester(a: Sequence[Sequence], b: Sequence[Sequence], zero) -> list:
+    """The rows of `sylvester_rows`, not reduced mod p, on entries that
+    start at zero (a field zero, or 0 for integer rows)."""
     c, r = len(a), len(b)
     cols = [list(col) for col in zip(*a)]
     rows = []
     for i in range(r):
         for j in range(c):
-            row = zero_vec(r * c, field)
+            row = [zero] * (r * c)
             row[i * c:(i + 1) * c] = cols[j]
             for t, x in enumerate(b[i]):
                 if x:
                     row[t * c + j] -= x
-            rows.append(_modp(row, field.p))
+            rows.append(row)
     return rows
 
 
@@ -376,6 +382,18 @@ class _Echelon:
         return Subspace(self.field, ambient_dim,
                         tuple(tuple(r) for r in self.scalars()),
                         tuple(self.pivots))
+
+    def solution(self, ncols: int, nrhs: int) -> list | None:
+        """One solution x of a·x = b, for rows [a | b] with ncols columns
+        in a and nrhs in b: each pivot unknown is its row's b part over
+        the pivot entry, each free unknown 0.  None when a pivot falls in
+        b, that is when the system is inconsistent."""
+        if self.pivots and self.pivots[-1] >= ncols:
+            return None
+        x = [zero_vec(nrhs, self.field) for _ in range(ncols)]
+        for q, row in zip(self.pivots, self.rows):
+            x[q] = _scalars(row[ncols:], row[q], self.field.p)
+        return x
 
     def kernel(self, ncols: int) -> Subspace:
         """Null space, on the first ncols columns, of the rows with a pivot
@@ -549,15 +567,6 @@ def subspace_contains(u: Subspace, w: Subspace) -> bool:
     return all(u.contains_vec(r) for r in w.basis)
 
 
-def subspace_ops(u: Subspace, w: Subspace) -> dict:
-    """Lattice join, meet and containment of two subspaces at once."""
-    return {
-        "sum": subspace_sum(u, w),
-        "intersection": subspace_intersection(u, w),
-        "contains": subspace_contains(u, w),
-    }
-
-
 # ---------------------------------------------------------------------------
 # linear solving
 
@@ -574,14 +583,7 @@ def solve_linear(a: Sequence[Sequence], b: Sequence[Sequence], field: Field,
     ncols = len(a[0]) if a else 0
     nrhs = len(b[0]) if b else 0
     e = _Echelon(field, (list(r) + list(t) for r, t in zip(a, b)))
-    ker = e.kernel(ncols)
-    # inconsistent iff some pivot falls in the augmented block
-    if e.pivots and e.pivots[-1] >= ncols:
-        return None, ker
-    x = [zero_vec(nrhs, field) for _ in range(ncols)]
-    for q, row in zip(e.pivots, e.rows):
-        x[q] = _scalars(row[ncols:], row[q], field.p)
-    return x, ker
+    return e.solution(ncols, nrhs), e.kernel(ncols)
 
 
 def kernel(a: Sequence[Sequence], ncols: int, field: Field) -> Subspace:
@@ -702,16 +704,6 @@ class QuotientSpace:
         for c, val in zip(self.free_coords, qv):
             v[c] = self.field.coerce(val)
         return v
-
-    def projection_matrix(self) -> list:
-        n = self.ambient_dim
-        cols = [self.project(unit_vec(n, j, self.field)) for j in range(n)]
-        return [list(col) for col in zip(*cols)] if cols else []
-
-    def section_matrix(self) -> list:
-        cols = [self.lift(unit_vec(self.dim, j, self.field))
-                for j in range(self.dim)]
-        return [list(col) for col in zip(*cols)] if cols else [[] for _ in range(self.ambient_dim)]
 
 
 def quotient_space(ambient_dim: int, relation_rows: Iterable[Sequence],

@@ -7,11 +7,11 @@ must satisfy the defining relations of the algebra exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .algebra import Algebra
 from .errors import DimensionError, VerificationFailedError
-from .linalg import Field, combine, identity_matrix, mat_mul, mat_vec
+from .linalg import Field, _ints, _modp, combine, mat_vec
 
 Matrix = tuple[tuple, ...]
 
@@ -56,21 +56,57 @@ def make_module(algebra: Algebra, mats: Sequence[Sequence[Sequence]],
 
 
 def module_violation(mod: Module) -> str | None:
-    """First violated module axiom, or None when the action is a morphism."""
+    """First violated module axiom, or None when the action is a morphism.
+
+    The axioms are checked on integer matrices: the action matrices A_k
+    are cleared over one common denominator D_m, the unit u over its own
+    D_u and the structure constants c_ijk over D_t (`Algebra._int_table`).
+    The unit law compares Σ_k (D_u·u_k)(D_m·A_k) with D_u·D_m·I; the
+    product of b_i and b_j compares D_t·(D_m·A_i)(D_m·A_j) with
+    D_m·Σ_k (D_t·c_ijk)(D_m·A_k).  Over F_p every denominator is 1 and
+    both sides are compared mod p.
+    """
     a = mod.algebra
-    f = a.field
-    ident = identity_matrix(mod.dim, f)
-    unit_mat = mod.action_matrix(list(a.unit))
-    if [list(r) for r in unit_mat] != ident:
+    p = a.field.p
+    n = mod.dim
+    if n == 0:
+        return None
+    dm, flat = _ints([x for m in mod.action for row in m for x in row], p)
+    rows = [flat[s:s + n] for s in range(0, len(flat), n)]
+    mats = [rows[k * n:(k + 1) * n] for k in range(a.dim)]
+    flats = [flat[k * n * n:(k + 1) * n * n] for k in range(a.dim)]
+    du, unit = _ints(a.unit, p)
+    scale = du * dm
+    ident = [scale * (r == c) for r in range(n) for c in range(n)]
+    if _differ(_int_combine(zip(unit, flats), n * n), ident, p):
         return "action(unit) != identity"
-    for i in range(a.dim):
+    dt, table = a._int_table
+    for i, group in enumerate(table):
+        terms = dict(group)
         for j in range(a.dim):
-            prod = mat_mul(mod.action[i], mod.action[j], f)
-            want = mod.action_matrix(list(a.table[i][j]))
-            if [list(r) for r in prod] != [list(r) for r in want]:
+            got = [dt * x for r in mats[i]
+                   for x in _int_combine(zip(r, mats[j]), n)]
+            want = _int_combine(((dm * c, flats[k])
+                                 for k, c in terms.get(j, ())), n * n)
+            if _differ(got, want, p):
                 return (f"action({a.basis_names[i]})*action({a.basis_names[j]})"
                         " mismatches the structure constants")
     return None
+
+
+def _int_combine(pairs: Iterable[tuple[int, Sequence[int]]], n: int) -> list[int]:
+    """Σ c·row over the (c, row) pairs with c ≠ 0, for integer rows of
+    length n."""
+    out = [0] * n
+    for c, row in pairs:
+        if c:
+            out = [o + c * x for o, x in zip(out, row)]
+    return out
+
+
+def _differ(u: Sequence[int], v: Sequence[int], p: int | None) -> bool:
+    """u ≠ v, as integer vectors over Q and mod p over F_p."""
+    return any(_modp([x - y for x, y in zip(u, v)], p))
 
 
 def regular_module(a: Algebra) -> Module:

@@ -26,14 +26,13 @@ from .linalg import (
     _modp,
     combine,
     echelonize,
-    quotient_space,
     rref,
     unit_vec,
     vec_add,
     zero_vec,
 )
 from .modules import Module
-from .structure import ideal_closure
+from .structure import ideal_closure, quotient_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -236,16 +235,9 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
             raise InvalidInputError(
                 f"path {_path_name(q, p)} of length {bound} does not reduce "
                 "to zero: relations are not admissible at this bound")
-    qs = quotient_space(n, ideal.basis, field)
-    dim = qs.dim
+    quot, qs = quotient_algebra(trunc, ideal)
     names = tuple(t_names[c] for c in qs.free_coords)
     blens = tuple(lengths[c] for c in qs.free_coords)
-    lifts = [qs.lift(unit_vec(dim, i, field)) for i in range(dim)]
-    table = tuple(
-        tuple(tuple(qs.project(trunc.multiply(lifts[i], lifts[j])))
-              for j in range(dim))
-        for i in range(dim))
-    unit = tuple(qs.project(t_unit))
     radical_rows = tuple(
         tuple(qs.project(unit_vec(n, index[p], field)))
         for grp in by_len[1:bound] for p in grp)
@@ -259,7 +251,7 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
     pres_meta = Presentation(kind="quiver", radical_rows=radical_rows,
                              vertex_names=q.vertices,
                              vertex_vectors=vertex_vectors, source=data)
-    return Algebra(field, dim, names, unit, table, pres_meta)
+    return Algebra(field, quot.dim, names, quot.unit, quot.table, pres_meta)
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,15 @@
-"""The integer kernels of the certificate and of the block decomposition
-against the Fraction code they replaced.
+"""The integer kernels of the certificate, of the block decomposition and
+of the module check against the Fraction code they replaced.
 
 `certify_maximal` reads the bimodule operators of B/A off integer
 products, each the exact operator times one positive scale, and takes the
 Burnside dimension as dim span L(A)·R(A).  `_are_matrix_units` checks the
-unit relations on integer rows at a common scale.  The references below
-are the former bodies: operators from `Algebra.multiply` and
+unit relations on integer rows at a common scale, and `module_violation`
+checks the module axioms on integer matrices.  The references below are
+the former bodies: operators from `Algebra.multiply` and
 `QuotientSpace.project`, the unit saturated under right multiplication by
-every operator, and unit products compared as field vectors.
+every operator, unit products compared as field vectors, and the module
+axioms on products of Fraction matrices.
 """
 
 from fractions import Fraction
@@ -30,6 +32,7 @@ from maxsub.algebra import (
     subalgebra_from_rows,
     subalgebra_generated,
 )
+from maxsub.extensions import induce, restrict
 from maxsub.linalg import (
     GF,
     QQ,
@@ -49,6 +52,7 @@ from maxsub.maximal import (
     _quotient_bimodule_ops,
     certify_maximal,
 )
+from maxsub.modules import make_module, module_violation, regular_module
 from maxsub.structure import _are_matrix_units, structure_report, wedderburn_data
 
 FIELDS = [QQ, GF(2), GF(3)]
@@ -96,6 +100,23 @@ def _are_matrix_units_ref(a, units):
                == (units[p][t] if q == r else zero)
                for p in range(n) for q in range(n)
                for r in range(n) for t in range(n))
+
+
+def _module_violation_ref(mod):
+    a = mod.algebra
+    f = a.field
+    ident = identity_matrix(mod.dim, f)
+    unit_mat = mod.action_matrix(list(a.unit))
+    if [list(r) for r in unit_mat] != ident:
+        return "action(unit) != identity"
+    for i in range(a.dim):
+        for j in range(a.dim):
+            prod = mat_mul(mod.action[i], mod.action[j], f)
+            want = mod.action_matrix(list(a.table[i][j]))
+            if [list(r) for r in prod] != [list(r) for r in want]:
+                return (f"action({a.basis_names[i]})*action({a.basis_names[j]})"
+                        " mismatches the structure constants")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -278,3 +299,83 @@ def test_matrix_units_with_denominators_in_table_and_units():
     for bad in _perturbed(alg, units):
         assert not _are_matrix_units(alg, bad)
     _check_units(m2, rows, alg)
+
+
+# ---------------------------------------------------------------------------
+# the module axioms
+
+def _in_basis(m, rows):
+    """m on the basis of its space given by rows: P⁻¹·A_k·P for the matrix
+    P with the rows as columns."""
+    f = m.algebra.field
+    p = [list(col) for col in zip(*rows)]
+    p_inv, _ = solve_linear(p, identity_matrix(m.dim, f), f)
+    return make_module(m.algebra, [mat_mul(p_inv, mat_mul(a, p, f), f)
+                                   for a in m.action], check=False)
+
+
+@st.composite
+def modules(draw):
+    """A module over an algebra of `rebasings()`: its regular module, that
+    module restricted to a subalgebra generated by a random element, or
+    the regular module of that subalgebra induced up; in a random basis
+    half of the time (over Q with denominators, see `_scaled_basis`)."""
+    alg = draw(rebasings())[2]
+    m = regular_module(alg)
+    kind = draw(st.sampled_from(["regular", "restricted", "induced"]))
+    if kind != "regular":
+        a = subalgebra_generated(alg, [_element(draw, alg)])
+        m = (restrict(m, a) if kind == "restricted"
+             else induce(regular_module(a.as_algebra()), a))
+    if draw(st.booleans()):
+        rng = draw(st.randoms(use_true_random=False))
+        m = _in_basis(m, _scaled_basis(m.dim, alg.field, rng))
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(modules())
+def test_modules_pass_the_integer_and_the_fraction_check(m):
+    assert _module_violation_ref(m) is None
+    assert module_violation(m) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(modules(), st.data())
+def test_perturbed_modules_get_the_message_of_the_fraction_check(m, data):
+    """One entry of one action matrix moved, or every action matrix scaled
+    by c ≠ 0, 1, which breaks the unit law first."""
+    alg = m.algebra
+    f = alg.field
+    mats = [[list(r) for r in mat] for mat in m.action]
+    scaled = f.p != 2 and data.draw(st.booleans())
+    if scaled:
+        c = f.coerce(data.draw(st.sampled_from(
+            [2, -1, Fraction(1, 2), Fraction(-2, 3)] if f.p is None else [2])))
+        mats = [[[c * x for x in r] for r in mat] for mat in mats]
+    else:
+        k = data.draw(st.integers(0, alg.dim - 1))
+        i, j = (data.draw(st.integers(0, m.dim - 1)) for _ in range(2))
+        delta = data.draw(st.sampled_from(
+            [1, -2, Fraction(1, 3)] if f.p is None else range(1, f.p)))
+        mats[k][i][j] = f.coerce(mats[k][i][j] + delta)
+    bad = make_module(alg, mats, check=False)
+    want = _module_violation_ref(bad)
+    assert module_violation(bad) == want
+    if scaled:
+        assert want == "action(unit) != identity"
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+def test_module_messages_name_the_first_failing_pair(field):
+    """The regular module of M_2 with e12 acting as 2·e12: the unit law
+    holds, and (e12, e21) is the first pair, in (i, j) order, whose
+    product differs: 2·e11 against e11 (over F_2 the doubled e12 acts as
+    0, and 0 against e11)."""
+    m2 = matrix_algebra(2, field)
+    mats = [[list(r) for r in mat] for mat in regular_module(m2).action]
+    mats[1] = [[field.coerce(2 * x) for x in r] for r in mats[1]]
+    bad = make_module(m2, mats, check=False)
+    want = "action(e12)*action(e21) mismatches the structure constants"
+    assert _module_violation_ref(bad) == want
+    assert module_violation(bad) == want

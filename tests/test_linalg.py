@@ -30,10 +30,10 @@ from maxsub.linalg import (
     span_elements,
     subspace_contains,
     subspace_intersection,
-    subspace_ops,
     subspace_sum,
     sylvester_rows,
     tensor_quotient,
+    unit_vec,
     zero_subspace,
 )
 
@@ -138,6 +138,15 @@ def test_solve_inconsistent():
     assert ker.dim == 1
 
 
+def subspace_ops(u, w):
+    """Lattice join, meet and containment of two subspaces at once."""
+    return {
+        "sum": subspace_sum(u, w),
+        "intersection": subspace_intersection(u, w),
+        "contains": subspace_contains(u, w),
+    }
+
+
 def test_subspace_ops_equal():
     u = echelonize([[1, 0], [0, 1]], 2, QQ)
     ops = subspace_ops(u, u)
@@ -197,10 +206,24 @@ def test_enumerate_yields_no_duplicates():
     assert len(seen) == gaussian_binomial(4, 2, 3)
 
 
+def projection_matrix(q):
+    """The matrix of the projection K^n -> K^n / relations."""
+    n = q.ambient_dim
+    cols = [q.project(unit_vec(n, j, q.field)) for j in range(n)]
+    return [list(col) for col in zip(*cols)] if cols else []
+
+
+def section_matrix(q):
+    """The matrix of the lift K^n / relations -> K^n."""
+    cols = [q.lift(unit_vec(q.dim, j, q.field)) for j in range(q.dim)]
+    return ([list(col) for col in zip(*cols)] if cols
+            else [[] for _ in range(q.ambient_dim)])
+
+
 def test_tensor_quotient_no_relations():
     q = tensor_quotient(2, 3, [], QQ)
     assert q.dim == 6
-    assert q.projection_matrix() == identity_matrix(6, QQ)
+    assert projection_matrix(q) == identity_matrix(6, QQ)
 
 
 def test_tensor_quotient_everything():
@@ -218,8 +241,8 @@ def test_tensor_quotient_kxk_over_itself():
 def test_projection_section_identity():
     q = quotient_space(5, [[1, 1, 0, 0, 0], [0, 0, 1, 2, 0]], QQ)
     assert q.dim == 3
-    proj = q.projection_matrix()
-    sect = q.section_matrix()
+    proj = projection_matrix(q)
+    sect = section_matrix(q)
     comp = [[sum(proj[i][k] * sect[k][j] for k in range(5))
              for j in range(q.dim)] for i in range(q.dim)]
     assert comp == identity_matrix(3, QQ)

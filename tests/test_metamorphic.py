@@ -56,6 +56,19 @@ def test_change_of_basis_keeps_the_invariants(name, seed):
     assert _invariants(rebased(base, rows)) == _base_invariants(name)
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+    "the random idempotent search in M_2(Q) misses on this basis; a "
+    "rational point on the norm conic (ROADMAP item 5, stage 2) fixes it"))
+def test_change_of_basis_keeps_the_invariants_of_m2_on_seed_133188():
+    """A seed on which the test above fails for M2 with NotSplitError, as
+    drawn once by Hypothesis: this basis of M_2(Q) gets schur=False, "a
+    block is not a full matrix algebra".  A fix must flip this on purpose."""
+    rows = random_basis(4, QQ, random.Random(133188))
+    alg = rebased(matrix_algebra(2, QQ), rows)
+    assert structure_report(alg).schur
+    assert _invariants(alg) == _base_invariants("M2")
+
+
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=str)
 @pytest.mark.parametrize("name", sorted(BASES))
 @settings(max_examples=10, deadline=None)
