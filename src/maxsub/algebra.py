@@ -78,16 +78,6 @@ class Algebra:
         return self is other
 
     @cached_property
-    def _nonzero_table(self) -> tuple[tuple[int, int, Vec], ...]:
-        out = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                row = self.table[i][j]
-                if not vec_is_zero(row):
-                    out.append((i, j, row))
-        return tuple(out)
-
-    @cached_property
     def _int_table(self) -> tuple[int, tuple]:
         """(D, rows): D is the common denominator of the structure constants
         (1 over F_p), and rows[i] lists (j, ((k, D·c_ijk), ...)) for every
@@ -117,32 +107,16 @@ class Algebra:
                             acc[k] += c * t
         return acc
 
-    def _multiply_q(self, x: Sequence, y: Sequence) -> list:
-        """The product over Q on integer numerators: x and y are cleared to
-        their lcm denominators, and one Fraction is built per coordinate."""
-        dx, xs = _ints(x, None)
-        dy, ys = _ints(y, None)
-        den = self._int_table[0] * dx * dy
-        return _scalars(self._multiply_ints(xs, ys), den, None)
-
     def multiply(self, x: Sequence, y: Sequence) -> list:
-        """Bilinear extension of the structure-constant table."""
+        """Bilinear extension of the structure-constant table, one body for
+        both fields: x and y are cleared to integers (`_ints`), multiplied
+        on `_int_table`, and one scalar is built per output coordinate."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("vector length != algebra dimension")
-        f = self.field
-        if f.p is None:
-            return self._multiply_q(x, y)
-        out = zero_vec(self.dim, f)
-        for i, j, row in self._nonzero_table:
-            xi = x[i]
-            if xi == 0:
-                continue
-            yj = y[j]
-            if yj == 0:
-                continue
-            c = f.mul(xi, yj)
-            out = [f.add(o, f.mul(c, r)) for o, r in zip(out, row)]
-        return out
+        p = self.field.p
+        (dx, xs), (dy, ys) = _ints(x, p), _ints(y, p)
+        den = self._int_table[0] * dx * dy
+        return _scalars(self._multiply_ints(xs, ys), den, p)
 
     def left_mult_matrix(self, x: Sequence) -> list:
         """Matrix of y -> x*y in the algebra basis (columns are images)."""
@@ -306,10 +280,7 @@ def _products_in(a: Algebra, lefts: Sequence[Sequence],
     """True iff x·y lies in space for every x in lefts and y in rights, for
     rows as `Subspace.int_basis` gives them (over Q at any integer scale:
     the products are tested on integers, with no Fraction built)."""
-    if a.field.p is None:
-        return all(space.holds_ints(a._multiply_ints(x, y))
-                   for x in lefts for y in rights)
-    return all(space.contains_vec(a.multiply(list(x), list(y)))
+    return all(space.holds_ints(a._multiply_ints(x, y))
                for x in lefts for y in rights)
 
 

@@ -7,8 +7,9 @@ reduced row-echelon form, so equality of subspaces is equality of their
 canonical bases.
 
 Vectors, matrices and polynomials are added and multiplied natively and
-reduced mod p once per result (`_modp`); per-scalar `Field.add` and
-`Field.mul` serve only the F_p branch of `Algebra.multiply`.
+reduced mod p once per result (`_modp`), and products in an algebra run
+on its integer structure constants over both fields; no library code
+calls the per-scalar `Field.add`, `Field.sub`, `Field.mul` or `Field.neg`.
 
 Both fields run one elimination core on integer rows.  A vector is
 cleared to integers over a common denominator (its lcm denominator over
@@ -103,19 +104,18 @@ class Field:
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return int(x) % self.p
 
+    # add, mul, sub and neg have no caller in the library: they are kept
+    # while bench/tracing.py wraps them by name for its traced runs
     def add(self, a, b) -> Scalar:
-        """a + b; only for the F_p branch of `Algebra.multiply`."""
         if self.p is not None:
             return (a + b) % self.p
         return a + b
 
     def mul(self, a, b) -> Scalar:
-        """a·b; only for the F_p branch of `Algebra.multiply`."""
         if self.p is not None:
             return (a * b) % self.p
         return a * b
 
-    # no caller in the library: kept while bench/tracing.py wraps them
     def sub(self, a, b) -> Scalar:
         if self.p is not None:
             return (a - b) % self.p

@@ -66,7 +66,6 @@ class Quiver:
 
     def _longest_path(self) -> int | None:
         """Longest path length, or None when the quiver has a directed cycle."""
-        order = {v: i for i, v in enumerate(self.vertices)}
         adj: dict[str, list[str]] = {v: [] for v in self.vertices}
         indeg = {v: 0 for v in self.vertices}
         for _, src, tgt in self.arrows:
@@ -83,7 +82,6 @@ class Quiver:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     queue.append(w)
-        del order
         if seen != len(self.vertices):
             return None
         return max(dist.values()) if dist else 0

@@ -104,19 +104,29 @@ _rationals = st.one_of(
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.data())
-def test_q_multiply_matches_reference_loop(data):
+@given(st.sampled_from([QQ, F2, F3, GF(2 ** 61 - 1)]), st.data())
+def test_q_multiply_matches_reference_loop(field, data):
+    # over F_p the operands may be any ints, negative or not reduced
     n = data.draw(st.integers(1, 4))
-    entries = st.lists(_rationals, min_size=n, max_size=n).map(tuple)
+    p = field.p
+    if p is None:
+        entry = table_entry = _rationals
+    else:
+        entry = st.one_of(st.integers(-3, 3), st.integers(-2 * p, 2 * p))
+        table_entry = entry.map(field.coerce)
+    entries = st.lists(table_entry, min_size=n, max_size=n).map(tuple)
     table = tuple(tuple(data.draw(entries) for _ in range(n)) for _ in range(n))
-    a = Algebra(QQ, n, tuple(f"b{i}" for i in range(n)), (Fraction(1),) * n,
-                table)
-    x = data.draw(st.lists(_rationals, min_size=n, max_size=n))
-    y = data.draw(st.lists(_rationals, min_size=n, max_size=n))
+    a = Algebra(field, n, tuple(f"b{i}" for i in range(n)),
+                (field.one(),) * n, table)
+    x = data.draw(st.lists(entry, min_size=n, max_size=n))
+    y = data.draw(st.lists(entry, min_size=n, max_size=n))
     for u, v in ((x, y), ([0] * n, y), (x, [0] * n)):
         got = a.multiply(u, v)
         assert got == _reference_multiply(a, u, v)
-        assert all(type(c) is Fraction for c in got)
+        if p is None:
+            assert all(type(c) is Fraction for c in got)
+        else:
+            assert all(type(c) is int and 0 <= c < p for c in got)
 
 
 @settings(max_examples=40, deadline=None)

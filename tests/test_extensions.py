@@ -12,6 +12,7 @@ from conftest import (
     ZIGZAG_POSET,
     Scalars,
     kxk,
+    polynomial_quotient,
     quiver_algebra,
 )
 from maxsub.algebra import (
@@ -282,6 +283,20 @@ def test_decompose_reassembles(a3_q):
 def test_decompose_over_f2(kronecker_f2):
     parts = decompose_module(regular_module(kronecker_f2))
     assert sorted(p.dim for p in parts) == [1, 3]
+
+
+def test_decompose_non_split_quotient_over_f3(monkeypatch):
+    # F_3[x]/((x²+1)(x²+x+2)) is F_9×F_9: End of its regular module is not
+    # split over F_3, so its idempotents come from the exhaustive sweep,
+    # once for the whole module and once for each F_9 summand
+    sweep, calls = ext._primitive_system_finite, []
+    monkeypatch.setattr(ext, "_primitive_system_finite",
+                        lambda s: calls.append(s.dim) or sweep(s))
+    b = polynomial_quotient([2, 1, 0, 1, 1], GF(3))
+    parts = decompose_module(regular_module(b))
+    assert calls == [4, 2, 2]
+    assert [p.dim for p in parts] == [2, 2]
+    assert all(is_local_module(p) for p in parts)
 
 
 def test_endomorphism_algebra_dims(m2q):
