@@ -1,9 +1,13 @@
 #!/usr/bin/env python3
-"""Regenerate the bundled input files under data/.
+"""Regenerate the bundled input files under data/, or check them.
 
 Algebra files are serialized from the library's own constructors, so the
 bundled data is reproducible from source.  Run from the repository root:
     python scripts/make_data.py
+    python scripts/make_data.py --check
+
+--check writes nothing: it rebuilds every file in memory and compares its
+bytes with the file under data/.
 """
 
 from __future__ import annotations
@@ -26,15 +30,10 @@ from maxsub.modules import make_module
 DATA = os.path.join(os.path.dirname(__file__), "..", "data")
 
 
-def write(name: str, text: str):
-    path = os.path.join(DATA, name)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    print("wrote", os.path.relpath(path))
-
-
-def main():
-    os.makedirs(DATA, exist_ok=True)
+def build() -> dict[str, str]:
+    """{file name under data/: its text}, built from the constructors."""
+    files: dict[str, str] = {}
+    write = files.__setitem__
 
     write("m2_q.alg", dump_algebra(matrix_algebra(2, QQ)))
     write("m3_q.alg", dump_algebra(matrix_algebra(3, QQ)))
@@ -107,6 +106,36 @@ def main():
     write("f4_in_m2f2.span", "vec 1 0 0 1\nvec 0 1 1 1\n")
     # the diagonal merge inside K x K
     write("diag_kxk.span", "vec 1 1\n")
+    return files
+
+
+def check() -> int:
+    """1 if any rebuilt file differs from its bytes under data/, else 0."""
+    files = build()
+    bad = 0
+    for name, text in files.items():
+        try:
+            with open(os.path.join(DATA, name), "rb") as fh:
+                same = fh.read() == text.encode("utf-8")
+        except FileNotFoundError:
+            same = False
+        print("ok" if same else "DIFFERS", name)
+        bad += not same
+    print(f"{len(files) - bad} of {len(files)} data files reproduced")
+    return 1 if bad else 0
+
+
+def main():
+    if sys.argv[1:] == ["--check"]:
+        raise SystemExit(check())
+    if sys.argv[1:]:
+        raise SystemExit(f"usage: {sys.argv[0]} [--check]")
+    os.makedirs(DATA, exist_ok=True)
+    for name, text in build().items():
+        path = os.path.join(DATA, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        print("wrote", os.path.relpath(path))
 
 
 if __name__ == "__main__":

@@ -1,9 +1,11 @@
 """Structure-constant model of finite-dimensional unital associative algebras.
 
-An algebra is a field, a basis, a unit vector and a full multiplication
-table c[i][j] = coordinates of b_i * b_j.  Subalgebras are canonical
-echelon subspaces that contain the unit and are closed under the product;
-they always share the unit of the parent.
+An algebra is a field, a basis, a unit vector and its structure constants
+c_ijk, the coordinates of b_i * b_j, stored as sparse integer rows over one
+common denominator (`Algebra.products`); every constructor builds them in
+that normal form with `_pack`.  Subalgebras are canonical echelon subspaces
+that contain the unit and are closed under the product; they always share
+the unit of the parent.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from .linalg import (
     saturate,
     solve_one,
     unit_vec,
-    vec_is_zero,
     zero_vec,
 )
 
@@ -57,18 +58,24 @@ class Presentation:
 
 @dataclass(frozen=True)
 class Algebra:
+    """products is (D, rows): D is the least common denominator of the
+    structure constants (1 over F_p), and rows[i] lists (j, ((k, D·c_ijk),
+    ...)) for the nonzero products b_i·b_j only, with j and k ascending and
+    no zero entry; over F_p the entries are residues in [1, p)."""
+
     field: Field
     dim: int
     basis_names: tuple[str, ...]
     unit: Vec
-    table: tuple[tuple[Vec, ...], ...]
+    products: tuple[int, tuple]
     presentation: Presentation | None = None
 
     def __post_init__(self):
         if len(self.basis_names) != self.dim or len(self.unit) != self.dim:
             raise DimensionError("basis/unit length != dim")
-        if len(self.table) != self.dim or any(len(r) != self.dim for r in self.table):
-            raise DimensionError("table is not dim x dim")
+        if (len(self.products) != 2 or type(self.products[0]) is not int
+                or len(self.products[1]) != self.dim):
+            raise DimensionError("products are not (D, dim rows)")
 
     # identity of an algebra is its data; hashing by id keeps caches cheap
     def __hash__(self):
@@ -77,25 +84,10 @@ class Algebra:
     def __eq__(self, other):
         return self is other
 
-    @cached_property
-    def _int_table(self) -> tuple[int, tuple]:
-        """(D, rows): D is the common denominator of the structure constants
-        (1 over F_p), and rows[i] lists (j, ((k, D·c_ijk), ...)) for every
-        nonzero product b_i·b_j, keeping only the nonzero k."""
-        d = 1
-        if self.field.p is None:
-            d = math.lcm(1, *(c.denominator for r in self.table for v in r for c in v))
-        rows = tuple(
-            tuple((j, tuple((k, c.numerator * (d // c.denominator))
-                            for k, c in enumerate(v) if c != 0))
-                  for j, v in enumerate(r) if not vec_is_zero(v))
-            for r in self.table)
-        return d, rows
-
     def _multiply_ints(self, xs: Sequence[int], ys: Sequence[int]) -> list[int]:
         """D·(x·y) for integer vectors x and y, D the denominator of
-        `_int_table` (1 over F_p, where the result is not reduced mod p)."""
-        rows = self._int_table[1]
+        `products` (1 over F_p, where the result is not reduced mod p)."""
+        rows = self.products[1]
         acc = [0] * self.dim
         for group, xi in zip(rows, xs):
             if xi:
@@ -108,14 +100,14 @@ class Algebra:
         return acc
 
     def multiply(self, x: Sequence, y: Sequence) -> list:
-        """Bilinear extension of the structure-constant table, one body for
+        """Bilinear extension of the structure constants, one body for
         both fields: x and y are cleared to integers (`_ints`), multiplied
-        on `_int_table`, and one scalar is built per output coordinate."""
+        on `products`, and one scalar is built per output coordinate."""
         if len(x) != self.dim or len(y) != self.dim:
             raise DimensionError("vector length != algebra dimension")
         p = self.field.p
         (dx, xs), (dy, ys) = _ints(x, p), _ints(y, p)
-        den = self._int_table[0] * dx * dy
+        den = self.products[0] * dx * dy
         return _scalars(self._multiply_ints(xs, ys), den, p)
 
     def left_mult_matrix(self, x: Sequence) -> list:
@@ -150,12 +142,12 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     """Check associativity on all basis triples and the unit laws.
 
     Associativity compares (b_i b_j) b_k with b_i (b_j b_k) on the integer
-    table: both sides carry the scale D², and over F_p both are taken mod p.
+    rows: both sides carry the scale D², and over F_p both are taken mod p.
     """
     bad = []
     p = a.field.p
     du, unit = _ints(a.unit, p)
-    scale = a._int_table[0] * du
+    scale = a.products[0] * du
     for i in range(a.dim):
         # the products with the unit carry the scale D·du of the integer unit
         bi = [int(k == i) for k in range(a.dim)]
@@ -164,7 +156,7 @@ def validate_algebra(a: Algebra) -> ValidationReport:
             bad.append(f"unit * {a.basis_names[i]} != {a.basis_names[i]}")
         if _modp(a._multiply_ints(bi, unit), p) != want:
             bad.append(f"{a.basis_names[i]} * unit != {a.basis_names[i]}")
-    grid = [dict(group) for group in a._int_table[1]]
+    grid = [dict(group) for group in a.products[1]]
     names = a.basis_names
     for i, gi in enumerate(grid):
         for j, gj in enumerate(grid):
@@ -191,16 +183,49 @@ def checked(a: Algebra) -> Algebra:
     return a
 
 
+def _pack(p: int | None, den: int, rows: Iterable) -> tuple[int, tuple]:
+    """`Algebra.products` in normal form, from products at the scale den.
+
+    rows[i] gives pairs (j, terms) for the products b_i·b_j, and terms the
+    pairs (k, den·c_ijk), each j and each k at most once and in any order;
+    over Q an entry may be a Fraction.  Zero entries are dropped and j and
+    k sorted.  Over F_p the entries are reduced into [1, p) at D = 1; over
+    Q they are cleared to integers and divided by their gcd with the
+    scale, which leaves D the least common denominator.
+    """
+    s = 1
+    if p is not None:
+        s, den = pow(den, -1, p), 1
+    out = []
+    for row in rows:
+        packed = []
+        for j, terms in sorted(row):
+            if p is not None:
+                terms = [(k, t * s % p) for k, t in terms]
+            kept = sorted((k, t) for k, t in terms if t)
+            if kept:
+                packed.append((j, kept))
+        out.append(packed)
+    ts = [t for row in out for _, terms in row for _, t in terms]
+    m = math.lcm(1, *(t.denominator for t in ts))
+    g = math.gcd(den * m, *(t.numerator * (m // t.denominator) for t in ts))
+    return den * m // g, tuple(
+        tuple((j, tuple((k, t.numerator * (m // t.denominator) // g)
+                        for k, t in terms)) for j, terms in row)
+        for row in out)
+
+
 def make_algebra(field: Field, basis_names: Sequence[str], unit: Sequence,
                  table: Sequence[Sequence[Sequence]],
                  presentation: Presentation | None = None,
                  check: bool = False) -> Algebra:
+    """The algebra whose product b_i·b_j has the coordinates table[i][j]."""
     dim = len(basis_names)
-    coerced = tuple(
-        tuple(tuple(field.coerce(v) for v in table[i][j]) for j in range(dim))
-        for i in range(dim))
+    products = _pack(field.p, 1, (
+        [(j, [(k, field.coerce(c)) for k, c in enumerate(table[i][j]) if c])
+         for j in range(dim)] for i in range(dim)))
     a = Algebra(field, dim, tuple(basis_names),
-                tuple(field.coerce(v) for v in unit), coerced, presentation)
+                tuple(field.coerce(v) for v in unit), products, presentation)
     return checked(a) if check else a
 
 
@@ -227,18 +252,19 @@ class Subalgebra:
         par, space = self.parent, self.space
         p = par.field.p
 
-        def coords(v: Sequence[int], den: int) -> tuple:
+        def coords(v: Sequence[int]) -> list[int]:
             if not space.holds_ints(v):
                 raise InvalidInputError("vector not in subspace")
-            return tuple(_scalars([v[q] for q in space.pivots], den, p))
+            return [v[q] for q in space.pivots]
 
         d, rows = space.int_basis
-        den = par._int_table[0] * d * d
-        table = tuple(tuple(coords(par._multiply_ints(x, y), den) for y in rows)
-                      for x in rows)
+        products = _pack(p, par.products[0] * d * d, (
+            [(j, enumerate(coords(par._multiply_ints(x, y))))
+             for j, y in enumerate(rows)] for x in rows))
         du, unit = _ints(par.unit, p)
         names = tuple(f"s{i+1}" for i in range(len(rows)))
-        return Algebra(par.field, len(rows), names, coords(unit, du), table)
+        return Algebra(par.field, len(rows), names,
+                       tuple(_scalars(coords(unit), du, p)), products)
 
     def as_algebra(self) -> Algebra:
         """The subalgebra as an abstract structure-constant algebra."""
@@ -397,71 +423,45 @@ def matrix_algebra(n: int, field: Field) -> Algebra:
     dim = n * n
     names = tuple(f"e{p+1}{q+1}" for p in range(n) for q in range(n))
 
-    def idx(p, q):
-        return p * n + q
-
-    table = []
-    for i in range(dim):
-        p, q = divmod(i, n)
-        row = []
-        for j in range(dim):
-            r, s = divmod(j, n)
-            out = zero_vec(dim, field)
-            if q == r:
-                out[idx(p, s)] = field.one()
-            row.append(tuple(out))
-        table.append(tuple(row))
-    unit = zero_vec(dim, field)
-    for p in range(n):
-        unit[idx(p, p)] = field.one()
+    # e_pq·e_qs = e_ps, and every other product of matrix units is zero
+    rows = [[(q * n + s, [(p * n + s, 1)]) for s in range(n)]
+            for p in range(n) for q in range(n)]
+    unit = tuple(field.coerce(p == q) for p in range(n) for q in range(n))
     pres = Presentation(kind="matrix", radical_rows=(), source=n)
-    return Algebra(field, dim, names, tuple(unit), tuple(table), pres)
+    return Algebra(field, dim, names, unit, _pack(field.p, 1, rows), pres)
 
 
 def direct_product(factors: Sequence[Algebra]) -> Algebra:
-    """Product algebra with block-diagonal table and concatenated bases."""
+    """Product algebra with block-diagonal products and concatenated bases."""
     if not factors:
         raise InvalidInputError("empty product")
     field = factors[0].field
     if any(f.field != field for f in factors):
         raise FieldMismatchError("factors over different fields")
     dim = sum(f.dim for f in factors)
-    offsets = []
-    off = 0
-    for f in factors:
-        offsets.append(off)
-        off += f.dim
-    names = []
-    for k, f in enumerate(factors):
-        names += [f"{k+1}.{nm}" for nm in f.basis_names]
-    unit = zero_vec(dim, field)
+    offsets = [sum(f.dim for f in factors[:k]) for k in range(len(factors))]
+    names = [f"{k+1}.{nm}" for k, f in enumerate(factors)
+             for nm in f.basis_names]
+    unit = [c for f in factors for c in f.unit]
+    # each factor's rows, shifted to its offset and brought to one scale
+    den = math.lcm(*(f.products[0] for f in factors))
+    rows = []
     for f, off in zip(factors, offsets):
-        for i, v in enumerate(f.unit):
-            unit[off + i] = v
-    z = tuple(zero_vec(dim, field))
-    table = [[z] * dim for _ in range(dim)]
-    for f, off in zip(factors, offsets):
-        for i in range(f.dim):
-            for j in range(f.dim):
-                out = zero_vec(dim, field)
-                for k, v in enumerate(f.table[i][j]):
-                    out[off + k] = v
-                table[off + i][off + j] = tuple(out)
+        c = den // f.products[0]
+        rows += [[(off + j, [(off + k, c * t) for k, t in terms])
+                  for j, terms in group] for group in f.products[1]]
     radical_rows = None
     if all(f.presentation is not None and f.presentation.radical_rows is not None
            for f in factors):
-        radical_rows = []
-        for f, off in zip(factors, offsets):
-            for r in f.presentation.radical_rows:
-                row = zero_vec(dim, field)
-                for k, v in enumerate(r):
-                    row[off + k] = v
-                radical_rows.append(tuple(row))
-        radical_rows = tuple(radical_rows)
+        z = field.zero()
+        radical_rows = tuple(
+            tuple([z] * off + list(r) + [z] * (dim - off - f.dim))
+            for f, off in zip(factors, offsets)
+            for r in f.presentation.radical_rows)
     pres = Presentation(kind="product", radical_rows=radical_rows,
                         source=tuple(offsets))
     return Algebra(field, dim, tuple(names), tuple(unit),
-                   tuple(tuple(r) for r in table), pres)
+                   _pack(field.p, den, rows), pres)
 
 
 def block_triangular(n: int, composition: Sequence[int], field: Field,

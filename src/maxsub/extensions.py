@@ -18,6 +18,7 @@ from .algebra import (
     BimoduleSubspace,
     Subalgebra,
     bimodule_subspace,
+    make_algebra,
     subalgebra_from_rows,
 )
 from .errors import (
@@ -119,14 +120,14 @@ def _bimodule_system(a: Subalgebra, q: QuotientSpace, lifts: list,
     D_b·D_s times the exact products (`Algebra._multiply_ints`).  G is
     D_b·D_s² times their B/A coordinates (`QuotientSpace._project_ints`);
     C is their entries at A's pivots, where the lifts vanish; L is D_A
-    times the exact matrix (`_int_table` of A).  Every equation is scaled
+    times the exact matrix (`products` of A).  Every equation is scaled
     by D_A·D_b·D_s², which leaves the span of the rows [X | C] as it is.
     """
     b = a.parent
     p = b.field.p
     ds, arows = a.space.int_basis
-    dt, groups = a.as_algebra()._int_table
-    db = b._int_table[0]
+    dt, groups = a.as_algebra().products
+    db = b.products[0]
     da = a.dim
     table = [[[0] * da for _ in range(da)] for _ in range(da)]
     for i, group in enumerate(groups):
@@ -175,10 +176,13 @@ class TensorSquare:
         return self.quotient.dim
 
     def multiply_down(self, e: Sequence) -> list:
-        """The multiplication map u: B (x)_A B -> B on quotient coordinates."""
-        b = self.b
-        products = [row for table_row in b.table for row in table_row]
-        return combine(self.quotient.lift(e), products, b.field)
+        """The multiplication map u: B (x)_A B -> B on quotient coordinates:
+        Σ_ij e_ij·b_i·b_j is the sum over i of b_i times row i of the lift."""
+        b, n = self.b, self.b.dim
+        v = self.quotient.lift(e)
+        return combine([b.field.one()] * n, [
+            b.multiply(b.basis_vector(i), v[i * n:(i + 1) * n])
+            for i in range(n)], b.field)
 
     def flank(self, x: Sequence, e: Sequence, y: Sequence) -> tuple:
         """x . e . y for algebra elements x, y acting on the two legs."""
@@ -388,10 +392,10 @@ def restrict_along(n: Module, source: Algebra, images: Sequence[Sequence]) -> Mo
 
     if img(list(source.unit)) != list(b.unit):
         raise InvalidInputError("morphism is not unital")
-    for i in range(source.dim):
-        for j in range(source.dim):
-            lhs = b.multiply(images[i], images[j])
-            if lhs != img(list(source.table[i][j])):
+    basis = [source.basis_vector(i) for i in range(source.dim)]
+    for x, ix in zip(basis, images):
+        for y, iy in zip(basis, images):
+            if b.multiply(ix, iy) != img(source.multiply(x, y)):
                 raise InvalidInputError("images do not define a morphism")
     mats = [n.action_matrix(images[k]) for k in range(source.dim)]
     return make_module(source, mats, check=True)
@@ -408,9 +412,10 @@ def induce(m: Module, a: Subalgebra) -> Module:
     d = q.dim
     mats = []
     for k in range(b.dim):
+        bk = b.basis_vector(k)
+        prods = [b.multiply(bk, b.basis_vector(i)) for i in range(b.dim)]
         cols = [_tensor_image(q, unit_vec(d, t, f), m.dim,
-                              lambda i, v, k=k: (b.table[k][i],
-                                                 unit_vec(m.dim, v, f)))
+                              lambda i, v: (prods[i], unit_vec(m.dim, v, f)))
                 for t in range(d)]
         mats.append([list(r) for r in zip(*cols)] if cols else [])
     return make_module(b, mats, check=True)
@@ -425,17 +430,11 @@ def endomorphism_algebra(m: Module) -> tuple[Algebra, list]:
     d = m.dim
     ker, mats = _hom_basis(m, m)
     ne = len(mats)
-    table = []
-    for x in mats:
-        trow = []
-        for y in mats:
-            prod = mat_mul(x, y, f)
-            flat = [prod[i][j] for i in range(d) for j in range(d)]
-            trow.append(tuple(ker.coords(flat)))
-        table.append(tuple(trow))
-    unit = tuple(ker.coords([c for row in identity_matrix(d, f) for c in row]))
-    names = tuple(f"h{i+1}" for i in range(ne))
-    return Algebra(f, ne, names, unit, tuple(table)), mats
+    table = [[ker.coords([c for row in mat_mul(x, y, f) for c in row])
+              for y in mats] for x in mats]
+    unit = ker.coords([c for row in identity_matrix(d, f) for c in row])
+    names = [f"h{i+1}" for i in range(ne)]
+    return make_algebra(f, names, unit, table), mats
 
 
 def _primitive_system_finite(s: Algebra) -> list[list] | None:

@@ -19,9 +19,9 @@ import hashlib
 import os
 from fractions import Fraction
 
-from .algebra import Algebra, checked
+from .algebra import Algebra, _pack, checked
 from .errors import InvalidInputError, ParseError
-from .linalg import Field, GF, QQ, _modp
+from .linalg import Field, GF, QQ, _scalars
 from .modules import Module, make_module
 from .presentations import (
     PathAlgebraPresentation,
@@ -97,7 +97,8 @@ def parse_algebra(text: str) -> Algebra:
         raise ParseError("algebra file needs field, dim, basis and unit lines")
     if len(names) != dim or len(unit) != dim:
         raise ParseError("basis/unit length does not match dim")
-    table = [[[field.zero()] * dim for _ in range(dim)] for _ in range(dim)]
+    # prods[i][j] maps k to c_ijk, summed over the terms of one mul line
+    prods: list[dict[int, dict]] = [{} for _ in range(dim)]
     first_line: dict[tuple[int, int], int] = {}
     for line_no, toks in muls:
         if len(toks) < 3 or toks[2] != "->":
@@ -112,7 +113,7 @@ def parse_algebra(text: str) -> Algebra:
             raise ParseError(f"mul {i1} {j1} given twice (first on line "
                              f"{first_line[i1, j1]})", line_no)
         first_line[i1, j1] = line_no
-        out = [field.zero()] * dim
+        out = prods[i1 - 1][j1 - 1] = {}
         for term in toks[3:]:
             if ":" not in term:
                 raise ParseError(f"bad term {term!r}, expected k:v", line_no)
@@ -123,11 +124,10 @@ def parse_algebra(text: str) -> Algebra:
                 raise ParseError(f"bad index in {term!r}", line_no) from None
             if not 1 <= k1 <= dim:
                 raise ParseError("term index out of range", line_no)
-            out[k1 - 1] += _scalar(field, vv, line_no)
-        table[i1 - 1][j1 - 1] = _modp(out, field.p)
-    # the constants are field scalars already: no second coercion
-    return checked(Algebra(field, dim, tuple(names), tuple(unit),
-                           tuple(tuple(map(tuple, row)) for row in table)))
+            out[k1 - 1] = out.get(k1 - 1, 0) + _scalar(field, vv, line_no)
+    products = _pack(field.p, 1, ([(j, t.items()) for j, t in row.items()]
+                                  for row in prods))
+    return checked(Algebra(field, dim, tuple(names), tuple(unit), products))
 
 
 def dump_algebra(a: Algebra) -> str:
@@ -135,12 +135,12 @@ def dump_algebra(a: Algebra) -> str:
     out = [f"field {field_name(f)}", f"dim {a.dim}",
            "basis " + " ".join(a.basis_names),
            "unit " + " ".join(f.fmt(c) for c in a.unit)]
-    for i in range(a.dim):
-        for j in range(a.dim):
-            row = a.table[i][j]
-            terms = [f"{k+1}:{f.fmt(c)}" for k, c in enumerate(row) if c != 0]
-            if terms:
-                out.append(f"mul {i+1} {j+1} -> " + " ".join(terms))
+    den, rows = a.products
+    for i, group in enumerate(rows):
+        for j, terms in group:
+            cs = _scalars([t for _, t in terms], den, f.p)
+            out.append(f"mul {i+1} {j+1} -> " + " ".join(
+                f"{k+1}:{f.fmt(c)}" for (k, _), c in zip(terms, cs)))
     return "\n".join(out) + "\n"
 
 

@@ -60,7 +60,7 @@ def module_violation(mod: Module) -> str | None:
 
     The axioms are checked on integer matrices: the action matrices A_k
     are cleared over one common denominator D_m, the unit u over its own
-    D_u and the structure constants c_ijk over D_t (`Algebra._int_table`).
+    D_u and the structure constants c_ijk over D_t (`Algebra.products`).
     The unit law compares Σ_k (D_u·u_k)(D_m·A_k) with D_u·D_m·I; the
     product of b_i and b_j compares D_t·(D_m·A_i)(D_m·A_j) with
     D_m·Σ_k (D_t·c_ijk)(D_m·A_k).  Over F_p every denominator is 1 and
@@ -80,7 +80,7 @@ def module_violation(mod: Module) -> str | None:
     ident = [scale * (r == c) for r in range(n) for c in range(n)]
     if _differ(_int_combine(zip(unit, flats), n * n), ident, p):
         return "action(unit) != identity"
-    dt, table = a._int_table
+    dt, table = a.products
     for i, group in enumerate(table):
         terms = dict(group)
         for j in range(a.dim):

@@ -17,6 +17,7 @@ from .algebra import (
     Algebra,
     Presentation,
     Subalgebra,
+    _pack,
     subalgebra_from_rows,
 )
 from .errors import InvalidInputError, VerificationFailedError
@@ -210,20 +211,20 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
 
     # truncated path algebra T = KQ / J^{bound+1}: b_i * b_j is path j
     # followed by path i, or zero when they do not compose within the bound
-    def compose(i: int, j: int) -> tuple:
+    def compose(i: int, j: int) -> list:
         pi, pj = paths[i], paths[j]
-        out = zero_vec(n, field)
         if (_path_target(q, pj) == pi[0]
                 and len(pj[1]) + len(pi[1]) <= bound):
-            out[index[(pj[0], pj[1] + pi[1])]] = field.one()
-        return tuple(out)
+            return [(index[(pj[0], pj[1] + pi[1])], 1)]
+        return []
 
     t_names = tuple(_path_name(q, p) for p in paths)
-    t_table = tuple(tuple(compose(i, j) for j in range(n)) for i in range(n))
+    t_products = _pack(field.p, 1, ([(j, compose(i, j)) for j in range(n)]
+                                    for i in range(n)))
     t_unit = zero_vec(n, field)
     for v in q.vertices:
         t_unit[index[(v, ())]] = field.one()
-    trunc = Algebra(field, n, t_names, tuple(t_unit), t_table)
+    trunc = Algebra(field, n, t_names, tuple(t_unit), t_products)
 
     rel_vectors = [relation_vector(r) for r in pres.relations]
     ideal = ideal_closure(trunc, rel_vectors) if rel_vectors else echelonize(
@@ -249,7 +250,7 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
     pres_meta = Presentation(kind="quiver", radical_rows=radical_rows,
                              vertex_names=q.vertices,
                              vertex_vectors=vertex_vectors, source=data)
-    return Algebra(field, quot.dim, names, quot.unit, quot.table, pres_meta)
+    return Algebra(field, quot.dim, names, quot.unit, quot.products, pres_meta)
 
 
 # ---------------------------------------------------------------------------
@@ -315,29 +316,21 @@ def _incidence_from_pairs(names: Sequence[str], pairs: Sequence[tuple[str, str]]
     index = {pr: i for i, pr in enumerate(pairs)}
     n = len(pairs)
     basis_names = tuple(f"[{a},{b}]" for a, b in pairs)
-    z = tuple(zero_vec(n, field))
-    table = [[z] * n for _ in range(n)]
-    relset = set(pairs)
-    for i, (a, b) in enumerate(pairs):
-        for j, (c, d) in enumerate(pairs):
-            if b == c:
-                out = zero_vec(n, field)
-                out[index[(a, d)]] = field.one()
-                table[i][j] = tuple(out)
-    unit = zero_vec(n, field)
-    for e in names:
-        unit[index[(e, e)]] = field.one()
+    # [a,b]·[b,d] = [a,d], and every other product is zero
+    rows = [[(j, [(index[(a, d)], 1)]) for j, (c, d) in enumerate(pairs)
+             if b == c] for a, b in pairs]
+    # the relation is reflexive: the unit is the sum of the pairs [e,e]
+    unit = tuple(field.coerce(a == b) for a, b in pairs)
     # for a quasi-order the radical omits pairs lying on a two-sided relation
     radical_rows = tuple(unit_vec(n, i, field)
                          for i, (a, b) in enumerate(pairs)
-                         if a != b and (b, a) not in relset)
+                         if a != b and (b, a) not in index)
     vertex_vectors = tuple(tuple(unit_vec(n, index[(e, e)], field))
                            for e in names)
     pres = Presentation(kind="incidence", radical_rows=radical_rows,
                         vertex_names=tuple(names),
                         vertex_vectors=vertex_vectors, source=poset)
-    return Algebra(field, n, basis_names, tuple(unit),
-                   tuple(tuple(r) for r in table), pres)
+    return Algebra(field, n, basis_names, unit, _pack(field.p, 1, rows), pres)
 
 
 def incidence_algebra(p: Poset, field: Field) -> Algebra:

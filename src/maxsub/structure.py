@@ -23,6 +23,7 @@ from typing import Sequence
 from .algebra import (
     Algebra,
     Subalgebra,
+    _pack,
     _products_in,
     centralizer,
     subalgebra_from_rows,
@@ -42,7 +43,6 @@ from .linalg import (
     _ints,
     _is_prime,
     _modp,
-    _scalars,
     combine,
     echelonize,
     full_subspace,
@@ -118,9 +118,9 @@ def nilpotency_degree(a: Algebra, s: Subspace) -> int:
 
 def trace_form_radical(a: Algebra) -> Subspace:
     """Kernel of (x, y) -> tr(L_x L_y); contains J(a) in any characteristic.
-    On the integer table C, tl[k] = Σ_m C_kmm = D·tr(L_{b_k}) and gram[i][j]
+    On the integer products C, tl[k] = Σ_m C_kmm = D·tr(L_{b_k}) and gram[i][j]
     = Σ_k C_ijk·tl[k] = D²·tr(L_{b_i b_j}), which has the same kernel."""
-    rows = a._int_table[1]
+    rows = a.products[1]
     tl = [sum(c for m, row in group for k, c in row if k == m)
           for group in rows]
     gram = [[0] * a.dim for _ in rows]
@@ -131,11 +131,11 @@ def trace_form_radical(a: Algebra) -> Subspace:
 
 
 def _int_left_matrix(a: Algebra, w: Sequence[int]) -> list[list[int]]:
-    """D·L_w for an integer vector w, read from the integer table (D its
-    denominator, 1 over F_p, where this is an integer lift of L_w)."""
+    """D·L_w for an integer vector w, read from the integer products (D
+    their denominator, 1 over F_p, where this is an integer lift of L_w)."""
     n = a.dim
     m = [[0] * n for _ in range(n)]
-    for wi, group in zip(w, a._int_table[1]):
+    for wi, group in zip(w, a.products[1]):
         if wi:
             for j, row in group:
                 for k, c in row:
@@ -187,8 +187,12 @@ def trace_functional_radical(a: Algebra) -> Subspace:
                 raise VerificationFailedError(
                     "trace functional is not divisible by p^i")
             phi[pc] = g
-        # x = sum c_u w_u lies in I_i iff sum_u c_u phi(b_m w_u) = 0 for all m
-        forms = [mat_vec(a.table[m], phi, f) for m in range(n)]
+        # x = sum c_u w_u lies in I_i iff sum_u c_u phi(b_m w_u) = 0 for all
+        # m: forms[m][j] = phi(b_m b_j) = sum_k c_mjk phi_k, at D = 1 over F_p
+        forms = [[0] * n for _ in range(n)]
+        for form, group in zip(forms, a.products[1]):
+            for j, row in group:
+                form[j] = sum(t * phi[k] for k, t in row) % p
         ker = kernel([mat_vec(space.basis, r, f) for r in forms], space.dim, f)
         space = echelonize([combine(c, space.basis, f) for c in ker.basis], n, f)
         q *= p
@@ -229,14 +233,13 @@ def quotient_algebra(a: Algebra, ideal: Subspace) -> tuple[Algebra, QuotientSpac
     q = quotient_space(a.dim, ideal.basis, a.field)
     # the lifts of the quotient basis are the basis vectors at the free
     # coordinates: their integer products carry the denominator of the
-    # table, and their projections that of the ideal's basis too
+    # products, and their projections that of the ideal's basis too
     lifts = [[int(k == c) for k in range(a.dim)] for c in q.free_coords]
-    den = a._int_table[0] * q.relations.int_basis[0]
-    table = tuple(tuple(tuple(_scalars(q._project_ints(a._multiply_ints(x, y)),
-                                       den, a.field.p)) for y in lifts)
-                  for x in lifts)
+    products = _pack(a.field.p, a.products[0] * q.relations.int_basis[0], (
+        [(j, enumerate(q._project_ints(a._multiply_ints(x, y))))
+         for j, y in enumerate(lifts)] for x in lifts))
     names = tuple(f"q{i+1}" for i in range(q.dim))
-    return Algebra(a.field, q.dim, names, q.project(a.unit), table), q
+    return Algebra(a.field, q.dim, names, q.project(a.unit), products), q
 
 
 # ---------------------------------------------------------------------------
@@ -629,7 +632,7 @@ def _are_matrix_units(a: Algebra, units: list[list[list]]) -> bool:
     n, m, p = len(units), a.dim, a.field.p
     d, flat = _ints([x for row in units for u in row for x in u], p)
     ints = [flat[k * m:(k + 1) * m] for k in range(n * n)]   # u_pq at p·n + q
-    scale = a._int_table[0] * d
+    scale = a.products[0] * d
     zero = [0] * m
     for i, j, k, l in itertools.product(range(n), repeat=4):
         want = [scale * x for x in ints[i * n + l]] if j == k else zero
@@ -672,7 +675,7 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence,
     system = [[im[j][i] for im in images] for i in range(n) for j in range(n)]
     # unit (p, q) is Σ y_k·W_k for the solution y of rho(u) = E_pq at that
     # scale: column p·n + q of the scaled identity
-    scale = s._int_table[0] * vspace.int_basis[0]
+    scale = s.products[0] * vspace.int_basis[0]
     rhs = [[scale if r == c else 0 for c in range(n * n)] for r in range(n * n)]
     sol, _ = solve_linear(system, rhs, f)
     if sol is None:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import os
+from fractions import Fraction
 
 import pytest
 from hypothesis import settings
@@ -166,6 +168,18 @@ def rebased(alg, rows):
                         combine(alg.unit, inv, f), table, check=True)
 
 
+# M_2(Q) on the basis 2·e11, e12/3, e21, e22: its structure constants have
+# the denominator 6
+SCALED_M2_BASIS = tuple(
+    tuple(QQ.coerce(x) for x in r)
+    for r in ((2, 0, 0, 0), (0, Fraction(1, 3), 0, 0), (0, 0, 1, 0),
+              (0, 0, 0, 1)))
+
+
+def scaled_m2():
+    return rebased(matrix_algebra(2, QQ), [list(r) for r in SCALED_M2_BASIS])
+
+
 def polynomial_quotient(modulus, field: Field):
     """K[x]/(m) on the basis 1, x, ..., x^(d-1), for a monic m given by its
     ascending coefficients."""
@@ -182,9 +196,22 @@ def polynomial_quotient(modulus, field: Field):
 
 def strip_presentation(alg):
     """The same algebra without its presentation metadata."""
-    from maxsub.algebra import Algebra
-    return Algebra(alg.field, alg.dim, alg.basis_names, alg.unit, alg.table,
-                   None)
+    return dataclasses.replace(alg, presentation=None)
+
+
+def dense_table(alg) -> list[list[tuple]]:
+    """The structure constants as a dense table: entry [i][j] holds the
+    field scalars of b_i·b_j, expanded from `alg.products` without
+    `Algebra.multiply`, for the reference loops."""
+    f = alg.field
+    den, rows = alg.products
+    table = [[[f.zero()] * alg.dim for _ in range(alg.dim)]
+             for _ in range(alg.dim)]
+    for i, group in enumerate(rows):
+        for j, terms in group:
+            for k, t in terms:
+                table[i][j][k] = f.coerce(Fraction(t, den))
+    return [[tuple(v) for v in row] for row in table]
 
 
 @pytest.fixture(scope="session")

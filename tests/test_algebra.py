@@ -1,12 +1,28 @@
 """Structure-constant algebras: validation, products, closures, conjugation."""
 
+import glob
+import math
+import os
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import A3_QUIVER, Scalars, f4_algebra, kxk, quiver_algebra
+from conftest import (
+    A3_QUIVER,
+    DIAMOND_POSET,
+    ROOT,
+    Scalars,
+    dense_table,
+    f4_algebra,
+    kxk,
+    quiver_algebra,
+    random_basis,
+    rebased,
+    scaled_m2,
+)
 from maxsub.algebra import (
     Algebra,
     bimodule_subspace,
@@ -17,14 +33,16 @@ from maxsub.algebra import (
     direct_product,
     invert_element,
     is_closed_subspace,
+    make_algebra,
     matrix_algebra,
     subalgebra,
     subalgebra_from_rows,
     subalgebra_generated,
     validate_algebra,
 )
-from maxsub.errors import InvalidInputError
-from maxsub.formats import dump_algebra, parse_algebra
+from maxsub.errors import DimensionError, InvalidInputError
+from maxsub.extensions import endomorphism_algebra
+from maxsub.formats import dump_algebra, load_algebra, parse_algebra
 from maxsub.linalg import (
     GF,
     QQ,
@@ -34,7 +52,18 @@ from maxsub.linalg import (
     saturate,
     solve_one,
 )
-from maxsub.structure import ideal_closure, is_two_sided_ideal
+from maxsub.modules import regular_module
+from maxsub.presentations import (
+    PathAlgebraPresentation,
+    incidence_algebra,
+    path_algebra,
+)
+from maxsub.structure import (
+    ideal_closure,
+    is_two_sided_ideal,
+    jacobson_radical,
+    quotient_algebra,
+)
 
 F2 = GF(2)
 F3 = GF(3)
@@ -46,12 +75,18 @@ def test_validate_matrix_algebra(m2q):
 
 def test_validate_flags_broken_table():
     # e*e = x and x*x = e is not associative together with x*e = e*x = x
-    bad = Algebra(QQ, 2, ("e", "x"), (Fraction(1), Fraction(0)),
-                  (((Fraction(0), Fraction(1)), (Fraction(0), Fraction(1))),
-                   ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0)))))
+    bad = make_algebra(QQ, ("e", "x"), (1, 0),
+                       (((0, 1), (0, 1)), ((0, 1), (1, 0))))
     rep = validate_algebra(bad)
     assert not rep.ok
     assert any("associativity" in v or "unit" in v for v in rep.violations)
+
+
+def test_algebra_rejects_a_dense_table(m2q):
+    with pytest.raises(DimensionError, match="products"):
+        Algebra(QQ, 4, m2q.basis_names, m2q.unit, dense_table(m2q))
+    with pytest.raises(DimensionError, match="products"):
+        Algebra(QQ, 4, m2q.basis_names, m2q.unit, (1, m2q.products[1][:3]))
 
 
 def test_validate_path_algebra(a3_q):
@@ -61,13 +96,15 @@ def test_validate_path_algebra(a3_q):
 # The per-scalar product loop and the basis-vector triple loop that the
 # integer table replaced, kept as references for the differential tests.
 
-def _reference_multiply(a, x, y):
+def _reference_multiply(a, x, y, table=None):
     f = a.field
     ops = Scalars(f)
+    if table is None:
+        table = dense_table(a)
     out = [f.zero()] * a.dim
     for i in range(a.dim):
         for j in range(a.dim):
-            row = a.table[i][j]
+            row = table[i][j]
             if x[i] == 0 or y[j] == 0 or all(c == 0 for c in row):
                 continue
             c = ops.mul(x[i], y[j])
@@ -75,7 +112,7 @@ def _reference_multiply(a, x, y):
     return out
 
 
-def _reference_violations(a):
+def _reference_violations(a, table):
     bad = []
     for i in range(a.dim):
         bi = a.basis_vector(i)
@@ -88,8 +125,8 @@ def _reference_violations(a):
         for j in range(a.dim):
             for k in range(a.dim):
                 bk = a.basis_vector(k)
-                left = _reference_multiply(a, list(a.table[i][j]), bk)
-                right = _reference_multiply(a, bi, list(a.table[j][k]))
+                left = _reference_multiply(a, list(table[i][j]), bk, table)
+                right = _reference_multiply(a, bi, list(table[j][k]), table)
                 if left != right:
                     bad.append(
                         "associativity fails at "
@@ -116,13 +153,13 @@ def test_q_multiply_matches_reference_loop(field, data):
         table_entry = entry.map(field.coerce)
     entries = st.lists(table_entry, min_size=n, max_size=n).map(tuple)
     table = tuple(tuple(data.draw(entries) for _ in range(n)) for _ in range(n))
-    a = Algebra(field, n, tuple(f"b{i}" for i in range(n)),
-                (field.one(),) * n, table)
+    a = make_algebra(field, [f"b{i}" for i in range(n)], (field.one(),) * n,
+                     table)
     x = data.draw(st.lists(entry, min_size=n, max_size=n))
     y = data.draw(st.lists(entry, min_size=n, max_size=n))
     for u, v in ((x, y), ([0] * n, y), (x, [0] * n)):
         got = a.multiply(u, v)
-        assert got == _reference_multiply(a, u, v)
+        assert got == _reference_multiply(a, u, v, table)
         if p is None:
             assert all(type(c) is Fraction for c in got)
         else:
@@ -136,14 +173,13 @@ def test_q_multiply_matches_reference_loop(field, data):
                         min_size=1, max_size=3, unique_by=lambda c: c[:3]))
 def test_validate_matches_reference_triple_loop(field, changes):
     m2 = matrix_algebra(2, field)
-    table = [[list(v) for v in row] for row in m2.table]
+    table = [[list(v) for v in row] for row in dense_table(m2)]
     ops = Scalars(field)
     for i, j, k, delta in changes:
         table[i][j][k] = ops.add(table[i][j][k], field.coerce(delta))
-    bad = Algebra(field, 4, m2.basis_names, m2.unit,
-                  tuple(tuple(tuple(v) for v in row) for row in table))
+    bad = make_algebra(field, m2.basis_names, m2.unit, table)
     violations = validate_algebra(bad).violations
-    assert violations == _reference_violations(bad)
+    assert violations == _reference_violations(bad, table)
     if len(changes) == 1:
         assert violations   # any single change breaks a law of M_2
 
@@ -158,8 +194,8 @@ def test_validate_reduces_mod_p():
                         for y in p) for x in p)
     unit = tuple(solve_one(cols, list(m2.unit), F3))
     names = ("b1", "b2", "b3", "b4")
-    assert validate_algebra(Algebra(F3, 4, names, unit, table)).ok
-    assert not validate_algebra(Algebra(QQ, 4, names, unit, table)).ok
+    assert validate_algebra(make_algebra(F3, names, unit, table)).ok
+    assert not validate_algebra(make_algebra(QQ, names, unit, table)).ok
 
 
 def test_multiply_unit(m2q):
@@ -353,14 +389,101 @@ def test_generated_is_closure_operator_f2():
     assert all(g1.space.contains_vec(list(r)) for r in g3.space.basis)
 
 
-def test_algebra_text_roundtrip(m2q, a3_q):
-    for alg in (m2q, a3_q, f4_algebra()):
+def _constructed(field):
+    """One output of each constructor over the field; over Q some of them
+    are built on a basis whose structure constants have denominators."""
+    m2 = matrix_algebra(2, field)
+    scaled = m2 if field.p is not None else scaled_m2()
+    ut3 = block_triangular(3, (1, 1, 1), field).as_algebra()
+    a3 = quiver_algebra(A3_QUIVER, field)
+    a3_zero = path_algebra(PathAlgebraPresentation(
+        A3_QUIVER, relations=(((1, ("a", "b")),),)), field)
+    return [
+        m2, matrix_algebra(3, field), scaled,
+        direct_product([kxk(field), scaled]),
+        incidence_algebra(DIAMOND_POSET, field),
+        a3, a3_zero,
+        quotient_algebra(ut3, jacobson_radical(ut3))[0],
+        quotient_algebra(scaled, echelonize([], 4, field))[0],
+        block_triangular(2, (1, 1), field, ambient=scaled).as_algebra(),
+        ut3,
+        endomorphism_algebra(regular_module(a3))[0],
+    ]
+
+
+def _data_algebras():
+    out = []
+    for path in sorted(glob.glob(os.path.join(ROOT, "data", "*"))):
+        if path.endswith(".alg"):
+            out.append(load_algebra(path))
+        elif path.endswith((".quiver", ".poset")):
+            out += [load_algebra(path, f) for f in (QQ, F2, F3)]
+    return out
+
+
+def _assert_normal_form(alg):
+    """`Algebra.products` holds only nonzero entries, j and k strictly
+    ascending, at the least denominator over Q and at D = 1 over F_p."""
+    p = alg.field.p
+    den, rows = alg.products
+    assert len(rows) == alg.dim
+    entries = []
+    for group in rows:
+        js = [j for j, _ in group]
+        assert js == sorted(set(js)) and all(0 <= j < alg.dim for j in js)
+        for _, terms in group:
+            ks = [k for k, _ in terms]
+            assert terms and ks == sorted(set(ks))
+            assert all(0 <= k < alg.dim for k in ks)
+            entries += [t for _, t in terms]
+    assert all(type(t) is int and t != 0 for t in entries)
+    if p is None:
+        assert den >= 1 and math.gcd(den, *entries) == 1
+    else:
+        assert den == 1 and all(1 <= t < p for t in entries)
+
+
+def test_algebra_text_roundtrip():
+    algebras = _data_algebras()
+    for field in (QQ, F2, F3):
+        algebras += _constructed(field) + [f4_algebra()]
+    for alg in algebras:
+        _assert_normal_form(alg)
         text = dump_algebra(alg)
         back = parse_algebra(text)
         assert back.dim == alg.dim
         assert back.unit == alg.unit
-        assert back.table == alg.table
+        assert back.products == alg.products
         assert dump_algebra(back) == text
+
+
+_NORMAL_FORM_CASES = {}
+
+
+def _normal_form_cases(field):
+    if field not in _NORMAL_FORM_CASES:
+        _NORMAL_FORM_CASES[field] = [a for a in _constructed(field)
+                                     if a.dim <= 6]
+    return _NORMAL_FORM_CASES[field]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from([QQ, F2, F3]), st.data())
+def test_stored_products_are_in_normal_form(field, data):
+    alg = data.draw(st.sampled_from(_normal_form_cases(field)))
+    _assert_normal_form(alg)
+    rng = random.Random(data.draw(st.integers(0, 2 ** 32)))
+    rows = random_basis(alg.dim, field, rng)
+    if field.p is None:
+        # scaled rows give the constants denominators
+        rows = [[c * s for c in r] for r in rows
+                for s in [rng.choice((1, 2, Fraction(1, 3), Fraction(-3, 2)))]]
+    b = rebased(alg, rows)
+    _assert_normal_form(b)
+    _assert_normal_form(quotient_algebra(b, jacobson_radical(b))[0])
+    _assert_normal_form(parse_algebra(dump_algebra(b)))
+    # k[x] for a dense x: its echelon basis is dense too
+    _assert_normal_form(subalgebra_generated(b, rows[:1]).as_algebra())
 
 
 def _centralizer_loop(a, s):

@@ -27,12 +27,12 @@ from conftest import (
     rebased,
 )
 from maxsub.algebra import (
-    Algebra,
     block_triangular,
     centralizer,
     centralizer_in,
     direct_product,
     full_subalgebra,
+    make_algebra,
     matrix_algebra,
     subalgebra_from_rows,
     subalgebra_generated,
@@ -126,7 +126,7 @@ def _quotient_algebra_loop(a, ideal):
               for j in range(dim))
         for i in range(dim))
     unit = tuple(q.project(list(a.unit)))
-    return Algebra(a.field, dim, names, unit, table), q
+    return make_algebra(a.field, names, unit, table), q
 
 
 def _split_central_idempotents_loop(s, center):

@@ -1,10 +1,11 @@
 """CLI: bundled files parse and validate, reports reproduce byte-for-byte."""
 
-import importlib
+import importlib.util
 import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 import time
@@ -413,3 +414,40 @@ def test_mod_induce_of_the_restricted_zigzag_module(tmp_path):
 def test_poset_build_of_the_diamond():
     res = _json_result(["poset", "build", "data/diamond.poset"])
     assert (res["dim"], res["valid"]) == (9, True)
+
+
+# the stdout of two paper demos under scripts/: the F_2 families against
+# the brute-force oracle (its sec column masked), and restriction to D4 and
+# induction back
+DEMO_OUTPUTS = {
+    "oracle_survey.py": """\
+algebra            dim families classes types                        match
+A2 path              3        2       2 1 semisimple, 1 split          yes
+A3 path              6        5       5 3 semisimple, 2 split          yes
+Kronecker            4        4       4 1 semisimple, 3 split          yes
+chain3 incidence     6        5       5 3 semisimple, 2 split          yes
+uppertri3            6        5       5 3 semisimple, 2 split          yes
+K x K                2        1       1 1 semisimple                   yes
+K x K x M2           6        3       3 3 semisimple                   yes
+M2                   4        2       2 2 semisimple                   yes
+""",
+    "restriction_experiment.py": """\
+defining module over the zigzag incidence algebra: ((1, 1, 1, 1, 1), True)
+restriction to the embedded D_4: [5] summand(s)
+induction back up: dim 5 -> [5] summands
+defining module recovered as a summand: True
+""",
+}
+
+
+@pytest.mark.parametrize("script", sorted(DEMO_OUTPUTS))
+def test_paper_demos_print_their_pinned_text(script, capsys):
+    spec = importlib.util.spec_from_file_location(
+        script[:-3], os.path.join(ROOT, "scripts", script))
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    mod.main()
+    out = capsys.readouterr().out
+    if script == "oracle_survey.py":
+        out = re.sub(r" +(sec|[0-9.]+)$", "", out, flags=re.M)
+    assert out == DEMO_OUTPUTS[script]

@@ -21,10 +21,13 @@ from hypothesis import strategies as st
 import maxsub.maximal
 from conftest import (
     KRONECKER_QUIVER,
+    SCALED_M2_BASIS,
+    dense_table,
     kxkxm2,
     quiver_algebra,
     random_basis,
     rebased,
+    scaled_m2,
 )
 from maxsub.algebra import (
     block_triangular,
@@ -109,10 +112,11 @@ def _module_violation_ref(mod):
     unit_mat = mod.action_matrix(list(a.unit))
     if [list(r) for r in unit_mat] != ident:
         return "action(unit) != identity"
+    table = dense_table(a)
     for i in range(a.dim):
         for j in range(a.dim):
             prod = mat_mul(mod.action[i], mod.action[j], f)
-            want = mod.action_matrix(list(a.table[i][j]))
+            want = mod.action_matrix(list(table[i][j]))
             if [list(r) for r in prod] != [list(r) for r in want]:
                 return (f"action({a.basis_names[i]})*action({a.basis_names[j]})"
                         " mismatches the structure constants")
@@ -286,11 +290,9 @@ def test_matrix_units_with_denominators_in_table_and_units():
     """M2 on the basis 2·e11, e12/3, e21, e22: the table has denominator 6
     and the units e11 = b1/2, e12 = 3·b2 carry denominators too."""
     m2 = matrix_algebra(2, QQ)
-    rows = [[QQ.coerce(x) for x in r]
-            for r in ([2, 0, 0, 0], [0, Fraction(1, 3), 0, 0], [0, 0, 1, 0],
-                      [0, 0, 0, 1])]
-    alg = rebased(m2, rows)
-    assert alg._int_table[0] == 6
+    rows = [list(r) for r in SCALED_M2_BASIS]
+    alg = scaled_m2()
+    assert alg.products[0] == 6
     units = [[[Fraction(1, 2), 0, 0, 0], [0, 3, 0, 0]],
              [[0, 0, 1, 0], [0, 0, 0, 1]]]
     units = [[[QQ.coerce(x) for x in u] for u in row] for row in units]

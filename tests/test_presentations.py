@@ -18,6 +18,7 @@ from conftest import (
     KRONECKER_QUIVER,
     ZIGZAG_POSET,
     Scalars,
+    dense_table,
     quiver_algebra,
 )
 from maxsub.algebra import validate_algebra
@@ -328,9 +329,10 @@ def test_path_incidence_canonical_isomorphism():
             return out
 
         assert phi(list(palg.unit)) == list(ialg.unit)
+        table = dense_table(palg)
         for i in range(palg.dim):
             for j in range(palg.dim):
-                lhs = phi(list(palg.table[i][j]))
+                lhs = phi(list(table[i][j]))
                 rhs = ialg.multiply(phi(palg.basis_vector(i)),
                                     phi(palg.basis_vector(j)))
                 assert lhs == rhs, (quiver.vertices, i, j)
