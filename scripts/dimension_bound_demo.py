@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import os
 import sys
-import time
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -65,7 +64,6 @@ def main():
         cells = []
         for p in (2, 3):
             bf = build(GF(p))
-            t0 = time.time()
             try:
                 got = observed_max_dim(bf)
                 mark = f"{got}={bound}" if got == bound else f"{got}!={bound}"

@@ -125,10 +125,6 @@ class Algebra:
         return unit_vec(self.dim, i, self.field)
 
 
-def multiply(a: Algebra, x: Sequence, y: Sequence) -> list:
-    return a.multiply(x, y)
-
-
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[str, ...]
@@ -404,13 +400,6 @@ def conjugate_subalgebra(a: Algebra, u: Sequence, s: Subalgebra) -> Subalgebra:
         raise InvalidInputError("conjugating element is not invertible")
     rows = [a.multiply(a.multiply(u, list(x)), uinv) for x in s.space.basis]
     return subalgebra_from_rows(a, rows, check=False)
-
-
-def conjugate_subspace(a: Algebra, u: Sequence, uinv: Sequence,
-                       s: Subspace) -> Subspace:
-    rows = [a.multiply(a.multiply(list(u), list(x)), list(uinv))
-            for x in s.basis]
-    return echelonize(rows, a.dim, a.field)
 
 
 # ---------------------------------------------------------------------------

@@ -19,9 +19,8 @@ from typing import Iterator, Sequence
 from .algebra import (
     Algebra,
     Subalgebra,
+    _products_in,
     centralizer_in,
-    conjugate_subspace,
-    invert_element,
     is_closed_subspace,
     subalgebra_from_rows,
 )
@@ -593,28 +592,55 @@ class OracleResult:
 
 
 def unit_group(b: Algebra) -> list[tuple[list, list]]:
-    """All invertible elements with their inverses; |B| must be <= 3^7."""
-    if not b.field.is_finite:
+    """All invertible elements with their inverses; |B| must be <= 3^7.
+
+    x is a unit iff L_x: y ↦ x·y has full rank.  L_x = Σ xᵢ·L_{eᵢ} is
+    summed on integer rows, and one elimination of [L_x | 1] gives both
+    the rank and the inverse y; y·x = 1 is checked too.
+    """
+    f, n, one = b.field, b.dim, list(b.unit)
+    if not f.is_finite:
         raise NotFiniteFieldError("unit group sweep needs a finite field")
-    if b.field.p ** b.dim > 3 ** 7:
+    if f.p ** n > 3 ** 7:
         raise CapExceededError("unit group too large to sweep")
+    ops = [[x for row in b.left_mult_matrix(b.basis_vector(i)) for x in row]
+           for i in range(n)]   # L_{e_i}, row-major
     units = []
-    for v in all_vectors(b.dim, b.field):
-        inv = invert_element(b, list(v))
-        if inv is not None:
-            units.append((list(v), inv))
+    for v in all_vectors(n, f):
+        flat = [0] * (n * n)
+        for x, op in zip(v, ops):
+            if x:
+                flat = [a + x * y for a, y in zip(flat, op)]
+        e = _Echelon(f, (flat[r * n:(r + 1) * n] + [one[r]] for r in range(n)))
+        if len(e.pivots) == n and e.pivots[-1] < n:
+            inv = [row[n] for row in e.rows]
+            if [x % f.p for x in b._multiply_ints(inv, v)] == one:
+                units.append((list(v), inv))
     return units
+
+
+def _orbit(b: Algebra, space: Subspace,
+           units: Sequence[tuple[Sequence, Sequence]]) -> set[tuple]:
+    """The echelon bases of the conjugates u·space·u⁻¹, from the integer
+    products u·x·u⁻¹ of the basis rows x.  As λu conjugates like u, one
+    unit per line (its row normal form) is enough."""
+    f, mul = b.field, b._multiply_ints
+    rows = space.int_basis[1]
+    orbit, lines = set(), set()
+    for u, uinv in units:
+        u, uinv = _ints(u, f.p)[1], _ints(uinv, f.p)[1]
+        line = tuple(_Echelon(f, [u]).rows[0])
+        if line not in lines:
+            lines.add(line)
+            conj = _Echelon(f, (mul(mul(u, x), uinv) for x in rows))
+            orbit.add(conj.subspace(b.dim).basis)
+    return orbit
 
 
 def conjugacy_orbit_rep(b: Algebra, space: Subspace,
                         units: list[tuple[list, list]]) -> tuple:
     """Canonical representative (minimal echelon basis) of the orbit."""
-    best = space.basis
-    for u, uinv in units:
-        cand = conjugate_subspace(b, u, uinv, space).basis
-        if cand < best:
-            best = cand
-    return best
+    return min(_orbit(b, space, units) | {space.basis})
 
 
 def _check_oracle_caps(b: Algebra):
@@ -628,28 +654,28 @@ def _check_oracle_caps(b: Algebra):
 def brute_force_maximal(b: Algebra) -> OracleResult:
     """Ground truth: all maximal subalgebras of a small finite algebra.
 
-    Enumerates every proper unital multiplicatively closed subspace in
-    descending dimension, marks the maximal ones by pairwise containment,
-    and partitions them into conjugacy classes under the full unit group.
+    Generates the subspaces that contain 1 in descending dimension, keeps
+    the multiplicatively closed ones and marks the maximal ones by
+    pairwise containment.  Each maximal one not yet labelled is conjugated
+    by the full unit group, and its whole orbit gets the orbit's minimal
+    echelon basis as its conjugacy class key.
     """
     _check_oracle_caps(b)
-    f = b.field
-    closed: list[Subspace] = []
-    unit_vecb = list(b.unit)
-    has_unit = lambda s: s.contains_vec(unit_vecb)
-    for k in range(b.dim - 1, 0, -1):
-        for s in enumerate_subspaces(b.dim, k, f, filt=has_unit):
-            if is_closed_subspace(b, s):
-                closed.append(s)
+    closed = [s for k in range(b.dim - 1, 0, -1)
+              for s in enumerate_subspaces(b.dim, k, b.field, b.unit)
+              if _products_in(b, s.basis, s.basis, s)]
     maximal = []
     for s in closed:
         if not any(t.dim > s.dim and subspace_contains(t, s) for t in closed):
             maximal.append(s)
     units = unit_group(b)
+    labels: dict[tuple, tuple] = {}
     reps: dict[tuple, list[Subalgebra]] = {}
     for s in maximal:
-        key = conjugacy_orbit_rep(b, s, units)
-        reps.setdefault(key, []).append(Subalgebra(b, s))
+        if s.basis not in labels:
+            orbit = _orbit(b, s, units)
+            labels.update(dict.fromkeys(orbit, min(orbit)))
+        reps.setdefault(labels[s.basis], []).append(Subalgebra(b, s))
     keys = sorted(reps)
     classes = tuple(tuple(reps[k]) for k in keys)
     max_dim = max((s.dim for s in maximal), default=None)
@@ -660,20 +686,17 @@ def brute_force_maximal(b: Algebra) -> OracleResult:
 def observed_max_dim(b: Algebra) -> int | None:
     """Largest dimension of a proper unital closed subspace (early exit).
 
-    Scans subspace strata in descending dimension and stops at the first
-    stratum containing a subalgebra; wider ambient caps than the full
-    oracle since only one stratum is usually touched.
+    Scans the subspaces that contain 1 in descending dimension and stops
+    at the first subalgebra; wider ambient caps than the full oracle
+    since only one stratum is usually touched.
     """
     if not b.field.is_finite or b.field.p not in MAXDIM_AMBIENT_CAP:
         raise NotFiniteFieldError("observed_max_dim runs over F_2 and F_3 only")
     if b.dim > MAXDIM_AMBIENT_CAP[b.field.p]:
         raise CapExceededError("ambient dimension beyond the max-dim cap")
-    unit_vecb = list(b.unit)
-    for k in range(b.dim - 1, 0, -1):
-        for s in enumerate_subspaces(b.dim, k, b.field):
-            if s.contains_vec(unit_vecb) and is_closed_subspace(b, s):
-                return k
-    return None
+    return next((k for k in range(b.dim - 1, 0, -1)
+                 for s in enumerate_subspaces(b.dim, k, b.field, b.unit)
+                 if _products_in(b, s.basis, s.basis, s)), None)
 
 
 def max_proper_subalgebra_dim(b: Algebra) -> int:

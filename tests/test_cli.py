@@ -416,10 +416,24 @@ def test_poset_build_of_the_diamond():
     assert (res["dim"], res["valid"]) == (9, True)
 
 
-# the stdout of two paper demos under scripts/: the F_2 families against
-# the brute-force oracle (its sec column masked), and restriction to D4 and
+# the stdout of three paper demos under scripts/: the max-dimension bound
+# against the descending F_2/F_3 scan, the F_2 families against the
+# brute-force oracle (its sec column masked), and restriction to D4 and
 # induction back
 DEMO_OUTPUTS = {
+    "dimension_bound_demo.py": """\
+algebra            dim blocks     bound  F2 scan  F3 scan
+A2 path              3 (1,1     )     2      2=2      2=2
+A3 path              6 (1,1,1   )     5      5=5      5=5
+Kronecker path       4 (1,1     )     3      3=3      3=3
+D4 path              7 (1,1,1,1 )     6      6=6      6=6
+chain3 incidence     6 (1,1,1   )     5      5=5      5=5
+diamond incidence    9 (1,1,1,1 )     8      8=8      8=8
+K x K x M2           6 (1,1,2   )     5      5=5      5=5
+uppertri3            6 (1,1,1   )     5      5=5      5=5
+M2                   4 (2       )     3      3=3      3=3
+M3                   9 (3       )     7      7=7      7=7
+""",
     "oracle_survey.py": """\
 algebra            dim families classes types                        match
 A2 path              3        2       2 1 semisimple, 1 split          yes

@@ -4,11 +4,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import Scalars
-from maxsub.errors import InvalidInputError, NotFiniteFieldError
+from maxsub.errors import DimensionError, InvalidInputError, NotFiniteFieldError
 from maxsub.linalg import (
     GF,
     QQ,
@@ -351,11 +351,40 @@ def test_span_elements_are_the_distinct_members(field):
 
 def test_enumerate_filter_applied():
     fixed = (1, 1, 0)
-    hits = list(enumerate_subspaces(3, 2, F2,
-                                    filt=lambda s: s.contains_vec(fixed)))
+    hits = list(enumerate_subspaces(3, 2, F2, fixed))
     # planes of F_2^3 through a fixed nonzero vector: (2 choose 1)_2 = 3
     assert len(hits) == 3
     assert all(s.contains_vec(fixed) for s in hits)
+    with pytest.raises(DimensionError):
+        list(enumerate_subspaces(3, 2, F2, (1, 1)))
+
+
+@st.composite
+def containing_cases(draw):
+    field = draw(st.sampled_from([F2, F3]))
+    n = draw(st.integers(0, 5))
+    k = draw(st.integers(0, n))
+    # any ints: the stream reduces the vector mod p itself
+    u = draw(st.lists(st.integers(-field.p, 2 * field.p), min_size=n,
+                      max_size=n))
+    return field, n, k, u
+
+
+@settings(deadline=None)
+@given(case=containing_cases())
+@example(case=(F3, 4, 2, [0, 0, 0, 0]))        # u = 0: every subspace
+@example(case=(F2, 5, 0, [0, 0, 0, 0, 0]))
+@example(case=(F2, 5, 0, [0, 0, 1, 0, 0]))     # k = 0 misses every u ≠ 0
+# u zero at every pivot of most pivot patterns
+@example(case=(F3, 5, 2, [0, 0, 1, 2, 0]))
+@example(case=(F2, 5, 3, [0, 0, 0, 1, 1]))
+@example(case=(F3, 4, 4, [3, -1, 5, 2]))       # entries outside [0, p)
+def test_containing_stream_is_the_filtered_stream(case):
+    """The subspaces generated to contain u are the full stream filtered
+    by membership of u, in the same order."""
+    field, n, k, u = case
+    want = [s for s in enumerate_subspaces(n, k, field) if s.contains_vec(u)]
+    assert list(enumerate_subspaces(n, k, field, u)) == want
 
 
 def _kron_loop(u, v, field):

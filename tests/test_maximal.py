@@ -1,6 +1,7 @@
 """Maximal families, certification, classification, brute-force oracle."""
 
 import itertools
+import random
 
 import pytest
 
@@ -15,16 +16,25 @@ from conftest import (
     kxkxm2,
     polynomial_quotient,
     quiver_algebra,
+    random_basis,
+    rebased,
 )
 from maxsub.algebra import (
     block_triangular,
     direct_product,
+    invert_element,
     is_closed_subspace,
     matrix_algebra,
     subalgebra_from_rows,
 )
 from maxsub.errors import CapExceededError, InvalidInputError, NotSplitError
-from maxsub.linalg import GF, QQ
+from maxsub.linalg import (
+    GF,
+    QQ,
+    echelonize,
+    enumerate_subspaces,
+    subspace_contains,
+)
 from maxsub.maximal import (
     Certificate,
     MaximalFamily,
@@ -340,6 +350,70 @@ def test_pointed_oracle_all_codim_one():
     for b in (quiver_algebra(A3_QUIVER, F2), quiver_algebra(KRONECKER_QUIVER, F2)):
         res = brute_force_maximal(b)
         assert all(s.dim == b.dim - 1 for s in res.maximal)
+
+
+def _oracle_loop(b):
+    """Reference oracle: the former bodies of `brute_force_maximal`,
+    `unit_group`, `conjugacy_orbit_rep` and `observed_max_dim`.  Every
+    subspace is enumerated and kept when it contains 1 and
+    `is_closed_subspace` holds; `invert_element` runs on every vector; and
+    each maximal subalgebra is conjugated by every unit through
+    `Algebra.multiply`."""
+    f, one = b.field, list(b.unit)
+    closed = [s for k in range(b.dim - 1, 0, -1)
+              for s in enumerate_subspaces(b.dim, k, f)
+              if s.contains_vec(one) and is_closed_subspace(b, s)]
+    maximal = [s for s in closed
+               if not any(t.dim > s.dim and subspace_contains(t, s)
+                          for t in closed)]
+    units = []
+    for v in itertools.product(range(f.p), repeat=b.dim):
+        inv = invert_element(b, list(v))
+        if inv is not None:
+            units.append((list(v), inv))
+    reps = {}
+    for s in maximal:
+        key = s.basis
+        for u, uinv in units:
+            rows = [b.multiply(b.multiply(u, list(x)), uinv) for x in s.basis]
+            key = min(key, echelonize(rows, b.dim, f).basis)
+        reps.setdefault(key, []).append(s)
+    keys = sorted(reps)
+    max_dim = max((s.dim for s in maximal), default=None)
+    observed = closed[0].dim if closed else None
+    return (maximal, [reps[k] for k in keys], keys, max_dim, units,
+            observed)
+
+
+@pytest.mark.parametrize("build,seed", [
+    pytest.param(lambda: block_triangular(3, [1, 1, 1], F3).as_algebra(), 1,
+                 id="T3/F3"),
+    pytest.param(lambda: block_triangular(3, [1, 1, 1], F2).as_algebra(), 2,
+                 id="T3/F2"),
+    pytest.param(lambda: direct_product([matrix_algebra(2, F3),
+                                         matrix_algebra(1, F3)]), 3,
+                 id="M2xF3/F3"),
+    pytest.param(lambda: direct_product([matrix_algebra(2, F2),
+                                         matrix_algebra(1, F2),
+                                         matrix_algebra(1, F2)]), 4,
+                 id="M2xF2xF2/F2"),
+])
+def test_oracle_matches_the_reference_loop(build, seed):
+    """On a random basis, where 1 is dense, the oracle's fields equal the
+    reference loop's in order, and so do the unit group, the orbit keys
+    and the observed maximal dimension."""
+    base = build()
+    b = rebased(base, random_basis(base.dim, base.field, random.Random(seed)))
+    maximal, classes, keys, max_dim, units, observed = _oracle_loop(b)
+    res = brute_force_maximal(b)
+    assert [a.space for a in res.maximal] == maximal
+    assert [[a.space for a in c] for c in res.classes] == classes
+    assert list(res.class_reps) == keys
+    assert res.max_dim == max_dim
+    assert unit_group(b) == units
+    assert observed_max_dim(b) == observed
+    assert all(conjugacy_orbit_rep(b, s, units) == k
+               for k, c in zip(keys, classes) for s in c)
 
 
 def test_maxdim_matrix_algebras():
