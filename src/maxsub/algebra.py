@@ -110,16 +110,43 @@ class Algebra:
         den = self.products[0] * dx * dy
         return _scalars(self._multiply_ints(xs, ys), den, p)
 
+    def _left_ints(self, w: Sequence[int]) -> list[list[int]]:
+        """D·L_w for an integer row w: column j is D·(w·b_j), read off
+        `products` (over F_p an integer lift of L_w, not reduced mod p)."""
+        m = [[0] * self.dim for _ in range(self.dim)]
+        for wi, group in zip(w, self.products[1]):
+            if wi:
+                for j, row in group:
+                    for k, c in row:
+                        m[k][j] += wi * c
+        return m
+
+    def _right_ints(self, w: Sequence[int]) -> list[list[int]]:
+        """D·R_w for an integer row w: column i is D·(b_i·w), read off
+        `products` like `_left_ints`."""
+        m = [[0] * self.dim for _ in range(self.dim)]
+        for i, group in enumerate(self.products[1]):
+            for j, row in group:
+                if w[j]:
+                    for k, c in row:
+                        m[k][i] += w[j] * c
+        return m
+
+    def _operator(self, kernel, x: Sequence) -> list:
+        """The field matrix of `_left_ints` or `_right_ints` at x."""
+        if len(x) != self.dim:
+            raise DimensionError("vector length != algebra dimension")
+        p = self.field.p
+        d, xs = _ints(x, p)
+        return [_scalars(row, self.products[0] * d, p) for row in kernel(xs)]
+
     def left_mult_matrix(self, x: Sequence) -> list:
         """Matrix of y -> x*y in the algebra basis (columns are images)."""
-        cols = [self.multiply(x, unit_vec(self.dim, j, self.field))
-                for j in range(self.dim)]
-        return [list(c) for c in zip(*cols)]
+        return self._operator(self._left_ints, x)
 
     def right_mult_matrix(self, x: Sequence) -> list:
-        cols = [self.multiply(unit_vec(self.dim, j, self.field), x)
-                for j in range(self.dim)]
-        return [list(c) for c in zip(*cols)]
+        """Matrix of y -> y*x in the algebra basis (columns are images)."""
+        return self._operator(self._right_ints, x)
 
     def basis_vector(self, i: int) -> list:
         return unit_vec(self.dim, i, self.field)
@@ -144,14 +171,14 @@ def validate_algebra(a: Algebra) -> ValidationReport:
     p = a.field.p
     du, unit = _ints(a.unit, p)
     scale = a.products[0] * du
-    for i in range(a.dim):
-        # the products with the unit carry the scale D·du of the integer unit
-        bi = [int(k == i) for k in range(a.dim)]
-        want = [scale * x for x in bi]
-        if _modp(a._multiply_ints(unit, bi), p) != want:
-            bad.append(f"unit * {a.basis_names[i]} != {a.basis_names[i]}")
-        if _modp(a._multiply_ints(bi, unit), p) != want:
-            bad.append(f"{a.basis_names[i]} * unit != {a.basis_names[i]}")
+    # D·L_1 and D·R_1 carry the scale D·du of the integer unit
+    lu, ru = a._left_ints(unit), a._right_ints(unit)
+    for i, name in enumerate(a.basis_names):
+        want = [scale * (k == i) for k in range(a.dim)]
+        if _modp([row[i] for row in lu], p) != want:
+            bad.append(f"unit * {name} != {name}")
+        if _modp([row[i] for row in ru], p) != want:
+            bad.append(f"{name} * unit != {name}")
     grid = [dict(group) for group in a.products[1]]
     names = a.basis_names
     for i, gi in enumerate(grid):

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shlex
 import sys
 import time
 
@@ -500,14 +501,8 @@ def run(argv: list[str]) -> tuple[int, str]:
             digests.append({"path": path, "sha256": formats.sha256_file(path)})
         except OSError:
             digests.append({"path": path, "sha256": "unreadable"})
-    echo = [args.cmd]
-    if hasattr(args, "action"):
-        echo.append(args.action)
-    echo.extend(paths)
-    if getattr(args, "rest", None):
-        echo.extend(args.rest)
     report = {
-        "command": " ".join(echo),
+        "command": shlex.join(argv),
         "seed": 0,
         "inputs": digests,
         "result": result,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .algebra import (
@@ -58,6 +59,7 @@ from .modules import Module, make_module, regular_module
 from .structure import (
     StructureReport,
     WMData,
+    _flanked_span,
     is_two_sided_ideal,
     jacobson_radical,
     lift_idempotents,
@@ -120,27 +122,22 @@ def _bimodule_system(a: Subalgebra, q: QuotientSpace, lifts: list,
     D_b·D_s times the exact products (`Algebra._multiply_ints`).  G is
     D_b·D_s² times their B/A coordinates (`QuotientSpace._project_ints`);
     C is their entries at A's pivots, where the lifts vanish; L is D_A
-    times the exact matrix (`products` of A).  Every equation is scaled
-    by D_A·D_b·D_s², which leaves the span of the rows [X | C] as it is.
+    times the exact matrix (`_left_ints` or `_right_ints` of A).  Every
+    equation is scaled by D_A·D_b·D_s², which leaves the span of the rows
+    [X | C] as it is.
     """
-    b = a.parent
+    b, aalg = a.parent, a.as_algebra()
     p = b.field.p
     ds, arows = a.space.int_basis
-    dt, groups = a.as_algebra().products
-    db = b.products[0]
-    da = a.dim
-    table = [[[0] * da for _ in range(da)] for _ in range(da)]
-    for i, group in enumerate(groups):
-        for j, terms in group:
-            for k, c in terms:
-                table[i][j][k] = c
+    dt, db = aalg.products[0], b.products[0]
     ls = [_ints(l, p)[1] for l in lifts]
     mul = b._multiply_ints
     scale = db * ds * ds
     rows, rhs = [], []
     for k, r in enumerate(arows):
-        left = ([mul(r, l) for l in ls], table[k])
-        right = ([mul(l, r) for l in ls], [row[k] for row in table])
+        ak = [int(i == k) for i in range(a.dim)]
+        left = ([mul(r, l) for l in ls], _columns(aalg._left_ints(ak)))
+        right = ([mul(l, r) for l in ls], _columns(aalg._right_ints(ak)))
         for prods, lt in (left, right):
             lt = [[scale * x for x in row] for row in lt]
             gammas = [[dt * x for x in q._project_ints(v)] for v in prods]
@@ -175,38 +172,56 @@ class TensorSquare:
     def dim(self) -> int:
         return self.quotient.dim
 
+    @cached_property
+    def _operators(self) -> tuple[list, list]:
+        """The columns of L_{b_k} and of R_{b_k} for each basis element b_k
+        of B: b_k·b_i and b_i·b_k."""
+        b = self.b
+        basis = [b.basis_vector(k) for k in range(b.dim)]
+        return ([_columns(b.left_mult_matrix(x)) for x in basis],
+                [_columns(b.right_mult_matrix(x)) for x in basis])
+
     def multiply_down(self, e: Sequence) -> list:
         """The multiplication map u: B (x)_A B -> B on quotient coordinates:
-        Σ_ij e_ij·b_i·b_j is the sum over i of b_i times row i of the lift."""
-        b, n = self.b, self.b.dim
-        v = self.quotient.lift(e)
-        return combine([b.field.one()] * n, [
-            b.multiply(b.basis_vector(i), v[i * n:(i + 1) * n])
-            for i in range(n)], b.field)
+        Σ_ij e_ij·b_i·b_j, with b_i·b_j column j of L_{b_i}."""
+        return combine(self.quotient.lift(e), [
+            col for op in self._operators[0] for col in op], self.b.field)
 
     def flank(self, x: Sequence, e: Sequence, y: Sequence) -> tuple:
         """x . e . y for algebra elements x, y acting on the two legs."""
         b = self.b
-        return _tensor_image(
-            self.quotient, e, b.dim,
-            lambda i, j: (b.multiply(list(x), b.basis_vector(i)),
-                          b.multiply(b.basis_vector(j), list(y))))
+        return _tensor_image(self.quotient, e,
+                             _columns(b.left_mult_matrix(list(x))),
+                             _columns(b.right_mult_matrix(list(y))))
+
+    def _commutators(self, e: Sequence):
+        """The pairs (b_k . e, e . b_k) for the basis elements b_k of B."""
+        ident = identity_matrix(self.b.dim, self.b.field)
+        for left, right in zip(*self._operators):
+            yield (_tensor_image(self.quotient, e, left, ident),
+                   _tensor_image(self.quotient, e, ident, right))
 
     def embed_pure(self, x: Sequence, y: Sequence) -> tuple:
         """Image of the pure tensor x (x) y in quotient coordinates."""
         return self.quotient.project(kron(x, y, self.b.field))
 
 
-def _tensor_image(q: QuotientSpace, e: Sequence, dim_right: int, legs) -> tuple:
-    """Image of Σ c·(u (x) v) over the nonzero coordinates c of the lift of
-    e, where (u, v) = legs(i, j) for the coordinate of b_i (x) m_j."""
+def _columns(m: Sequence[Sequence]) -> list[list]:
+    return [list(c) for c in zip(*m)]
+
+
+def _tensor_image(q: QuotientSpace, e: Sequence, left: Sequence,
+                  right: Sequence) -> tuple:
+    """(X (x) Y)·e on quotient coordinates, for X and Y given by their
+    columns: the coordinate c of b_i (x) m_j in the lift of e adds
+    c·(X b_i (x) Y m_j) (Van Loan, "The ubiquitous Kronecker product")."""
     f = q.field
     coeffs, tensors = [], []
     for idx, c in enumerate(q.lift(e)):
         if c != 0:
-            u, v = legs(*divmod(idx, dim_right))
+            i, j = divmod(idx, len(right))
             coeffs.append(c)
-            tensors.append(kron(u, v, f))
+            tensors.append(kron(left[i], right[j], f))
     return q.project(combine(coeffs, tensors, f) if tensors
                      else zero_vec(q.ambient_dim, f))
 
@@ -218,12 +233,13 @@ def _balanced_quotient(b: Algebra, a: Subalgebra, actions: Sequence,
     basis element a_k of A on M (columns are images).
 
     Flattened as by `kron`, the relations for a_k are, up to sign, the rows
-    of `sylvester_rows(actions[k], R)` with R[i] = b_i a_k.
+    of `sylvester_rows(actions[k], R)` with R[i] = b_i a_k, column i of
+    R_{a_k}.
     """
     f = b.field
     relations = []
     for arow, act in zip(a.space.basis, actions):
-        right = [b.multiply(b.basis_vector(i), list(arow)) for i in range(b.dim)]
+        right = _columns(b.right_mult_matrix(list(arow)))
         relations += [rel for rel in sylvester_rows(act, right, f)
                       if not vec_is_zero(rel)]
     return tensor_quotient(b.dim, dim_right, relations, f)
@@ -237,15 +253,8 @@ def tensor_square(a: Subalgebra, b: Algebra) -> TensorSquare:
 
 
 def _verify_separability(ts: TensorSquare, e: Sequence) -> bool:
-    b = ts.b
-    if ts.multiply_down(e) != list(b.unit):
-        return False
-    for k in range(b.dim):
-        bk = b.basis_vector(k)
-        one = list(b.unit)
-        if ts.flank(bk, e, one) != ts.flank(one, e, bk):
-            return False
-    return True
+    return (ts.multiply_down(e) == list(ts.b.unit)
+            and all(left == right for left, right in ts._commutators(e)))
 
 
 def separability_idempotent(a: Subalgebra, b: Algebra,
@@ -262,16 +271,12 @@ def separability_idempotent(a: Subalgebra, b: Algebra,
     d = ts.dim
     if d == 0:
         return None
-    rows: list[list] = [[] for _ in range(d)]
-    rhs_parts = []
     unit_cols = []
     for t in range(d):
         et = unit_vec(d, t, f)
         col = list(ts.multiply_down(et))
-        one = list(b.unit)
-        for k in range(b.dim):
-            bk = b.basis_vector(k)
-            col += vec_sub(ts.flank(bk, et, one), ts.flank(one, et, bk), f)
+        for left, right in ts._commutators(et):
+            col += vec_sub(left, right, f)
         unit_cols.append(col)
     system = [list(r) for r in zip(*unit_cols)]
     rhs = list(b.unit) + [f.zero()] * (b.dim * d)
@@ -392,10 +397,11 @@ def restrict_along(n: Module, source: Algebra, images: Sequence[Sequence]) -> Mo
 
     if img(list(source.unit)) != list(b.unit):
         raise InvalidInputError("morphism is not unital")
-    basis = [source.basis_vector(i) for i in range(source.dim)]
-    for x, ix in zip(basis, images):
-        for y, iy in zip(basis, images):
-            if b.multiply(ix, iy) != img(source.multiply(x, y)):
+    for i, ix in enumerate(images):
+        # column j of L_{b_i} is b_i·b_j in the source
+        prods = _columns(source.left_mult_matrix(source.basis_vector(i)))
+        for iy, xy in zip(images, prods):
+            if b.multiply(ix, iy) != img(xy):
                 raise InvalidInputError("images do not define a morphism")
     mats = [n.action_matrix(images[k]) for k in range(source.dim)]
     return make_module(source, mats, check=True)
@@ -410,12 +416,12 @@ def induce(m: Module, a: Subalgebra) -> Module:
         raise InvalidInputError("module must be over a.as_algebra()")
     q = _balanced_quotient(b, a, m.action, m.dim)
     d = q.dim
+    ident = identity_matrix(m.dim, f)
     mats = []
     for k in range(b.dim):
-        bk = b.basis_vector(k)
-        prods = [b.multiply(bk, b.basis_vector(i)) for i in range(b.dim)]
-        cols = [_tensor_image(q, unit_vec(d, t, f), m.dim,
-                              lambda i, v: (prods[i], unit_vec(m.dim, v, f)))
+        # b_k acts on the left leg: L_{b_k} (x) 1
+        left = _columns(b.left_mult_matrix(b.basis_vector(k)))
+        cols = [_tensor_image(q, unit_vec(d, t, f), left, ident)
                 for t in range(d)]
         mats.append([list(r) for r in zip(*cols)] if cols else [])
     return make_module(b, mats, check=True)
@@ -450,9 +456,7 @@ def _primitive_system_finite(s: Algebra) -> list[list] | None:
     def primitive_below(e: list) -> list:
         # corner e*s*e; find a nontrivial idempotent below e or conclude
         while True:
-            corner = echelonize(
-                [s.multiply(s.multiply(e, s.basis_vector(k)), e)
-                 for k in range(s.dim)], s.dim, f)
+            corner = _flanked_span(s, e, e)
             found = None
             for x in span_elements(corner):
                 if vec_is_zero(x) or x == e:

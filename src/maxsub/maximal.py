@@ -594,24 +594,18 @@ class OracleResult:
 def unit_group(b: Algebra) -> list[tuple[list, list]]:
     """All invertible elements with their inverses; |B| must be <= 3^7.
 
-    x is a unit iff L_x: y ↦ x·y has full rank.  L_x = Σ xᵢ·L_{eᵢ} is
-    summed on integer rows, and one elimination of [L_x | 1] gives both
-    the rank and the inverse y; y·x = 1 is checked too.
+    x is a unit iff L_x: y ↦ x·y has full rank.  L_x is read off the
+    integer rows (`Algebra._left_ints`), and one elimination of [L_x | 1]
+    gives both the rank and the inverse y; y·x = 1 is checked too.
     """
     f, n, one = b.field, b.dim, list(b.unit)
     if not f.is_finite:
         raise NotFiniteFieldError("unit group sweep needs a finite field")
     if f.p ** n > 3 ** 7:
         raise CapExceededError("unit group too large to sweep")
-    ops = [[x for row in b.left_mult_matrix(b.basis_vector(i)) for x in row]
-           for i in range(n)]   # L_{e_i}, row-major
     units = []
     for v in all_vectors(n, f):
-        flat = [0] * (n * n)
-        for x, op in zip(v, ops):
-            if x:
-                flat = [a + x * y for a, y in zip(flat, op)]
-        e = _Echelon(f, (flat[r * n:(r + 1) * n] + [one[r]] for r in range(n)))
+        e = _Echelon(f, (row + [u] for row, u in zip(b._left_ints(v), one)))
         if len(e.pivots) == n and e.pivots[-1] < n:
             inv = [row[n] for row in e.rows]
             if [x % f.p for x in b._multiply_ints(inv, v)] == one:

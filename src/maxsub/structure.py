@@ -24,7 +24,6 @@ from .algebra import (
     Algebra,
     Subalgebra,
     _pack,
-    _products_in,
     centralizer,
     subalgebra_from_rows,
 )
@@ -47,6 +46,7 @@ from .linalg import (
     echelonize,
     full_subspace,
     kernel,
+    mat_mul,
     mat_vec,
     quotient_space,
     saturate,
@@ -79,9 +79,22 @@ def ideal_closure(a: Algebra, rows: Sequence[Sequence]) -> Subspace:
 
 
 def is_two_sided_ideal(a: Algebra, s: Subspace) -> bool:
-    units = [[int(i == k) for i in range(a.dim)] for k in range(a.dim)]
-    rows = s.int_basis[1]
-    return _products_in(a, units, rows, s) and _products_in(a, rows, units, s)
+    """r·b_k and b_k·r lie in s for each row r of s: the columns of D·L_r
+    and D·R_r."""
+    return all(s.holds_ints(col) for r in s.int_basis[1]
+               for op in (a._left_ints(r), a._right_ints(r)) for col in zip(*op))
+
+
+def _flanked_span(a: Algebra, x: Sequence, y: Sequence | None = None,
+                  ) -> Subspace:
+    """The span x·B·y, or x·B when y is None: the columns x·b_k of D·L_x,
+    each multiplied by y on integer rows."""
+    p = a.field.p
+    cols = zip(*a._left_ints(_ints(x, p)[1]))
+    if y is not None:
+        yi = _ints(y, p)[1]
+        cols = (a._multiply_ints(col, yi) for col in cols)
+    return _Echelon(a.field, cols).subspace(a.dim)
 
 
 def _nilpotency(a: Algebra, s: Subspace) -> int | None:
@@ -130,19 +143,6 @@ def trace_form_radical(a: Algebra) -> Subspace:
     return kernel(gram, a.dim, a.field)
 
 
-def _int_left_matrix(a: Algebra, w: Sequence[int]) -> list[list[int]]:
-    """D·L_w for an integer vector w, read from the integer products (D
-    their denominator, 1 over F_p, where this is an integer lift of L_w)."""
-    n = a.dim
-    m = [[0] * n for _ in range(n)]
-    for wi, group in zip(w, a.products[1]):
-        if wi:
-            for j, row in group:
-                for k, c in row:
-                    m[k][j] += wi * c
-    return m
-
-
 def _int_mat_mul(x: list[list[int]], y: list[list[int]], mod: int) -> list:
     cols = list(zip(*y))
     return [[sum(s * t for s, t in zip(row, col)) % mod for col in cols]
@@ -182,7 +182,7 @@ def trace_functional_radical(a: Algebra) -> Subspace:
         # on a that agrees with g_i on I_{i-1}
         phi = zero_vec(n, f)
         for w, pc in zip(space.basis, space.pivots):
-            g, rest = divmod(_power_trace(_int_left_matrix(a, w), q, p * q), q)
+            g, rest = divmod(_power_trace(a._left_ints(w), q, p * q), q)
             if rest:
                 raise VerificationFailedError(
                     "trace functional is not divisible by p^i")
@@ -510,37 +510,27 @@ class StructureReport:
 def _corner_split(s: Algebra, e: Sequence, y: Sequence) -> list | None:
     """Split the idempotent e using the element y = e*y*e, if possible.
 
-    Only linear factors are split off: for a root λ of the minimal
-    polynomial, u is 1 modulo the full power of x - λ and 0 modulo its
-    cofactor.  Returns a nontrivial idempotent below e, or None when no
-    root gives one, even if the polynomial has coprime factors of higher
-    degree.
+    Only linear factors are split off.  For the first root λ of the
+    minimal polynomial, of multiplicity m, u is 1 modulo (x - λ)^m and 0
+    modulo the cofactor, which is coprime to it; when the cofactor is not
+    constant, u is neither 0 nor e.  Returns None when the polynomial has
+    no root or is a power of x - λ (and so has no other root), even if it
+    has coprime factors of higher degree.
     """
     f = s.field
     mp = minimal_polynomial(s, y, e)
     roots = _poly_roots(mp, f)
-    for lam in roots:
-        lin = _modp([-lam, f.one()], f.p)
-        fac = list(lin)
-        rest, rem = _poly_divmod(mp, lin, f)
-        while True:
-            q2, r2 = _poly_divmod(rest, lin, f)
-            if r2:
-                break
-            fac = _poly_mul(fac, lin, f)
-            rest = q2
-        if len(rest) <= 1:
-            continue  # pure power of one linear factor: no split here
-        g, sa, sb = _poly_ext_gcd(fac, rest, f)
-        if len(g) != 1:
-            continue
-        # idempotent congruent to 1 on the `fac` component
-        comp = _poly_mul(sb, rest, f)
-        u = poly_eval_in_algebra(comp, y, e, s)
-        if vec_is_zero(u) or u == list(e):
-            continue
-        return u
-    return None
+    if not roots:
+        return None
+    lam = roots[0]
+    fac = [f.one()]
+    for _ in range(roots.count(lam)):
+        fac = _poly_mul(fac, _modp([-lam, f.one()], f.p), f)
+    rest = _poly_divmod(mp, fac, f)[0]
+    if len(rest) <= 1:
+        return None
+    _, _, sb = _poly_ext_gcd(fac, rest, f)
+    return poly_eval_in_algebra(_poly_mul(sb, rest, f), y, e, s)
 
 
 def _split_central_idempotents(s: Algebra, center: Subspace,
@@ -585,10 +575,7 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence) -> list | None:
     """A primitive idempotent below e inside the block e*S*e, or None
     when a corner refuses to split (non-split division part)."""
     f = s.field
-    ei = _ints(e, f.p)[1]
-    # the columns of L_e are the products e·b_k
-    corner = _Echelon(f, (s._multiply_ints(col, ei) for col in
-                          zip(*_int_left_matrix(s, ei)))).subspace(s.dim)
+    corner = _flanked_span(s, e, e)
     if corner.dim == 1:
         return list(e)
     rng = random.Random(0)  # the recorded reports depend on this order
@@ -646,9 +633,7 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence,
     """Exhibit matrix units for the block e_central * S; None if not split."""
     f = s.field
     mul = s._multiply_ints
-    # the columns of L_e are the products e·b_k, which span the block
-    block = _Echelon(f, zip(*_int_left_matrix(s, _ints(e_central, f.p)[1]))
-                     ).subspace(s.dim)
+    block = _flanked_span(s, e_central)
     n = math.isqrt(block.dim)
     if n * n != block.dim:
         return None
@@ -918,10 +903,8 @@ def conjugating_unit(b: Algebra, e_sys: IdempotentSystem,
     for e, fi in zip(e_sys.idempotents, f_sys.idempotents):
         e = list(e)
         fi = list(fi)
-        fbe = echelonize([b.multiply(b.multiply(fi, b.basis_vector(k)), e)
-                          for k in range(b.dim)], b.dim, f)
-        ebf = echelonize([b.multiply(b.multiply(e, b.basis_vector(k)), fi)
-                          for k in range(b.dim)], b.dim, f)
+        fbe = _flanked_span(b, fi, e)
+        ebf = _flanked_span(b, e, fi)
         witness = None
         for cand in _witness_candidates(fbe, f):
             partner = _solve_partner(b, cand, ebf, e, fi)
@@ -961,19 +944,13 @@ def _solve_partner(b: Algebra, a_i: list, ebf: Subspace, e: list, fi: list,
                    ) -> list | None:
     """b_i in the given space with a_i b_i = fi and b_i a_i = e."""
     f = b.field
-    cols = []
-    for w in ebf.basis:
-        left = b.multiply(a_i, list(w))
-        right = b.multiply(list(w), a_i)
-        cols.append(left + right)
-    if not cols:
+    if not ebf.basis:
         return None
-    system = [list(r) for r in zip(*cols)]
-    rhs = fi + e
-    t = solve_one(system, rhs, f)
-    if t is None:
-        return None
-    return combine(t, ebf.basis, f)
+    # column w of the system is a_i·w over w·a_i, for w in the basis
+    ops = b.left_mult_matrix(a_i) + b.right_mult_matrix(a_i)
+    system = mat_mul(ops, [list(r) for r in zip(*ebf.basis)], f)
+    t = solve_one(system, fi + e, f)
+    return None if t is None else combine(t, ebf.basis, f)
 
 
 # ---------------------------------------------------------------------------

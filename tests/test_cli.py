@@ -6,6 +6,7 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 import time
@@ -398,17 +399,44 @@ def test_poset_maximal_certifies_the_diamond_split():
     assert (res["subalgebra_dim"], res["certified"]) == (8, "maximal")
 
 
-def test_mod_induce_of_the_restricted_zigzag_module(tmp_path):
-    """The restriction to D4 recorded in restrict_zigzag_d4.txt, induced
-    back to the zigzag algebra, is a single 5-dim summand."""
+def _restricted_zigzag_module(path):
+    """The D4-module recorded in restrict_zigzag_d4.txt, written to path."""
     lines = load_text(
         os.path.join(REPORTS, "restrict_zigzag_d4.txt")).splitlines()
     action = [line[2:] for line in lines[lines.index("action:") + 1:]]
-    module = tmp_path / "d4.mod"
-    module.write_text("module over d4 dim 5\n" + "\n".join(action) + "\n")
-    res = _json_result(["mod", "induce", str(module), "data/d4_in_zigzag.span",
-                        "--algebra", "data/zigzag_a5.alg"])
+    path.write_text("module over d4 dim 5\n" + "\n".join(action) + "\n")
+    return str(path)
+
+
+def _induce_argv(module):
+    return ["mod", "induce", module, "data/d4_in_zigzag.span",
+            "--algebra", "data/zigzag_a5.alg"]
+
+
+def test_mod_induce_of_the_restricted_zigzag_module(tmp_path):
+    """The restriction to D4 recorded in restrict_zigzag_d4.txt, induced
+    back to the zigzag algebra, is a single 5-dim summand."""
+    module = _restricted_zigzag_module(tmp_path / "d4.mod")
+    res = _json_result(_induce_argv(module))
     assert (res["dim"], res["summand_dims"]) == (5, [5])
+
+
+@pytest.mark.parametrize("name", sorted(recorded_invocations()) + ["induce"])
+def test_the_command_line_echo_parses_to_the_invocation(tmp_path, name):
+    """The `command:` line is the argv as given, shell-quoted: parsing it
+    gives the namespace of the original argv, options included (the
+    induce case has a space in a path)."""
+    if name == "induce":
+        argv = _induce_argv(_restricted_zigzag_module(tmp_path / "d4 mod.mod"))
+    else:
+        argv = recorded_invocations()[name]
+    code, text = run(argv)
+    assert code == 0, text
+    first = text.splitlines()[0]
+    assert first.startswith("command: ")
+    parser = maxsub.cli.build_parser()
+    echoed = parser.parse_args(shlex.split(first[len("command: "):]))
+    assert echoed == parser.parse_args(argv)
 
 
 def test_poset_build_of_the_diamond():

@@ -1,5 +1,8 @@
 """Split/separable analysis, induction, restriction, decomposition."""
 
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,6 +17,7 @@ from conftest import (
     kxk,
     polynomial_quotient,
     quiver_algebra,
+    random_basis,
 )
 from maxsub.algebra import (
     block_triangular,
@@ -47,9 +51,11 @@ from maxsub.linalg import (
     GF,
     QQ,
     echelonize,
+    identity_matrix,
     kernel,
     mat_mul,
     quotient_space,
+    solve_linear,
     solve_one,
     unit_vec,
     vec_add,
@@ -264,20 +270,7 @@ def test_decompose_reassembles(a3_q):
     parts = decompose_module(m)
     assert sum(p.dim for p in parts) == m.dim
     # the direct sum of the parts is isomorphic to the original
-    f = a3_q.field
-    total = []
-    for k in range(a3_q.dim):
-        d = m.dim
-        big = [[f.zero()] * d for _ in range(d)]
-        off = 0
-        for p in parts:
-            for i in range(p.dim):
-                for j in range(p.dim):
-                    big[off + i][off + j] = p.action[k][i][j]
-            off += p.dim
-        total.append(big)
-    direct = make_module(a3_q, total, check=True)
-    assert modules_isomorphic(direct, m)
+    assert modules_isomorphic(_direct_sum(*parts), m)
 
 
 def test_decompose_over_f2(kronecker_f2):
@@ -316,6 +309,68 @@ def test_hom_space_between_simples(a3_q):
     assert not hom_space(s1, s2)
     assert modules_isomorphic(s1, s1)
     assert not modules_isomorphic(s1, s2)
+
+
+def _direct_sum(*mods):
+    a = mods[0].algebra
+    f, d = a.field, sum(m.dim for m in mods)
+    mats = []
+    for k in range(a.dim):
+        big = [[f.zero()] * d for _ in range(d)]
+        off = 0
+        for m in mods:
+            for i, row in enumerate(m.action[k]):
+                big[off + i][off:off + m.dim] = row
+            off += m.dim
+        mats.append(big)
+    return make_module(a, mats)
+
+
+def _rebased_module(m, g):
+    """m in the basis of the columns of the invertible g: g⁻¹·A_k·g."""
+    f = m.algebra.field
+    ginv, _ = solve_linear(g, identity_matrix(m.dim, f), f)
+    return make_module(m.algebra, [mat_mul(mat_mul(ginv, act, f), g, f)
+                                   for act in m.action])
+
+
+def _isomorphic_by_brute_force(m1, m2):
+    """Some invertible X over F_p with X·a(m1) = a(m2)·X, among all d×d
+    matrices."""
+    f, d = m1.algebra.field, m1.dim
+    for flat in itertools.product(range(f.p), repeat=d * d):
+        x = [list(flat[i * d:(i + 1) * d]) for i in range(d)]
+        if (all(mat_mul(x, a1, f) == mat_mul(a2, x, f)
+                for a1, a2 in zip(m1.action, m2.action))
+                and echelonize(x, d, f).dim == d):
+            return True
+    return False
+
+
+@pytest.mark.parametrize("field", [F2, GF(3)], ids=str)
+def test_modules_isomorphic_sweeps_the_whole_hom_space(field):
+    """Over T_2(F_p), with P the 2-dim indecomposable projective and S, S'
+    the simples: P and P ⊕ S against copies in random bases are
+    isomorphic, and P against S ⊕ S' (Hom ≠ 0: P maps onto its top) is
+    not, found by the exhaustive sweep of the Hom space.  Each answer is
+    checked against all invertible matrices (dimension 3 over F_2 only,
+    where there are 2⁹ matrices)."""
+    t2 = block_triangular(2, (1, 1), field).as_algebra()
+    _, proj = decompose_module(regular_module(t2))
+    s, s2 = simple_modules(t2)
+    rng = random.Random(17)
+    cases = [(proj, _rebased_module(proj, random_basis(2, field, rng)), True),
+             (proj, _direct_sum(s, s2), False)]
+    if field.p == 2:
+        pair = _direct_sum(proj, s)
+        cases += [(pair, _rebased_module(pair, random_basis(3, field, rng)),
+                   True),
+                  (pair, _direct_sum(s, s2, s), False)]
+    for m1, m2, want in cases:
+        homs = hom_space(m1, m2)
+        assert homs and field.p ** len(homs) <= ext.HOM_SWEEP_CAP
+        assert modules_isomorphic(m1, m2) is want
+        assert _isomorphic_by_brute_force(m1, m2) is want
 
 
 def test_is_direct_summand(a3_q):

@@ -1,5 +1,6 @@
-"""The integer kernels of the certificate, of the block decomposition and
-of the module check against the Fraction code they replaced.
+"""The integer kernels of the multiplication operators, of the
+certificate, of the block decomposition and of the module check against
+the Fraction code they replaced.
 
 `certify_maximal` reads the bimodule operators of B/A off integer
 products, each the exact operator times one positive scale, and takes the
@@ -12,6 +13,7 @@ every operator, unit products compared as field vectors, and the module
 axioms on products of Fraction matrices.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -160,6 +162,51 @@ def _positive_scale(got, ref):
     c = next((Fraction(x) / y for x, y in pairs if y != 0), Fraction(1))
     ok = c > 0 and all(x == c * y for x, y in pairs)
     return c if ok else None
+
+
+# ---------------------------------------------------------------------------
+# the multiplication operators
+
+def _operator_ref(a, w, left):
+    """L_w (left) or R_w as field matrices, column j from `Algebra.multiply`
+    of w with b_j."""
+    f = a.field
+    units = [unit_vec(a.dim, j, f) for j in range(a.dim)]
+    cols = [a.multiply(w, u) if left else a.multiply(u, w) for u in units]
+    return [list(row) for row in zip(*cols)]
+
+
+OPERATOR_CASES = {
+    "scaled M2/Q": scaled_m2,
+    "M2/F2": lambda: rebased(matrix_algebra(2, GF(2)),
+                             random_basis(4, GF(2), random.Random(3))),
+    "KxKxM2/F3": lambda: rebased(kxkxm2(GF(3)),
+                                 random_basis(6, GF(3), random.Random(4))),
+    "T3/F3": lambda: block_triangular(3, (1, 1, 1), GF(3)).as_algebra(),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OPERATOR_CASES))
+def test_operator_kernels_are_d_times_the_multiply_operators(case):
+    """`_left_ints(w)` and `_right_ints(w)` are D·L_w and D·R_w for integer
+    rows w (mod p over F_p), and `left_mult_matrix` and
+    `right_mult_matrix` are L_w and R_w."""
+    a = OPERATOR_CASES[case]()
+    f, n, d = a.field, a.dim, a.products[0]
+    if f.p is None:
+        assert d == 6
+    rng = random.Random(5)
+    lo, hi = (-3, 3) if f.p is None else (0, f.p - 1)
+    rows = ([[int(i == j) for i in range(n)] for j in range(n)]
+            + [[rng.randint(lo, hi) for _ in range(n)] for _ in range(6)])
+    for w in rows:
+        for left, kernel in ((True, a._left_ints), (False, a._right_ints)):
+            ref = _operator_ref(a, [f.coerce(x) for x in w], left)
+            got = kernel(w)
+            assert [[x if f.p is None else x % f.p for x in row]
+                    for row in got] == [[d * x for x in row] for row in ref]
+            view = a.left_mult_matrix if left else a.right_mult_matrix
+            assert view(w) == ref
 
 
 # ---------------------------------------------------------------------------
