@@ -25,6 +25,7 @@ from .linalg import (
     Field,
     Subspace,
     Vec,
+    _Echelon,
     _ints,
     _modp,
     _scalars,
@@ -333,6 +334,13 @@ def _products_in(a: Algebra, lefts: Sequence[Sequence],
                for x in lefts for y in rights)
 
 
+def _product_span(a: Algebra, s: Subspace, t: Subspace) -> Subspace:
+    """The span s·t of the products x·y, x in s and y in t, echelonized
+    straight off the integer products of their `int_basis` rows."""
+    return _Echelon(a.field, (a._multiply_ints(x, y) for x in s.int_basis[1]
+                              for y in t.int_basis[1])).subspace(a.dim)
+
+
 def full_subalgebra(a: Algebra) -> Subalgebra:
     return Subalgebra(a, full_subspace(a.dim, a.field))
 
@@ -433,9 +441,10 @@ def conjugate_subalgebra(a: Algebra, u: Sequence, s: Subalgebra) -> Subalgebra:
 # standard constructors
 
 def matrix_algebra(n: int, field: Field) -> Algebra:
-    """M_n(K) on the matrix-unit basis e11, e12, ..., enn."""
-    if n < 1:
-        raise InvalidInputError("n >= 1 required")
+    """M_n(K) on the matrix-unit basis e11, e12, ..., enn (M_0 is the
+    zero algebra, End of the zero module)."""
+    if n < 0:
+        raise InvalidInputError("n >= 0 required")
     dim = n * n
     names = tuple(f"e{p+1}{q+1}" for p in range(n) for q in range(n))
 

@@ -332,29 +332,20 @@ def instantiate_family(b: Algebra, fam: MaximalFamily,
         m = corner.dim
         if len(func) != m or all(c == 0 for c in func):
             raise InvalidInputError("functional must be nonzero of length m")
-        t = comps.t_quotient
-        jsp = comps.j_space
-        # hyperplane of the multiplicity space: kernel of the functional
-        ker = kernel([list(func)], m, f)
-        w_rows_t = [combine(kv, corner.basis, f) for kv in ker.basis]
-        h_rows_t = []
-        for (k2, l2), comp in comps.components.items():
-            if (k2, l2) != (i, j):
-                h_rows_t.extend(list(r) for r in comp.basis)
-        ni, nj = dims[i], dims[j]
-        for w in w_rows_t:
-            wb = combine(t.lift(w), jsp.basis, f)
-            for p in range(ni):
-                for q in range(nj):
-                    prod = b.multiply(
-                        b.multiply(list(wm.block_units[i][p][0]), wb),
-                        list(wm.block_units[j][0][q]))
-                    h_rows_t.append(list(t.project(jsp.coords(prod))))
-        # pull back to B: lift T rows into J, add J^2
-        jj_rows = [list(r) for r in t.relations.basis]
-        h_rows_b = [combine(t.lift(r), jsp.basis, f) for r in h_rows_t]
-        h_rows_b += [combine(r, jsp.basis, f) for r in jj_rows]
-        rows = all_units_except(set()) + h_rows_b
+        t, jsp = comps.t_quotient, comps.j_space
+        # H in B: the other components of T = J/J^2 lifted into J, the
+        # u_p0·w·u_0q for w in the hyperplane ker(func) of the multiplicity
+        # space (modulo J^2 each is the lift of its image in T), and J^2
+        rows = all_units_except(set())
+        rows += [combine(t.lift(r), jsp.basis, f)
+                 for key, comp in comps.components.items() if key != (i, j)
+                 for r in comp.basis]
+        for kv in kernel([list(func)], m, f).basis:
+            wb = combine(t.lift(combine(kv, corner.basis, f)), jsp.basis, f)
+            rows += [b.multiply(b.multiply(list(wm.block_units[i][p][0]), wb),
+                                list(wm.block_units[j][0][q]))
+                     for p in range(dims[i]) for q in range(dims[j])]
+        rows += [combine(r, jsp.basis, f) for r in t.relations.basis]
     elif fam.kind == "subfield_centralizer":
         if not f.is_finite:
             raise NotFiniteFieldError(
@@ -488,7 +479,7 @@ def certify_maximal(a: Subalgebra, b: Algebra) -> Certificate:
     candidates = []
     for kk in range(d):
         candidates.append(unit_vec(d, kk, f))
-    rng = random.Random(0)  # the recorded reports depend on this order
+    rng = random.Random(0)  # a fixed seed: every run tries the same candidates
     for _ in range(8):
         candidates.append([f.coerce(rng.randint(-2, 2)) for _ in range(d)])
     seen = set()

@@ -18,6 +18,8 @@ from .algebra import (
     Presentation,
     Subalgebra,
     _pack,
+    _product_span,
+    _products_in,
     subalgebra_from_rows,
 )
 from .errors import InvalidInputError, VerificationFailedError
@@ -30,6 +32,7 @@ from .linalg import (
     rref,
     unit_vec,
     vec_add,
+    zero_subspace,
     zero_vec,
 )
 from .modules import Module
@@ -402,12 +405,8 @@ def quiver_maximal(alg: Algebra, kind: str, a: str, b: str,
         if not (src == a and tgt == b):
             rows.append(list(data.arrow_vector(nm)))
     # everything of path length >= 2
-    rad = [list(r) for r in pres.radical_rows]
-    j2 = []
-    for x in rad:
-        for y in rad:
-            j2.append(alg.multiply(x, y))
-    rows += j2
+    rad = echelonize(pres.radical_rows, alg.dim, field)
+    rows += [list(r) for r in _product_span(alg, rad, rad).basis]
     return subalgebra_from_rows(alg, rows)
 
 
@@ -549,9 +548,8 @@ def delete_arrows(q: Quiver, s: Sequence[str], field: Field) -> DeleteResult:
             i_rows.append(vec)
     inclusion = subalgebra_from_rows(alg, a_rows)
     complement = echelonize(i_rows, alg.dim, field)
-    sq_zero = all(
-        alg.multiply(list(x), list(y)) == zero_vec(alg.dim, field)
-        for x in complement.basis for y in complement.basis)
+    rows = complement.int_basis[1]
+    sq_zero = _products_in(alg, rows, rows, zero_subspace(alg.dim, field))
     if len(svs) == 1:
         v = next(iter(svs))
         has_in = any(arr[2] == v for arr in q.arrows)

@@ -24,6 +24,7 @@ from .algebra import (
     Algebra,
     Subalgebra,
     _pack,
+    _product_span,
     centralizer,
     subalgebra_from_rows,
 )
@@ -103,9 +104,7 @@ def _nilpotency(a: Algebra, s: Subspace) -> int | None:
     power = s
     m = 1
     while power.dim > 0:
-        rows = [a.multiply(list(x), list(y))
-                for x in power.basis for y in s.basis]
-        nxt = echelonize(rows, a.dim, a.field)
+        nxt = _product_span(a, power, s)
         if nxt.dim >= power.dim:
             return None
         power = nxt
@@ -546,7 +545,7 @@ def _split_central_idempotents(s: Algebra, center: Subspace,
     idems = [tuple(s.unit)]
     zs = center.int_basis[1]
     candidates = [list(v) for v in center.basis]
-    rng = random.Random(0)  # the recorded reports depend on this order
+    rng = random.Random(0)  # a fixed seed: every run tries the same candidates
     for _ in range(8):
         coeffs = [f.coerce(rng.randint(0, 5)) for _ in center.basis]
         candidates.append(combine(coeffs, center.basis, f))
@@ -578,7 +577,10 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence) -> list | None:
     corner = _flanked_span(s, e, e)
     if corner.dim == 1:
         return list(e)
-    rng = random.Random(0)  # the recorded reports depend on this order
+    # a fixed seed: every run tries the same candidates.  No recorded report
+    # depends on the draws, but which dense M_2(Q) bases miss a split does
+    # (the strict xfails in tests/test_metamorphic.py)
+    rng = random.Random(0)
 
     def candidates():
         yield from corner.basis
@@ -597,8 +599,8 @@ def _find_primitive_idempotent(s: Algebra, e: Sequence) -> list | None:
             coeffs = [f.coerce(rng.randint(-9, 9)) for _ in corner.basis]
             yield combine(coeffs, corner.basis, f)
 
-    for y0 in candidates():
-        y = s.multiply(s.multiply(list(e), list(y0)), list(e))
+    # every candidate lies in the corner, where e·y·e = y
+    for y in candidates():
         u = _corner_split(s, e, y)
         if u is not None:
             rest = vec_sub(e, u, f)

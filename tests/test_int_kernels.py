@@ -1,6 +1,6 @@
 """The integer kernels of the multiplication operators, of the
-certificate, of the block decomposition and of the module check against
-the Fraction code they replaced.
+certificate, of the block decomposition, of the module check and of the
+product spans against the Fraction code they replaced.
 
 `certify_maximal` reads the bimodule operators of B/A off integer
 products, each the exact operator times one positive scale, and takes the
@@ -9,10 +9,13 @@ unit relations on integer rows at a common scale, and `module_violation`
 checks the module axioms on integer matrices.  The references below are
 the former bodies: operators from `Algebra.multiply` and
 `QuotientSpace.project`, the unit saturated under right multiplication by
-every operator, unit products compared as field vectors, and the module
-axioms on products of Fraction matrices.
+every operator, unit products compared as field vectors, the module
+axioms on products of Fraction matrices, and the spans, flags and End(M)
+tables built from `Algebra.multiply` on pairs of field basis vectors or
+from products of Fraction matrices.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -22,6 +25,8 @@ from hypothesis import strategies as st
 
 import maxsub.maximal
 from conftest import (
+    A3_QUIVER,
+    D5_QUIVER,
     KRONECKER_QUIVER,
     SCALED_M2_BASIS,
     dense_table,
@@ -32,12 +37,21 @@ from conftest import (
     scaled_m2,
 )
 from maxsub.algebra import (
+    _product_span,
     block_triangular,
+    make_algebra,
     matrix_algebra,
     subalgebra_from_rows,
     subalgebra_generated,
 )
-from maxsub.extensions import induce, restrict
+from maxsub.errors import InvalidInputError, VerificationFailedError
+from maxsub.extensions import (
+    _hom_basis,
+    complement_flags,
+    endomorphism_algebra,
+    induce,
+    restrict,
+)
 from maxsub.linalg import (
     GF,
     QQ,
@@ -45,20 +59,39 @@ from maxsub.linalg import (
     combine,
     echelonize,
     identity_matrix,
+    kernel,
     mat_mul,
     quotient_space,
     saturate,
     solve_linear,
     unit_vec,
+    vec_is_zero,
     zero_vec,
 )
 from maxsub.maximal import (
     _generated_operator_dim,
     _quotient_bimodule_ops,
     certify_maximal,
+    enumerate_maximal_families,
+    instantiate_family,
+    radical_components,
 )
 from maxsub.modules import make_module, module_violation, regular_module
-from maxsub.structure import _are_matrix_units, structure_report, wedderburn_data
+from maxsub.presentations import (
+    Quiver,
+    _quiver_data,
+    delete_arrows,
+    quiver_maximal,
+)
+from maxsub.structure import (
+    _are_matrix_units,
+    is_nilpotent_space,
+    is_two_sided_ideal,
+    jacobson_radical,
+    nilpotency_degree,
+    structure_report,
+    wedderburn_data,
+)
 
 FIELDS = [QQ, GF(2), GF(3)]
 BUILDERS = {
@@ -428,3 +461,264 @@ def test_module_messages_name_the_first_failing_pair(field):
     want = "action(e12)*action(e21) mismatches the structure constants"
     assert _module_violation_ref(bad) == want
     assert module_violation(bad) == want
+
+
+# ---------------------------------------------------------------------------
+# the product spans: J^k, J^2, the square-zero flags and End(M)
+
+def _pairwise_span(a, s, t):
+    """The former product span: `Algebra.multiply` on every pair of field
+    basis vectors, then `echelonize`."""
+    return echelonize([a.multiply(list(x), list(y))
+                       for x in s.basis for y in t.basis], a.dim, a.field)
+
+
+def _nilpotency_ref(a, s):
+    power, m = s, 1
+    while power.dim > 0:
+        nxt = _pairwise_span(a, power, s)
+        if nxt.dim >= power.dim:
+            return None
+        power, m = nxt, m + 1
+    return m
+
+
+def _complement_flags_ref(i_space, b):
+    ideal = is_two_sided_ideal(b, i_space)
+    trivial = all(vec_is_zero(b.multiply(list(x), list(y)))
+                  for x in i_space.basis for y in i_space.basis)
+    nilpotent = ideal and _nilpotency_ref(b, i_space) is not None
+    if trivial and not (nilpotent and ideal):
+        raise VerificationFailedError(
+            "flag chain trivial => nilpotent => ideal broken")
+    return {"ideal": ideal, "nilpotent": nilpotent, "trivial": trivial}
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or of the type and message of what it raised."""
+    try:
+        return repr(fn(*args))
+    except (InvalidInputError, VerificationFailedError) as exc:
+        return repr((type(exc).__name__, str(exc)))
+
+
+def _endomorphism_algebra_ref(m):
+    f = m.algebra.field
+    ker, mats = _hom_basis(m, m)
+    table = [[ker.coords([c for row in mat_mul(x, y, f) for c in row])
+              for y in mats] for x in mats]
+    unit = ker.coords([c for row in identity_matrix(m.dim, f) for c in row])
+    names = [f"h{i+1}" for i in range(len(mats))]
+    return make_algebra(f, names, unit, table), mats
+
+
+def _quiver_split_ref(alg, a, b, hyperplane):
+    data = _quiver_data(alg)
+    q, pres, field = data.quiver, alg.presentation, alg.field
+    vx = {v: list(pres.vertex_vectors[i])
+          for i, v in enumerate(pres.vertex_names)}
+    ab_arrows = [nm for nm, src, tgt in q.arrows if src == a and tgt == b]
+    vrows = [combine([field.coerce(c) for c in coeffs],
+                     [data.arrow_vector(nm) for nm in ab_arrows], field)
+             for coeffs in hyperplane]
+    rows = [vx[v] for v in q.vertices]
+    rows += [list(r) for r in echelonize(vrows, alg.dim, field).basis]
+    rows += [list(data.arrow_vector(nm)) for nm, src, tgt in q.arrows
+             if not (src == a and tgt == b)]
+    rad = [list(r) for r in pres.radical_rows]
+    rows += [alg.multiply(x, y) for x in rad for y in rad]
+    return subalgebra_from_rows(alg, rows)
+
+
+def _radical_hyperplane_ref(b, fam, func, wm):
+    """H through T = J/J^2: the rows are projected to T, lifted back and
+    completed by J^2."""
+    f = b.field
+    dims = [blk.n for blk in wm.report.blocks]
+    comps = radical_components(b, wm)
+    i, j = fam.block, fam.other
+    corner = comps.corners[(i, j)]
+    t, jsp = comps.t_quotient, comps.j_space
+    ker = kernel([[f.coerce(c) for c in func]], corner.dim, f)
+    h_rows_t = [list(r) for (k2, l2), comp in comps.components.items()
+                if (k2, l2) != (i, j) for r in comp.basis]
+    for kv in ker.basis:
+        wb = combine(t.lift(combine(kv, corner.basis, f)), jsp.basis, f)
+        for p in range(dims[i]):
+            for q in range(dims[j]):
+                prod = b.multiply(
+                    b.multiply(list(wm.block_units[i][p][0]), wb),
+                    list(wm.block_units[j][0][q]))
+                h_rows_t.append(list(t.project(jsp.coords(prod))))
+    rows = [list(u) for units in wm.block_units for row in units for u in row]
+    rows += [combine(t.lift(r), jsp.basis, f) for r in h_rows_t]
+    rows += [combine(r, jsp.basis, f) for r in t.relations.basis]
+    return subalgebra_from_rows(b, rows)
+
+
+@st.composite
+def subspaces(draw):
+    """(algebra, subspace): an algebra of `rebasings()` and the span of
+    some of its radical rows and of 0-2 random elements, so nilpotent and
+    non-nilpotent spans, ideals and non-ideals all come up."""
+    alg = draw(rebasings())[2]
+    rad = jacobson_radical(alg)
+    rows = [list(r) for r in rad.basis if draw(st.booleans())]
+    rows += [_element(draw, alg) for _ in range(draw(st.integers(0, 2)))]
+    return alg, echelonize(rows, alg.dim, alg.field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(subspaces())
+def test_product_span_nilpotency_and_flags_match_the_pairwise_loop(drawn):
+    alg, s = drawn
+    rad = jacobson_radical(alg)
+    for x, y in ((s, s), (s, rad), (rad, s)):
+        got = _product_span(alg, x, y)
+        assert repr(got) == repr(_pairwise_span(alg, x, y))
+    m = _nilpotency_ref(alg, s)
+    assert is_nilpotent_space(alg, s) == (m is not None)
+    assert _outcome(nilpotency_degree, alg, s) == (
+        repr(m) if m is not None
+        else repr(("InvalidInputError", "subspace is not nilpotent")))
+    assert (_outcome(complement_flags, s, alg)
+            == _outcome(_complement_flags_ref, s, alg))
+
+
+# spans of matrix units: e12 squares to zero in M2 and T3 but spans no
+# ideal, which breaks the flag chain; e13 spans a square-zero ideal of T3,
+# whose radical is an ideal that does not square to zero
+FLAG_CASES = {
+    "e12 in M2": ("M2", [1]),
+    "e12 in T3": ("T3", [1]),
+    "e13 in T3": ("T3", [2]),
+    "J of T3": ("T3", [1, 2, 4]),
+}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("case", sorted(FLAG_CASES))
+def test_complement_flags_match_the_pairwise_loop_on_matrix_units(case,
+                                                                   field):
+    name, units = FLAG_CASES[case]
+    alg = BUILDERS[name](field)
+    s = echelonize([unit_vec(alg.dim, k, field) for k in units], alg.dim,
+                   field)
+    got = _outcome(complement_flags, s, alg)
+    assert got == _outcome(_complement_flags_ref, s, alg)
+    assert ("broken" in got) == case.startswith("e12")
+
+
+END_BASES = ["M2", "T3", "Kronecker", "KxKxM2"]
+
+
+@st.composite
+def end_modules(draw):
+    """The regular module of M2, T3, Kronecker or KxKxM2 in a random basis
+    (over Q with denominators), or its restriction to the subalgebra a
+    random element generates."""
+    field = draw(st.sampled_from(FIELDS))
+    base = BUILDERS[draw(st.sampled_from(END_BASES))](field)
+    rng = draw(st.randoms(use_true_random=False))
+    alg = rebased(base, _scaled_basis(base.dim, field, rng))
+    m = regular_module(alg)
+    if draw(st.booleans()):
+        m = restrict(m, subalgebra_generated(alg, [_element(draw, alg)]))
+    return m
+
+
+@settings(max_examples=40, deadline=None)
+@given(end_modules())
+def test_endomorphism_algebra_matches_the_fraction_table(m):
+    """The same products, unit and matrices as the dense Fraction table of
+    the products X·Y; only the basis names change, from h1... to s1...."""
+    got, mats = endomorphism_algebra(m)
+    ref, ref_mats = _endomorphism_algebra_ref(m)
+    assert repr((got.dim, got.unit, got.products, mats)) == repr(
+        (ref.dim, ref.unit, ref.products, ref_mats))
+    assert got.basis_names == tuple(f"s{i+1}" for i in range(got.dim))
+
+
+def test_endomorphism_algebra_of_the_zero_module():
+    m = make_module(matrix_algebra(2, QQ), [[] for _ in range(4)])
+    got, ref = endomorphism_algebra(m), _endomorphism_algebra_ref(m)
+    assert repr(got) == repr(ref)
+    assert got[0].dim == 0
+
+
+SPLIT_QUIVERS = {
+    "A3": A3_QUIVER,
+    "Kronecker": KRONECKER_QUIVER,
+    "D5": D5_QUIVER,
+    "K3+arrow": Quiver(("a", "b", "c"), (("x1", "a", "b"), ("x2", "a", "b"),
+                                         ("x3", "a", "b"), ("y", "b", "c"))),
+}
+
+
+def _hyperplanes(n, field):
+    """Bases of every hyperplane of K^n that a coordinate functional or
+    the all-ones functional cuts out (the whole space when n = 1)."""
+    funcs = [[int(i == k) for i in range(n)] for k in range(n)] + [[1] * n]
+    for func in funcs if n > 1 else [[1]]:
+        ker = kernel([[field.coerce(c) for c in func]], n, field)
+        yield [list(r) for r in ker.basis]
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=str)
+@pytest.mark.parametrize("name", sorted(SPLIT_QUIVERS))
+def test_quiver_split_and_square_zero_flag_match_the_pairwise_loops(name,
+                                                                    field):
+    """`quiver_maximal(..., "split", ...)` on every arrow pair and
+    hyperplane, and the square-zero flag of `delete_arrows` on every set of
+    one or two vertices, against the pairwise `multiply` loops."""
+    q = SPLIT_QUIVERS[name]
+    alg = quiver_algebra(q, field)
+    pairs = sorted({(src, tgt) for _, src, tgt in q.arrows})
+    for a, b in pairs:
+        n = sum(1 for _, src, tgt in q.arrows if (src, tgt) == (a, b))
+        for hyperplane in _hyperplanes(n, field):
+            got = quiver_maximal(alg, "split", a, b, hyperplane)
+            ref = _quiver_split_ref(alg, a, b, hyperplane)
+            assert repr(got.space) == repr(ref.space)
+    for k in (1, 2):
+        for s in itertools.combinations(q.vertices, k):
+            res = delete_arrows(q, s, field)
+            zero = zero_vec(res.ambient.dim, field)
+            assert res.complement_squares_to_zero == all(
+                res.ambient.multiply(list(x), list(y)) == zero
+                for x in res.complement.basis for y in res.complement.basis)
+
+
+HYPERPLANE_BASES = {
+    "T3": lambda f: block_triangular(3, (1, 1, 1), f).as_algebra(),
+    "Kronecker": lambda f: quiver_algebra(KRONECKER_QUIVER, f),
+    "A3": lambda f: quiver_algebra(A3_QUIVER, f),
+    "K3+arrow": lambda f: quiver_algebra(SPLIT_QUIVERS["K3+arrow"], f),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_radical_hyperplanes_match_the_round_trip_through_t(data):
+    """Every radical-hyperplane family of a basic algebra in a random
+    basis; a parameterized family (over Q) on drawn coordinates."""
+    field = data.draw(st.sampled_from(FIELDS))
+    name = data.draw(st.sampled_from(sorted(HYPERPLANE_BASES)))
+    base = HYPERPLANE_BASES[name](field)
+    rng = data.draw(st.randoms(use_true_random=False))
+    b = rebased(base, _scaled_basis(base.dim, field, rng))
+    wm = wedderburn_data(b)
+    fams = [fam for fam in enumerate_maximal_families(b, wm=wm)
+            if fam.kind == "radical_hyperplane"]
+    assert fams
+    for fam in fams:
+        func, params = fam.functional, None
+        if func is None:
+            params = data.draw(st.lists(st.integers(-3, 3),
+                                        min_size=fam.multiplicity,
+                                        max_size=fam.multiplicity)
+                               .filter(any))
+            func = params
+        got = instantiate_family(b, fam, params=params, wm=wm)
+        ref = _radical_hyperplane_ref(b, fam, func, wm)
+        assert repr(got.space) == repr(ref.space)

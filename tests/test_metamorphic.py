@@ -25,7 +25,11 @@ from conftest import (
 from maxsub.algebra import block_triangular, matrix_algebra
 from maxsub.linalg import GF, QQ
 from maxsub.maximal import enumerate_maximal_families, max_proper_subalgebra_dim
-from maxsub.structure import jacobson_radical, structure_report
+from maxsub.structure import (
+    _matrix_units_for_block,
+    jacobson_radical,
+    structure_report,
+)
 
 BASES = {
     "M2": lambda f: matrix_algebra(2, f),
@@ -81,6 +85,20 @@ def test_change_of_basis_keeps_the_invariants_of_kxkxm2_on_seed_9367984():
     alg = rebased(kxkxm2(QQ), rows)
     assert structure_report(alg).schur
     assert _invariants(alg) == _base_invariants("KxKxM2")
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError, reason=MISSED_SPLIT)
+def test_matrix_units_of_kxkxm2_on_seed_166782():
+    """The final assertion of
+    `test_block_decomposition.py::test_matrix_units_match_the_unit_by_unit_solve`
+    on the example `case=('KxKxM2', QQ), seed=166782` that Hypothesis drew
+    once: `_matrix_units_for_block` finds no units for the M_2 block of
+    this basis, which gets schur=False, "a block is not a full matrix
+    algebra"."""
+    rows = random_basis(6, QQ, random.Random(166782))
+    rep = structure_report(rebased(kxkxm2(QQ), rows))
+    assert all(_matrix_units_for_block(rep.quotient, e) is not None
+               for e in rep.central_idempotents)
 
 
 @pytest.mark.parametrize("field", [GF(2), GF(3)], ids=str)
