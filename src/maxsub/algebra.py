@@ -44,14 +44,12 @@ from .linalg import (
 class Presentation:
     """Optional combinatorial origin of an algebra.
 
-    kind is one of "quiver", "incidence", "matrix", "product".
-    radical_rows spans the known Jacobson radical (exact for these kinds).
+    kind is one of "quiver", "incidence", "product".
     vertex_names/vertex_vectors give the vertex idempotents of a quiver or
     poset presentation, in basis coordinates.
     """
 
     kind: str
-    radical_rows: tuple[Vec, ...] | None = None
     vertex_names: tuple[str, ...] = ()
     vertex_vectors: tuple[Vec, ...] = ()
     source: object = None
@@ -452,8 +450,7 @@ def matrix_algebra(n: int, field: Field) -> Algebra:
     rows = [[(q * n + s, [(p * n + s, 1)]) for s in range(n)]
             for p in range(n) for q in range(n)]
     unit = tuple(field.coerce(p == q) for p in range(n) for q in range(n))
-    pres = Presentation(kind="matrix", radical_rows=(), source=n)
-    return Algebra(field, dim, names, unit, _pack(field.p, 1, rows), pres)
+    return Algebra(field, dim, names, unit, _pack(field.p, 1, rows))
 
 
 def direct_product(factors: Sequence[Algebra]) -> Algebra:
@@ -475,16 +472,7 @@ def direct_product(factors: Sequence[Algebra]) -> Algebra:
         c = den // f.products[0]
         rows += [[(off + j, [(off + k, c * t) for k, t in terms])
                   for j, terms in group] for group in f.products[1]]
-    radical_rows = None
-    if all(f.presentation is not None and f.presentation.radical_rows is not None
-           for f in factors):
-        z = field.zero()
-        radical_rows = tuple(
-            tuple([z] * off + list(r) + [z] * (dim - off - f.dim))
-            for f, off in zip(factors, offsets)
-            for r in f.presentation.radical_rows)
-    pres = Presentation(kind="product", radical_rows=radical_rows,
-                        source=tuple(offsets))
+    pres = Presentation(kind="product", source=tuple(offsets))
     return Algebra(field, dim, tuple(names), tuple(unit),
                    _pack(field.p, den, rows), pres)
 

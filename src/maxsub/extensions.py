@@ -527,7 +527,10 @@ def decompose_module(m: Module) -> list[Module]:
 
 
 def is_local_module(m: Module) -> bool:
-    """Does End(M) have a one-dimensional semisimple quotient?"""
+    """Does End(M) have a one-dimensional semisimple quotient?  End(0) = 0
+    has none."""
+    if m.dim == 0:
+        return False
     e_alg, _ = endomorphism_algebra(m)
     return len(_primitive_bar_system(structure_report(e_alg))) == 1
 

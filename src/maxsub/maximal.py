@@ -55,9 +55,9 @@ from .linalg import (
 )
 from .structure import (
     WMData,
-    _radical_candidate,
     semisimple_blocks,
     structure_report,
+    trace_functional_radical,
     verify_radical,
     wedderburn_data,
 )
@@ -557,7 +557,7 @@ def classify_type(a: Subalgebra, b: Algebra) -> TypeVerdict:
     equality of simple-dimension multisets.
     """
     a.check_parent(b)
-    jb = _radical_candidate(b)
+    jb = trace_functional_radical(b)
     if all(a.space.contains_vec(list(r)) for r in jb.basis):
         verify_radical(b, jb)
         return TypeVerdict("semisimple", True)

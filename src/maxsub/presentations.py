@@ -36,7 +36,7 @@ from .linalg import (
     zero_vec,
 )
 from .modules import Module
-from .structure import ideal_closure, quotient_algebra
+from .structure import ideal_closure, jacobson_radical, quotient_algebra
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +155,6 @@ class PathAlgebraPresentation:
 class QuiverAlgebraData:
     quiver: Quiver
     bound: int
-    basis_lengths: tuple[int, ...]
     arrow_vectors: tuple[tuple[str, tuple], ...]   # (arrow name, coordinates)
 
     def arrow_vector(self, name: str) -> tuple:
@@ -185,7 +184,6 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
     by_len = _paths_up_to(q, bound)
     paths = [p for grp in by_len for p in grp]
     index = {p: i for i, p in enumerate(paths)}
-    lengths = [len(p[1]) for p in paths]
     n = len(paths)
 
     arrow_idx = {arr[0]: k for k, arr in enumerate(q.arrows)}
@@ -230,8 +228,7 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
     trunc = Algebra(field, n, t_names, tuple(t_unit), t_products)
 
     rel_vectors = [relation_vector(r) for r in pres.relations]
-    ideal = ideal_closure(trunc, rel_vectors) if rel_vectors else echelonize(
-        [], n, field)
+    ideal = ideal_closure(trunc, rel_vectors)
     for p in by_len[bound]:
         if not ideal.contains_vec(unit_vec(n, index[p], field)):
             raise InvalidInputError(
@@ -239,19 +236,14 @@ def path_algebra(pres: PathAlgebraPresentation, field: Field) -> Algebra:
                 "to zero: relations are not admissible at this bound")
     quot, qs = quotient_algebra(trunc, ideal)
     names = tuple(t_names[c] for c in qs.free_coords)
-    blens = tuple(lengths[c] for c in qs.free_coords)
-    radical_rows = tuple(
-        tuple(qs.project(unit_vec(n, index[p], field)))
-        for grp in by_len[1:bound] for p in grp)
     vertex_vectors = tuple(
         tuple(qs.project(unit_vec(n, index[(v, ())], field)))
         for v in q.vertices)
     arrow_vectors = tuple(
         (arr[0], tuple(qs.project(unit_vec(n, index[(arr[1], (k,))], field))))
         for k, arr in enumerate(q.arrows))
-    data = QuiverAlgebraData(q, bound, blens, arrow_vectors)
-    pres_meta = Presentation(kind="quiver", radical_rows=radical_rows,
-                             vertex_names=q.vertices,
+    data = QuiverAlgebraData(q, bound, arrow_vectors)
+    pres_meta = Presentation(kind="quiver", vertex_names=q.vertices,
                              vertex_vectors=vertex_vectors, source=data)
     return Algebra(field, quot.dim, names, quot.unit, quot.products, pres_meta)
 
@@ -324,14 +316,9 @@ def _incidence_from_pairs(names: Sequence[str], pairs: Sequence[tuple[str, str]]
              if b == c] for a, b in pairs]
     # the relation is reflexive: the unit is the sum of the pairs [e,e]
     unit = tuple(field.coerce(a == b) for a, b in pairs)
-    # for a quasi-order the radical omits pairs lying on a two-sided relation
-    radical_rows = tuple(unit_vec(n, i, field)
-                         for i, (a, b) in enumerate(pairs)
-                         if a != b and (b, a) not in index)
     vertex_vectors = tuple(tuple(unit_vec(n, index[(e, e)], field))
                            for e in names)
-    pres = Presentation(kind="incidence", radical_rows=radical_rows,
-                        vertex_names=tuple(names),
+    pres = Presentation(kind="incidence", vertex_names=tuple(names),
                         vertex_vectors=vertex_vectors, source=poset)
     return Algebra(field, n, basis_names, unit, _pack(field.p, 1, rows), pres)
 
@@ -377,10 +364,11 @@ def quiver_maximal(alg: Algebra, kind: str, a: str, b: str,
         raise InvalidInputError("need two distinct vertices")
     vx = {v: list(pres.vertex_vectors[i]) for i, v in enumerate(pres.vertex_names)}
     field = alg.field
+    rad = jacobson_radical(alg)
     if kind == "merge":
         rows = [vec_add(vx[a], vx[b], field)]
         rows += [vx[v] for v in q.vertices if v not in (a, b)]
-        rows += [list(r) for r in pres.radical_rows]
+        rows += [list(r) for r in rad.basis]
         return subalgebra_from_rows(alg, rows)
     if kind != "split":
         raise InvalidInputError(f"unknown kind {kind!r}")
@@ -405,7 +393,6 @@ def quiver_maximal(alg: Algebra, kind: str, a: str, b: str,
         if not (src == a and tgt == b):
             rows.append(list(data.arrow_vector(nm)))
     # everything of path length >= 2
-    rad = echelonize(pres.radical_rows, alg.dim, field)
     rows += [list(r) for r in _product_span(alg, rad, rad).basis]
     return subalgebra_from_rows(alg, rows)
 

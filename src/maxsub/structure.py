@@ -50,7 +50,6 @@ from .linalg import (
     mat_mul,
     mat_vec,
     quotient_space,
-    saturate,
     solve_linear,
     solve_one,
     span_elements,
@@ -70,13 +69,11 @@ SWEEP_CAP = 1 << 14
 # ideals and nilpotency
 
 def ideal_closure(a: Algebra, rows: Sequence[Sequence]) -> Subspace:
-    """Two-sided ideal generated by the given elements."""
-    ops = []
-    for k in range(a.dim):
-        bk = a.basis_vector(k)
-        ops += [lambda v, bk=bk: a.multiply(bk, v),
-                lambda v, bk=bk: a.multiply(v, bk)]
-    return saturate(rows, ops, a.dim, a.field)
+    """Two-sided ideal generated by the given elements: B·S·B, which holds
+    S because B is unital."""
+    full = full_subspace(a.dim, a.field)
+    s = echelonize(rows, a.dim, a.field)
+    return _product_span(a, _product_span(a, full, s), full)
 
 
 def is_two_sided_ideal(a: Algebra, s: Subspace) -> bool:
@@ -198,17 +195,9 @@ def trace_functional_radical(a: Algebra) -> Subspace:
     return space
 
 
-def _radical_candidate(a: Algebra) -> Subspace:
-    """The unverified radical: a presentation's rows, else the traces."""
-    pres = a.presentation
-    if pres is not None and pres.radical_rows is not None:
-        return echelonize(pres.radical_rows, a.dim, a.field)
-    return trace_functional_radical(a)
-
-
 def jacobson_radical(a: Algebra) -> Subspace:
     """The Jacobson radical as a canonical subspace, always verified."""
-    cand = _radical_candidate(a)
+    cand = trace_functional_radical(a)
     verify_radical(a, cand)
     return cand
 
@@ -714,7 +703,7 @@ def semisimple_blocks(b: Algebra, j: Subspace) -> StructureReport:
 
 
 def structure_report(b: Algebra) -> StructureReport:
-    return semisimple_blocks(b, _radical_candidate(b))
+    return semisimple_blocks(b, trace_functional_radical(b))
 
 
 # ---------------------------------------------------------------------------

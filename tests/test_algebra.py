@@ -664,3 +664,38 @@ def test_closure_predicate_matches_the_scalar_loops(field, kind, data):
         else:
             with pytest.raises(InvalidInputError, match=f"under {failure} action"):
                 bimodule_subspace(a, gen, space)
+
+
+IDEAL_ALGEBRAS = {
+    "M2": lambda f: matrix_algebra(2, f),
+    "M3": lambda f: matrix_algebra(3, f),
+    "T4": lambda f: block_triangular(4, (1, 1, 1, 1), f).as_algebra(),
+    "T(2,1,1)": lambda f: block_triangular(4, (2, 1, 1), f).as_algebra(),
+    "M2xT3": lambda f: direct_product(
+        [matrix_algebra(2, f), block_triangular(3, (1, 1, 1), f).as_algebra()]),
+}
+
+
+def _ideal_closure_saturation(a, rows):
+    """The former `ideal_closure`: the rows saturated under left and right
+    multiplication by every basis vector."""
+    ops = []
+    for k in range(a.dim):
+        bk = a.basis_vector(k)
+        ops += [lambda v, bk=bk: a.multiply(bk, v),
+                lambda v, bk=bk: a.multiply(v, bk)]
+    return saturate(rows, ops, a.dim, a.field)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(IDEAL_ALGEBRAS)), st.sampled_from([QQ, F2, F3]),
+       st.data())
+def test_ideal_closure_matches_the_saturation(name, field, data):
+    """B·S·B from two product spans equals the saturation of S under every
+    basis vector on both sides."""
+    a = IDEAL_ALGEBRAS[name](field)
+    entry = _rationals if field.p is None else st.integers(0, field.p - 1)
+    rows = data.draw(st.lists(st.lists(entry, min_size=a.dim, max_size=a.dim),
+                              max_size=3))
+    assert repr(ideal_closure(a, rows)) == repr(
+        _ideal_closure_saturation(a, rows))

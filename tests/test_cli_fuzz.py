@@ -65,9 +65,20 @@ def test_mutated_algebra_files_fail_cleanly(fuzz_dir, mutated, command):
     assert took < SECONDS, f"{took:.1f} s on {command} of\n{text}"
 
 
-# the recorded invocations that read a .quiver, .poset, .span or .mod file,
-# with the position of that file in the arguments
-FILE_CASES = [(argv, k) for argv in recorded_invocations().values()
+# four invocations with no recorded report that reach `poset build`,
+# `poset maximal`, `quiver maximal` and `mod decompose`; `mod induce` reads a
+# module file that an earlier command generates, so it has no case here
+EXTRA_INVOCATIONS = [
+    ["poset", "build", "data/diamond.poset"],
+    ["poset", "maximal", "data/diamond.poset", "t", "1", "2"],
+    ["quiver", "maximal", "data/kronecker.quiver", "split", "a", "b",
+     "--hyperplane", "1,0"],
+    ["mod", "decompose", "data/zigzag_defining.mod"],
+]
+# the recorded invocations and the four above that read a .quiver, .poset,
+# .span or .mod file, with the position of that file in the arguments
+FILE_CASES = [(argv, k)
+              for argv in [*recorded_invocations().values(), *EXTRA_INVOCATIONS]
               for k, a in enumerate(argv)
               if os.path.splitext(a)[1] in (".quiver", ".poset", ".span", ".mod")]
 PRESENTATION_TEXTS = {os.path.basename(argv[k]): open(

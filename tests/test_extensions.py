@@ -253,6 +253,14 @@ def test_decompose_simple_is_itself(m2q):
     assert len(parts) == 1 and parts[0].dim == 2
 
 
+def test_the_zero_module_is_not_local(m2q):
+    """End(0) = 0 has no one-dimensional semisimple quotient, and the zero
+    module has no indecomposable summand."""
+    zero = make_module(m2q, [[] for _ in range(m2q.dim)])
+    assert not is_local_module(zero)
+    assert decompose_module(zero) == []
+
+
 def test_decompose_regular_kxk():
     parts = decompose_module(regular_module(kxk(QQ)))
     assert [p.dim for p in parts] == [1, 1]

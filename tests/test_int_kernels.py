@@ -525,7 +525,10 @@ def _quiver_split_ref(alg, a, b, hyperplane):
     rows += [list(r) for r in echelonize(vrows, alg.dim, field).basis]
     rows += [list(data.arrow_vector(nm)) for nm, src, tgt in q.arrows
              if not (src == a and tgt == b)]
-    rad = [list(r) for r in pres.radical_rows]
+    # no relations: the arrow ideal is spanned by the basis paths that are
+    # not vertices
+    rad = [alg.basis_vector(i) for i, nm in enumerate(alg.basis_names)
+           if nm not in q.vertices]
     rows += [alg.multiply(x, y) for x in rad for y in rad]
     return subalgebra_from_rows(alg, rows)
 

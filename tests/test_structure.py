@@ -1,6 +1,7 @@
 """Radical, blocks, idempotent lifting, Wedderburn-Malcev, conjugating units."""
 
 import math
+import os
 import random
 import time
 from fractions import Fraction
@@ -19,6 +20,7 @@ from conftest import (
     DIAMOND_POSET,
     KRONECKER_QUIVER,
     QUATERNIONS_ALG,
+    ROOT,
     ZIGZAG_POSET,
     Scalars,
     f4_algebra,
@@ -28,13 +30,14 @@ from conftest import (
 )
 from maxsub.algebra import (
     block_triangular,
+    direct_product,
     make_algebra,
     matrix_algebra,
     subalgebra_from_rows,
 )
 from maxsub.errors import NotSplitError, VerificationFailedError
 from maxsub.extensions import decompose_module
-from maxsub.formats import parse_algebra
+from maxsub.formats import load_algebra, load_text, parse_algebra, parse_quiver
 from maxsub.linalg import (
     GF,
     QQ,
@@ -55,7 +58,7 @@ from maxsub.maximal import (
     instantiate_family,
 )
 from maxsub.modules import module_violation, regular_module
-from maxsub.presentations import incidence_algebra
+from maxsub.presentations import collapse_edge, incidence_algebra
 from maxsub.structure import (
     SWEEP_CAP,
     IdempotentSystem,
@@ -117,6 +120,83 @@ def test_arrow_ideal_matches_trace_form_over_q(a3_q, kronecker_q):
         assert traced == echelonize(
             [list(r) for r in trace_form_radical(strip_presentation(alg)).basis],
             alg.dim, alg.field)
+
+
+DATA = os.path.join(ROOT, "data")
+
+
+def _path_rows(alg):
+    """The former quiver rows: the paths of length >= 1, projected to K Q/I.
+    The bundled quivers have no relations, so these are the basis paths
+    that are not vertices."""
+    vertices = alg.presentation.vertex_names
+    return [alg.basis_vector(i) for i, nm in enumerate(alg.basis_names)
+            if nm not in vertices]
+
+
+def _strict_interval_rows(alg):
+    """The former incidence rows: [a,b] with a != b and no pair [b,a] (a
+    quasi-order's radical omits pairs lying on a two-sided relation)."""
+    pairs = [tuple(nm[1:-1].split(",")) for nm in alg.basis_names]
+    return [alg.basis_vector(i) for i, (a, b) in enumerate(pairs)
+            if a != b and (b, a) not in pairs]
+
+
+def _block_diagonal_rows(factors):
+    """The former product rows: each (factor, rows) at its offset."""
+    dim = sum(f.dim for f, _ in factors)
+    out, off = [], 0
+    for f, rows in factors:
+        z = f.field.zero()
+        out += [[z] * off + list(r) + [z] * (dim - off - f.dim) for r in rows]
+        off += f.dim
+    return out
+
+
+def _data_case(name, former):
+    def build(field):
+        alg = load_algebra(os.path.join(DATA, name), field)
+        return alg, former(alg)
+    return build
+
+
+def _collapse_case(arrow):
+    def build(field):
+        q = parse_quiver(load_text(os.path.join(DATA, "a4.quiver"))).quiver
+        ambient = collapse_edge(q, arrow, field).ambient
+        return ambient, _strict_interval_rows(ambient)
+    return build
+
+
+def _product_case(field):
+    kr = load_algebra(os.path.join(DATA, "kronecker.quiver"), field)
+    m2 = matrix_algebra(2, field)
+    chain = load_algebra(os.path.join(DATA, "chain3.poset"), field)
+    alg = direct_product([kr, m2, chain])
+    return alg, _block_diagonal_rows(
+        [(kr, _path_rows(kr)), (m2, []), (chain, _strict_interval_rows(chain))])
+
+
+FORMER_RADICALS = {
+    **{name: _data_case(name, _path_rows)
+       for name in sorted(os.listdir(DATA)) if name.endswith(".quiver")},
+    **{name: _data_case(name, _strict_interval_rows)
+       for name in sorted(os.listdir(DATA)) if name.endswith(".poset")},
+    **{f"collapse a4 {arrow}": _collapse_case(arrow) for arrow in "abc"},
+    **{f"M{n}": lambda field, n=n: (matrix_algebra(n, field), [])
+       for n in (1, 2, 3)},
+    "Kronecker x M2 x chain3": _product_case,
+}
+
+
+@pytest.mark.parametrize("field", [QQ, F2, GF(3)], ids=str)
+@pytest.mark.parametrize("name", sorted(FORMER_RADICALS))
+def test_radical_matches_the_former_presentation_rows(name, field):
+    """The traces give the radical that quiver, incidence, matrix and
+    product algebras used to carry as rows, as the same canonical RREF."""
+    alg, rows = FORMER_RADICALS[name](field)
+    assert repr(jacobson_radical(alg)) == repr(
+        echelonize(rows, alg.dim, field))
 
 
 def test_radical_is_nilpotent_ideal_and_quotient_clean(a3_q):
