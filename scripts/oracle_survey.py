@@ -3,7 +3,8 @@
 
 For each suite algebra of dimension <= 6 over F_2, enumerate the maximal
 families, instantiate them, and compare their conjugacy classes with the
-oracle's ground truth.  Prints one table row per algebra.
+oracle's ground truth.  Prints one table row per algebra, and exits 1
+when the families and the oracle disagree on any of them.
 
     python scripts/oracle_survey.py
 """
@@ -54,7 +55,8 @@ def suite():
     yield "M2", matrix_algebra(2, F2)
 
 
-def main():
+def main() -> int:
+    mismatches = 0
     print(f"{'algebra':<18} {'dim':>3} {'families':>8} {'classes':>7} "
           f"{'types':<28} {'match':>5} {'sec':>6}")
     for label, b in suite():
@@ -67,6 +69,7 @@ def main():
             sub = instantiate_family(b, fam, wm=wm)
             keys.add(conjugacy_orbit_rep(b, sub.space, units))
         match = keys == set(res.class_reps)
+        mismatches += not match
         kinds = {}
         for cls in res.classes:
             k = classify_type(cls[0], b).kind
@@ -75,7 +78,8 @@ def main():
         print(f"{label:<18} {b.dim:>3} {len(keys):>8} "
               f"{len(res.classes):>7} {kinds_s:<28} "
               f"{'yes' if match else 'NO':>5} {time.time() - t0:>6.2f}")
+    return 1 if mismatches else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

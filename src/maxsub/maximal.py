@@ -12,6 +12,7 @@ classes by sweeping the full unit group.
 from __future__ import annotations
 
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -38,6 +39,7 @@ from .linalg import (
     _Echelon,
     _ints,
     _is_prime,
+    _scalars,
     all_vectors,
     combine,
     echelonize,
@@ -582,50 +584,113 @@ class OracleResult:
     max_dim: int | None
 
 
+def _apply(m: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
+    """m·x for an integer matrix and an integer vector, not reduced mod p."""
+    return [sum(map(operator.mul, row, x)) for row in m]
+
+
 def unit_group(b: Algebra) -> list[tuple[list, list]]:
     """All invertible elements with their inverses; |B| must be <= 3^7.
 
-    x is a unit iff L_x: y ↦ x·y has full rank.  L_x is read off the
-    integer rows (`Algebra._left_ints`), and one elimination of [L_x | 1]
-    gives both the rank and the inverse y; y·x = 1 is checked too.
+    The sweep walks `all_vectors`.  A vector not yet seen is eliminated
+    once as [L_x | 1], L_x read off the integer rows: x is a unit iff L_x
+    has full rank, and the right-hand part is x⁻¹.  A unit found so joins
+    the generators G, and the left orbit of x under G is filled in by
+    products alone: g·x is a unit exactly when x is, with inverse x⁻¹·g⁻¹.
+    The pairs come out in `all_vectors` order, each checked by y·x = 1.
+    On the A3/F_3 input of `fp-oracle` (seed 1): 48 eliminations instead
+    of 729, 11 ms instead of 46.
     """
     f, n, one = b.field, b.dim, list(b.unit)
     if not f.is_finite:
         raise NotFiniteFieldError("unit group sweep needs a finite field")
     if f.p ** n > 3 ** 7:
         raise CapExceededError("unit group too large to sweep")
-    units = []
+    p = f.p
+    inverse: dict[tuple, list | None] = {}
+    gens: list[tuple[list, list]] = []      # (L_g, R_g⁻¹) on integer rows
     for v in all_vectors(n, f):
-        e = _Echelon(f, (row + [u] for row, u in zip(b._left_ints(v), one)))
+        if v in inverse:
+            continue
+        lv = b._left_ints(v)
+        e = _Echelon(f, (row + [u] for row, u in zip(lv, one)))
+        inv = None
         if len(e.pivots) == n and e.pivots[-1] < n:
             inv = [row[n] for row in e.rows]
-            if [x % f.p for x in b._multiply_ints(inv, v)] == one:
-                units.append((list(v), inv))
+            gens.append((lv, b._right_ints(inv)))
+        inverse[v] = inv
+        todo = [(v, inv)]
+        while todo:
+            x, xinv = todo.pop()
+            for lg, rginv in gens:
+                y = tuple([c % p for c in _apply(lg, x)])
+                if y not in inverse:
+                    yinv = None if xinv is None else [
+                        c % p for c in _apply(rginv, xinv)]
+                    inverse[y] = yinv
+                    todo.append((y, yinv))
+    units = [(list(v), inverse[v]) for v in all_vectors(n, f)
+             if inverse[v] is not None]
+    for v, inv in units:
+        if [x % p for x in b._multiply_ints(inv, v)] != one:
+            raise VerificationFailedError("a unit's inverse fails y·x = 1")
     return units
 
 
 def _orbit(b: Algebra, space: Subspace,
            units: Sequence[tuple[Sequence, Sequence]]) -> set[tuple]:
-    """The echelon bases of the conjugates u·space·u⁻¹, from the integer
-    products u·x·u⁻¹ of the basis rows x.  As λu conjugates like u, one
-    unit per line (its row normal form) is enough."""
-    f, mul = b.field, b._multiply_ints
+    """The echelon bases of the conjugates u·A·u⁻¹ of a unital subalgebra
+    A = space, one conjugation per coset u·A^×.
+
+    A unit a of B in A has a⁻¹ ∈ A, so u·a conjugates A as u does.  The
+    walk conjugates the first unit of each coset (on the integer rows) and
+    marks the rest of it with |A^×| products, A^× being the units that A
+    holds.  On the A3/F_3 input of `fp-oracle` (seed 1) its 5 orbits take
+    12 conjugations instead of 1620, 14 ms instead of 62.
+    """
+    f, mul, p = b.field, b._multiply_ints, b.field.p
+    d = b.products[0]
     rows = space.int_basis[1]
-    orbit, lines = set(), set()
-    for u, uinv in units:
-        u, uinv = _ints(u, f.p)[1], _ints(uinv, f.p)[1]
-        line = tuple(_Echelon(f, [u]).rows[0])
-        if line not in lines:
-            lines.add(line)
-            conj = _Echelon(f, (mul(mul(u, x), uinv) for x in rows))
-            orbit.add(conj.subspace(b.dim).basis)
+    ints = [(_ints(u, p), _ints(uinv, p)[1]) for u, uinv in units]
+    inner = [(da, a) for (da, a), _ in ints if space.holds_ints(a)]
+    orbit, marked = set(), set()
+    for (du, u), uinv in ints:
+        if tuple(_scalars(u, du, p)) in marked:
+            continue
+        lu = b._left_ints(u)
+        marked.update(tuple(_scalars(_apply(lu, a), d * du * da, p))
+                      for da, a in inner)
+        conj = _Echelon(f, (mul(_apply(lu, x), uinv) for x in rows))
+        orbit.add(conj.subspace(b.dim).basis)
     return orbit
 
 
 def conjugacy_orbit_rep(b: Algebra, space: Subspace,
                         units: list[tuple[list, list]]) -> tuple:
-    """Canonical representative (minimal echelon basis) of the orbit."""
+    """Canonical representative (minimal echelon basis) of the orbit.
+
+    Raises InvalidInputError unless `space` is a unital subalgebra A (it
+    contains 1 and is closed), for which alone one conjugation per coset
+    of A^× covers the orbit.
+    """
+    if not is_closed_subspace(b, space):
+        raise InvalidInputError(
+            "orbit representatives need a unital subalgebra: "
+            "the space lacks 1 or is not closed")
     return min(_orbit(b, space, units) | {space.basis})
+
+
+def _closed_with_one(b: Algebra, s: Subspace) -> bool:
+    """Closure of a subspace s ∋ 1 on (k−1)² of its k² products.
+
+    1 = Σ u[P_t]·x_t over the basis rows (u = 1, P the pivots), so for the
+    latest row r with u[P_r] ≠ 0 every product with x_r lies in s once
+    the products of the other rows do.
+    """
+    r = max(t for t, q in enumerate(s.pivots) if b.unit[q])
+    rows = s.int_basis[1]
+    rest = rows[:r] + rows[r + 1:]
+    return _products_in(b, rest, rest, s)
 
 
 def _check_oracle_caps(b: Algebra):
@@ -640,15 +705,17 @@ def brute_force_maximal(b: Algebra) -> OracleResult:
     """Ground truth: all maximal subalgebras of a small finite algebra.
 
     Generates the subspaces that contain 1 in descending dimension, keeps
-    the multiplicatively closed ones and marks the maximal ones by
-    pairwise containment.  Each maximal one not yet labelled is conjugated
-    by the full unit group, and its whole orbit gets the orbit's minimal
-    echelon basis as its conjugacy class key.
+    the multiplicatively closed ones (`_closed_with_one`) and marks the
+    maximal ones by pairwise containment.  Each maximal A not yet labelled
+    is conjugated by one unit per coset u·A^× (`_orbit`), and its whole
+    orbit gets the orbit's minimal echelon basis as its conjugacy class
+    key.  With the left-orbit `unit_group` this took `fp-oracle` `wall_s`
+    from 1.05 to 0.58 s (medians of 10 pairs, `BENCH_21.json`).
     """
     _check_oracle_caps(b)
     closed = [s for k in range(b.dim - 1, 0, -1)
               for s in enumerate_subspaces(b.dim, k, b.field, b.unit)
-              if _products_in(b, s.basis, s.basis, s)]
+              if _closed_with_one(b, s)]
     maximal = []
     for s in closed:
         if not any(t.dim > s.dim and subspace_contains(t, s) for t in closed):
@@ -672,8 +739,8 @@ def observed_max_dim(b: Algebra) -> int | None:
     """Largest dimension of a proper unital closed subspace (early exit).
 
     Scans the subspaces that contain 1 in descending dimension and stops
-    at the first subalgebra; wider ambient caps than the full oracle
-    since only one stratum is usually touched.
+    at the first subalgebra (`_closed_with_one`); wider ambient caps than
+    the full oracle since only one stratum is usually touched.
     """
     if not b.field.is_finite or b.field.p not in MAXDIM_AMBIENT_CAP:
         raise NotFiniteFieldError("observed_max_dim runs over F_2 and F_3 only")
@@ -681,7 +748,7 @@ def observed_max_dim(b: Algebra) -> int | None:
         raise CapExceededError("ambient dimension beyond the max-dim cap")
     return next((k for k in range(b.dim - 1, 0, -1)
                  for s in enumerate_subspaces(b.dim, k, b.field, b.unit)
-                 if _products_in(b, s.basis, s.basis, s)), None)
+                 if _closed_with_one(b, s)), None)
 
 
 def max_proper_subalgebra_dim(b: Algebra) -> int:

@@ -42,7 +42,16 @@ from maxsub.algebra import (
 )
 from maxsub.errors import DimensionError, InvalidInputError
 from maxsub.extensions import endomorphism_algebra
-from maxsub.formats import dump_algebra, load_algebra, parse_algebra
+from maxsub.formats import (
+    dump_algebra,
+    dump_module,
+    dump_span,
+    load_algebra,
+    load_text,
+    parse_algebra,
+    parse_module,
+    parse_span,
+)
 from maxsub.linalg import (
     GF,
     QQ,
@@ -455,6 +464,34 @@ def test_algebra_text_roundtrip():
         assert back.unit == alg.unit
         assert back.products == alg.products
         assert dump_algebra(back) == text
+
+
+# every bundled span file, with the algebra it is a subspace of
+SPAN_ALGEBRAS = {"b11_m2q.span": "m2_q.alg", "d4_in_zigzag.span": "zigzag_a5.alg",
+                 "diag_kxk.span": "kxk_q.alg", "f4_in_m2f2.span": "m2_f2.alg",
+                 "scalars_m2q.span": "m2_q.alg"}
+
+
+def test_span_text_roundtrip():
+    data = os.path.join(ROOT, "data")
+    assert sorted(SPAN_ALGEBRAS) == sorted(
+        os.path.basename(p) for p in glob.glob(os.path.join(data, "*.span")))
+    for name, alg_name in SPAN_ALGEBRAS.items():
+        alg = load_algebra(os.path.join(data, alg_name))
+        text = load_text(os.path.join(data, name))
+        rows = parse_span(text, alg.field, alg.dim)
+        assert dump_span(rows, alg.field) == text
+        assert parse_span(dump_span(rows, alg.field), alg.field, alg.dim) == rows
+
+
+def test_module_text_roundtrip():
+    data = os.path.join(ROOT, "data")
+    text = load_text(os.path.join(data, "zigzag_defining.mod"))
+    mod = parse_module(text, data)
+    assert dump_module(mod, "zigzag_a5.poset") == text
+    back = parse_module(dump_module(mod, "zigzag_a5.poset"), data)
+    assert (back.dim, back.action) == (mod.dim, mod.action)
+    assert back.algebra.products == mod.algebra.products
 
 
 _NORMAL_FORM_CASES = {}

@@ -1,9 +1,12 @@
 """Maximal families, certification, classification, brute-force oracle."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     A2_QUIVER,
@@ -51,7 +54,7 @@ from maxsub.maximal import (
     unit_group,
 )
 from maxsub.presentations import incidence_algebra
-from maxsub.structure import wedderburn_data
+from maxsub.structure import structure_report, wedderburn_data
 
 F2 = GF(2)
 F3 = GF(3)
@@ -352,6 +355,26 @@ def test_pointed_oracle_all_codim_one():
         assert all(s.dim == b.dim - 1 for s in res.maximal)
 
 
+def _unit_loop(b):
+    """Reference unit group: `invert_element` on every vector."""
+    units = []
+    for v in itertools.product(range(b.field.p), repeat=b.dim):
+        inv = invert_element(b, list(v))
+        if inv is not None:
+            units.append((list(v), inv))
+    return units
+
+
+def _orbit_min_loop(b, s, units):
+    """Reference orbit key: the minimal echelon basis of s and of its
+    conjugates by every unit, through `Algebra.multiply`."""
+    key = s.basis
+    for u, uinv in units:
+        rows = [b.multiply(b.multiply(u, list(x)), uinv) for x in s.basis]
+        key = min(key, echelonize(rows, b.dim, b.field).basis)
+    return key
+
+
 def _oracle_loop(b):
     """Reference oracle: the former bodies of `brute_force_maximal`,
     `unit_group`, `conjugacy_orbit_rep` and `observed_max_dim`.  Every
@@ -366,18 +389,10 @@ def _oracle_loop(b):
     maximal = [s for s in closed
                if not any(t.dim > s.dim and subspace_contains(t, s)
                           for t in closed)]
-    units = []
-    for v in itertools.product(range(f.p), repeat=b.dim):
-        inv = invert_element(b, list(v))
-        if inv is not None:
-            units.append((list(v), inv))
+    units = _unit_loop(b)
     reps = {}
     for s in maximal:
-        key = s.basis
-        for u, uinv in units:
-            rows = [b.multiply(b.multiply(u, list(x)), uinv) for x in s.basis]
-            key = min(key, echelonize(rows, b.dim, f).basis)
-        reps.setdefault(key, []).append(s)
+        reps.setdefault(_orbit_min_loop(b, s, units), []).append(s)
     keys = sorted(reps)
     max_dim = max((s.dim for s in maximal), default=None)
     observed = closed[0].dim if closed else None
@@ -414,6 +429,52 @@ def test_oracle_matches_the_reference_loop(build, seed):
     assert observed_max_dim(b) == observed
     assert all(conjugacy_orbit_rep(b, s, units) == k
                for k, c in zip(keys, classes) for s in c)
+
+
+def _gl_order(n, p):
+    return math.prod(p ** n - p ** i for i in range(n))
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from([
+    (label, build, field) for label, build in (
+        ("T3", lambda f: block_triangular(3, [1, 1, 1], f).as_algebra()),
+        ("M2xK", lambda f: direct_product([matrix_algebra(2, f),
+                                           matrix_algebra(1, f)])),
+        ("M2xKxK", lambda f: direct_product([matrix_algebra(2, f),
+                                             matrix_algebra(1, f),
+                                             matrix_algebra(1, f)])),
+        ("A3", lambda f: quiver_algebra(A3_QUIVER, f)),
+        ("KxKxM2", kxkxm2))
+    for field in (F2, F3)]), seed=st.integers(0, 2 ** 32))
+def test_unit_sweep_and_coset_orbits_match_the_every_unit_loop(case, seed):
+    """On a random basis: the left-orbit unit sweep equals `invert_element`
+    on every vector, pairs and order included; |B^×| is p^{dim J} times
+    the orders of GL_{n_i}(F_p) of the blocks; and the coset orbit walk
+    gives every family instance the minimum over all its conjugates."""
+    _, build, field = case
+    base = build(field)
+    b = rebased(base, random_basis(base.dim, field, random.Random(seed)))
+    units = unit_group(b)
+    assert units == _unit_loop(b)
+    rep = structure_report(b)
+    assert rep.schur
+    assert len(units) == field.p ** rep.radical.dim * math.prod(
+        _gl_order(n, field.p) for n in rep.block_dims)
+    wm = wedderburn_data(b)
+    for fam in enumerate_maximal_families(b, wm=wm):
+        s = instantiate_family(b, fam, wm=wm).space
+        assert conjugacy_orbit_rep(b, s, units) == _orbit_min_loop(b, s, units)
+
+
+@pytest.mark.parametrize("rows", [
+    [[1, 0, 0, 0], [0, 1, 0, 0]],                  # e11, e12: no 1
+    [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]],    # 1, e12, e21: not closed
+], ids=["lacks-1", "not-closed"])
+def test_orbit_rep_rejects_a_space_that_is_no_unital_subalgebra(m2f2, rows):
+    space = echelonize(rows, 4, F2)
+    with pytest.raises(InvalidInputError, match="unital subalgebra"):
+        conjugacy_orbit_rep(m2f2, space, unit_group(m2f2))
 
 
 def test_maxdim_matrix_algebras():
