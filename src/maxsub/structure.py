@@ -26,6 +26,7 @@ from .algebra import (
     _pack,
     _product_span,
     centralizer,
+    invert_element,
     subalgebra_from_rows,
 )
 from .errors import (
@@ -47,7 +48,6 @@ from .linalg import (
     echelonize,
     full_subspace,
     kernel,
-    mat_mul,
     mat_vec,
     quotient_space,
     solve_linear,
@@ -729,6 +729,19 @@ def _newton_idempotent(b: Algebra, x: list, max_rounds: int) -> list:
     raise VerificationFailedError("idempotent lifting did not converge")
 
 
+def _check_complete_system(a: Algebra, system: list[list], kind: str):
+    """Raise InvalidInputError unless the vectors are idempotents of a that
+    are pairwise orthogonal and sum to 1."""
+    for i, e in enumerate(system):
+        if a.multiply(e, e) != e:
+            raise InvalidInputError(f"{kind} idempotent {i} is not idempotent")
+        if any(k != i and not vec_is_zero(a.multiply(e, e2))
+               for k, e2 in enumerate(system)):
+            raise InvalidInputError(f"{kind} system is not orthogonal")
+    if combine([a.field.one()] * len(system), system, a.field) != list(a.unit):
+        raise InvalidInputError(f"{kind} system does not sum to 1")
+
+
 def lift_idempotents(b: Algebra, rep: StructureReport,
                      bar_system: Sequence[Sequence]) -> IdempotentSystem:
     """Lift a complete orthogonal system of B/J idempotents into B.
@@ -738,18 +751,10 @@ def lift_idempotents(b: Algebra, rep: StructureReport,
     sequential orthogonalization; completeness comes for free because
     1 - sum is an idempotent inside J.
     """
-    sbar, q = rep.quotient, rep.onto_quotient
+    q = rep.onto_quotient
     f = b.field
-    # verify the bar system really is complete and orthogonal
     bars = [list(map(f.coerce, e)) for e in bar_system]
-    for i, e in enumerate(bars):
-        if sbar.multiply(e, e) != e:
-            raise InvalidInputError(f"bar idempotent {i} is not idempotent")
-        if any(k != i and not vec_is_zero(sbar.multiply(e, e2))
-               for k, e2 in enumerate(bars)):
-            raise InvalidInputError("bar system is not orthogonal")
-    if combine([f.one()] * len(bars), bars, f) != list(sbar.unit):
-        raise InvalidInputError("bar system does not sum to 1")
+    _check_complete_system(rep.quotient, bars, "bar")
     rounds = 4 * (b.dim + 2)
     lifted: list[list] = []
     partial = zero_vec(b.dim, f)
@@ -876,105 +881,88 @@ def wedderburn_malcev_complement(b: Algebra) -> Subalgebra:
 
 
 # ---------------------------------------------------------------------------
-# conjugating unit between idempotent systems
+# B/J on its simple modules: conjugating units and simple modules
 
-def conjugating_unit(b: Algebra, e_sys: IdempotentSystem,
-                     f_sys: IdempotentSystem) -> list | None:
-    """An invertible a with f_i = a e_i a^{-1}, or None if none is found.
+def _block_matrices(rep: StructureReport, bars: Sequence[Sequence]) -> list:
+    """For each block k of rep and each bar (coordinates in B/J), the
+    n_k×n_k matrix of the bar on the simple module V_k = span u_p0.
 
-    Searches f_i B e_i for witnesses a_i with two-sided partners
-    b_i in e_i B f_i (a_i b_i = f_i, b_i a_i = e_i); deterministic sweep
-    over F_p, bounded integer combinations over Q.
-    """
-    if len(e_sys.idempotents) != len(f_sys.idempotents):
-        raise InvalidInputError("systems must have equal length")
-    f = b.field
-    total_a = zero_vec(b.dim, f)
-    total_b = zero_vec(b.dim, f)
-    for e, fi in zip(e_sys.idempotents, f_sys.idempotents):
-        e = list(e)
-        fi = list(fi)
-        fbe = _flanked_span(b, fi, e)
-        ebf = _flanked_span(b, e, fi)
-        witness = None
-        for cand in _witness_candidates(fbe, f):
-            partner = _solve_partner(b, cand, ebf, e, fi)
-            if partner is not None:
-                witness = (cand, partner)
-                break
-        if witness is None:
-            return None
-        total_a = vec_add(total_a, witness[0], f)
-        total_b = vec_add(total_b, witness[1], f)
-    if b.multiply(total_a, total_b) != list(b.unit):
-        return None
-    if b.multiply(total_b, total_a) != list(b.unit):
-        return None
-    for e, fi in zip(e_sys.idempotents, f_sys.idempotents):
-        conj = b.multiply(b.multiply(total_a, list(e)), total_b)
-        if conj != list(fi):
-            return None
-    return total_a
-
-
-def _witness_candidates(space: Subspace, f: Field):
-    if space.dim == 0:
-        return
-    if f.is_finite and f.p ** space.dim <= SWEEP_CAP:
-        elements = span_elements(space)
-    else:
-        box = [f.coerce(c) for c in (0, 1, -1, 2, -2)]
-        elements = (combine(coeffs, space.basis, f)
-                    for coeffs in itertools.product(box, repeat=space.dim))
-    for x in elements:
-        if not vec_is_zero(x):
-            yield x
-
-
-def _solve_partner(b: Algebra, a_i: list, ebf: Subspace, e: list, fi: list,
-                   ) -> list | None:
-    """b_i in the given space with a_i b_i = fi and b_i a_i = e."""
-    f = b.field
-    if not ebf.basis:
-        return None
-    # column w of the system is a_i·w over w·a_i, for w in the basis
-    ops = b.left_mult_matrix(a_i) + b.right_mult_matrix(a_i)
-    system = mat_mul(ops, [list(r) for r in zip(*ebf.basis)], f)
-    t = solve_one(system, fi + e, f)
-    return None if t is None else combine(t, ebf.basis, f)
-
-
-# ---------------------------------------------------------------------------
-# simple modules
-
-def simple_modules(b: Algebra) -> list[Module]:
-    """One simple module per block, with explicit action matrices."""
-    rep = structure_report(b)
-    if not rep.schur:
-        raise NotSplitError(rep.failure or "blocks are not split")
-    s = rep.quotient
-    q = rep.onto_quotient
-    out = []
+    The matrix units of all blocks are a basis of B/J, so x̄ = Σ m_pq·u_pq
+    and x̄·u_q0 = Σ_p m_pq·u_p0: one solve against the units gives every
+    m_pq."""
+    units = [u for blk in rep.blocks for row in blk.units for u in row]
+    coeffs, _ = solve_linear(list(zip(*units)), list(zip(*bars)),
+                             rep.quotient.field)
+    if coeffs is None:
+        raise VerificationFailedError("matrix units do not span B/J")
+    out, start = [], 0
     for blk in rep.blocks:
         n = blk.n
-        col_basis = [list(blk.units[p][0]) for p in range(n)]
-        colspace = echelonize(col_basis, s.dim, s.field)
-        # column space as a left S-module along the first-column units
-        def act_matrix(bk_vec, col_basis=col_basis, colspace=colspace):
-            cols = []
-            for v in col_basis:
-                img = s.multiply(q.project(bk_vec), v)
-                cols.append(_coords_in_rows(img, col_basis, colspace))
-            return [list(r) for r in zip(*cols)]
-        mats = [act_matrix(b.basis_vector(k)) for k in range(b.dim)]
-        out.append(make_module(b, mats, check=True))
+        out.append([[[coeffs[start + p * n + q][j] for q in range(n)]
+                     for p in range(n)] for j in range(len(bars))])
+        start += n * n
     return out
 
 
-def _coords_in_rows(v: list, rows: list[list], span: Subspace) -> list:
-    """Coordinates of v in the (possibly non-echelon) row list."""
-    cols = [list(c) for c in zip(*rows)]
-    coeffs = solve_one(cols, v, span.field)
-    if coeffs is None:
-        raise VerificationFailedError("vector not in span")
-    return coeffs
+def conjugating_unit(b: Algebra, e_sys: IdempotentSystem,
+                     f_sys: IdempotentSystem) -> list | None:
+    """A unit u with u·e_i·u⁻¹ = f_i for every i, or None when the two
+    complete orthogonal systems of b are not conjugate.
+
+    Such systems are conjugate iff their images in B/J are, that is iff ē_i
+    and f̄_i have the same rank on each simple module V_k of
+    `structure_report(b)`.  Then ā maps a basis of each ē_i·V_k onto one
+    of f̄_i·V_k, read off the matrix units, and lifts to a unit a.  With
+    e'_i = a·e_i·a⁻¹ ≡ f_i modulo J, c = Σ f_i·e'_i ≡ 1 is a unit with
+    c·e'_i = f_i·c, so u = c·a = Σ f_i·a·e_i; it is checked exactly.
+    Raises NotSplitError when B/J is not split, and InvalidInputError
+    unless both systems belong to b, are complete and orthogonal, and have
+    equal length.
+    """
+    if len(e_sys.idempotents) != len(f_sys.idempotents):
+        raise InvalidInputError("systems must have equal length")
+    if e_sys.parent is not b or f_sys.parent is not b:
+        raise InvalidInputError("idempotent system of another algebra")
+    f = b.field
+    es, fs = ([list(map(f.coerce, e)) for e in sys.idempotents]
+              for sys in (e_sys, f_sys))
+    _check_complete_system(b, es, "source")
+    _check_complete_system(b, fs, "target")
+    rep = structure_report(b)
+    if not rep.schur:
+        raise NotSplitError(rep.failure or "semisimple quotient is not split")
+    q, m = rep.onto_quotient, len(es)
+    coeffs, units = [], []
+    for blk, mats in zip(rep.blocks,
+                         _block_matrices(rep, [q.project(x) for x in es + fs])):
+        # the image of each idempotent matrix, as basis rows
+        images = [echelonize(zip(*mat), blk.n, f).basis for mat in mats]
+        if any(len(u) != len(v) for u, v in zip(images, images[m:])):
+            return None
+        # ā_k·P = Q for the image bases P of the ē_i and Q of the f̄_i as
+        # columns, so ā_kᵀ solves Pᵀ·X = Qᵀ
+        at, _ = solve_linear([r for im in images[:m] for r in im],
+                             [r for im in images[m:] for r in im], f)
+        coeffs += [at[t][s] for s in range(blk.n) for t in range(blk.n)]
+        units += [u for row in blk.units for u in row]
+    a = q.lift(combine(coeffs, units, f))
+    unit = combine([f.one()] * m, [b.multiply(b.multiply(fi, a), e)
+                                   for e, fi in zip(es, fs)], f)
+    if invert_element(b, unit) is None or any(
+            b.multiply(unit, e) != b.multiply(fi, unit)
+            for e, fi in zip(es, fs)):
+        raise VerificationFailedError("conjugating unit failed its check")
+    return unit
+
+
+def simple_modules(b: Algebra) -> list[Module]:
+    """One simple module per block of B/J, in the order of the structure
+    report: V_k = span u_p0 of its matrix units, on which each basis
+    vector of b acts by the matrix of its image (`_block_matrices`)."""
+    rep = structure_report(b)
+    if not rep.schur:
+        raise NotSplitError(rep.failure or "blocks are not split")
+    q = rep.onto_quotient
+    bars = [q.project(b.basis_vector(k)) for k in range(b.dim)]
+    return [make_module(b, mats, check=True)
+            for mats in _block_matrices(rep, bars)]

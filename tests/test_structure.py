@@ -26,16 +26,23 @@ from conftest import (
     f4_algebra,
     kxkxm2,
     quiver_algebra,
+    random_basis,
+    rebased,
     strip_presentation,
 )
 from maxsub.algebra import (
     block_triangular,
     direct_product,
+    invert_element,
     make_algebra,
     matrix_algebra,
     subalgebra_from_rows,
 )
-from maxsub.errors import NotSplitError, VerificationFailedError
+from maxsub.errors import (
+    InvalidInputError,
+    NotSplitError,
+    VerificationFailedError,
+)
 from maxsub.extensions import decompose_module
 from maxsub.formats import load_algebra, load_text, parse_algebra, parse_quiver
 from maxsub.linalg import (
@@ -44,24 +51,28 @@ from maxsub.linalg import (
     combine,
     echelonize,
     identity_matrix,
+    mat_mul,
     solve_linear,
+    solve_one,
     span_elements,
     subspace_intersection,
     subspace_sum,
     vec_add,
     vec_is_zero,
     zero_subspace,
+    zero_vec,
 )
 from maxsub.maximal import (
     classify_type,
     enumerate_maximal_families,
     instantiate_family,
 )
-from maxsub.modules import module_violation, regular_module
+from maxsub.modules import make_module, module_violation, regular_module
 from maxsub.presentations import collapse_edge, incidence_algebra
 from maxsub.structure import (
     SWEEP_CAP,
     IdempotentSystem,
+    _flanked_span,
     _int_div_linear,
     _int_homogeneous_eval,
     _poly_divmod,
@@ -696,6 +707,226 @@ def test_conjugating_unit_radical_perturbation(kronecker_f2):
     # the conjugator differs from 1 by a radical element
     diff = [ops.sub(x, y) for x, y in zip(a, kr.unit)]
     assert jacobson_radical(kr).contains_vec(diff)
+
+
+@pytest.mark.parametrize("case", ["partial", "other-parent", "not-idempotent"])
+def test_conjugating_unit_rejects_what_is_no_complete_system_of_b(m2q, case):
+    """The rank criterion holds for complete orthogonal systems of b only:
+    partial systems, systems of another M_2(Q) and non-idempotents are
+    refused, where the former search returned None or an answer."""
+    e11, e22 = (1, 0, 0, 0), (0, 0, 0, 1)
+    if case == "partial":
+        sys_e = IdempotentSystem(m2q, (e11,))
+        sys_f = IdempotentSystem(m2q, (e22,))
+    elif case == "other-parent":
+        other = matrix_algebra(2, QQ)
+        sys_e = IdempotentSystem(other, (e11, e22))
+        sys_f = IdempotentSystem(m2q, (e22, e11))
+    else:
+        sys_e = IdempotentSystem(m2q, ((2, 0, 0, 0), e22))
+        sys_f = IdempotentSystem(m2q, (e22, e11))
+    with pytest.raises(InvalidInputError):
+        conjugating_unit(m2q, sys_e, sys_f)
+
+
+def _box_conjugating_unit(b, e_sys, f_sys):
+    """Reference: the former search over F_p.  For each i it sweeps
+    f_i·B·e_i for a witness a_i with a partner b_i in e_i·B·f_i
+    (a_i·b_i = f_i and b_i·a_i = e_i), and returns Σ a_i when the sums
+    are inverse to each other and conjugate every e_i to f_i."""
+    f = b.field
+    total_a, total_b = zero_vec(b.dim, f), zero_vec(b.dim, f)
+    for e, fi in zip(map(list, e_sys.idempotents),
+                     map(list, f_sys.idempotents)):
+        ebf = _flanked_span(b, e, fi)
+        cols = [list(r) for r in zip(*ebf.basis)]
+        witness = None
+        for cand in span_elements(_flanked_span(b, fi, e)):
+            if vec_is_zero(cand) or not ebf.basis:
+                continue
+            ops = b.left_mult_matrix(cand) + b.right_mult_matrix(cand)
+            t = solve_one(mat_mul(ops, cols, f), fi + e, f)
+            if t is not None:
+                witness = cand, combine(t, ebf.basis, f)
+                break
+        if witness is None:
+            return None
+        total_a = vec_add(total_a, witness[0], f)
+        total_b = vec_add(total_b, witness[1], f)
+    one = list(b.unit)
+    if (b.multiply(total_a, total_b) != one
+            or b.multiply(total_b, total_a) != one):
+        return None
+    if any(b.multiply(b.multiply(total_a, list(e)), total_b) != list(fi)
+           for e, fi in zip(e_sys.idempotents, f_sys.idempotents)):
+        return None
+    return total_a
+
+
+def _assert_conjugates(b, u, e_sys, f_sys):
+    u_inv = invert_element(b, u)
+    assert u_inv is not None
+    for e, fi in zip(e_sys.idempotents, f_sys.idempotents):
+        assert b.multiply(b.multiply(u, list(e)), u_inv) == list(fi)
+
+
+def _random_unit(b, rng):
+    while True:
+        u = [rng.randrange(b.field.p) for _ in range(b.dim)]
+        u_inv = invert_element(b, u)
+        if u_inv is not None:
+            return u, u_inv
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from([
+    (label, build, field) for label, build in (
+        ("M2xM2", lambda f: direct_product([matrix_algebra(2, f)] * 2)),
+        ("KxKxM2", kxkxm2),
+        ("T3", lambda f: block_triangular(3, [1, 1, 1], f).as_algebra()),
+        ("A3", lambda f: quiver_algebra(A3_QUIVER, f)),
+        ("Kronecker", lambda f: quiver_algebra(KRONECKER_QUIVER, f)))
+    for field in (F2, GF(3))]), conjugate=st.booleans(),
+    seed=st.integers(0, 2 ** 32))
+def test_conjugating_unit_matches_the_sweep(case, conjugate, seed):
+    """On a random basis, two systems regroup the lifted diagonal units of
+    `wedderburn_data`, and one is conjugated by a random unit.  Either the
+    groups of the second are those of the first with the units permuted
+    inside each block, so the systems are conjugate, or they are drawn
+    afresh, which often mismatches a rank.  None agrees with the former
+    sweep, and every returned unit conjugates e_i to f_i."""
+    _, build, field = case
+    rng = random.Random(seed)
+    base = build(field)
+    b = rebased(base, random_basis(base.dim, field, rng))
+    units = wedderburn_data(b).block_units
+    diag = [list(blk[p][p]) for blk in units for p in range(len(blk))]
+    m = rng.randint(1, len(diag))
+
+    def regroup(labels):
+        return [combine([int(x == g) for x in labels], diag, field)
+                for g in range(m)]
+
+    def draw_labels():
+        # every group gets at least one unit
+        labels = list(range(m)) + [rng.randrange(m)
+                                   for _ in range(len(diag) - m)]
+        rng.shuffle(labels)
+        return labels
+
+    labels = draw_labels()
+    if conjugate:
+        # a permutation of the diagonal units inside each block
+        moved, start = [], 0
+        for blk in units:
+            part = labels[start:start + len(blk)]
+            rng.shuffle(part)
+            moved += part
+            start += len(blk)
+    else:
+        moved = draw_labels()
+    u, u_inv = _random_unit(b, rng)
+    sys_e = IdempotentSystem(b, tuple(map(tuple, regroup(labels))))
+    sys_f = IdempotentSystem(b, tuple(
+        tuple(b.multiply(b.multiply(u, g), u_inv)) for g in regroup(moved)))
+    got = conjugating_unit(b, sys_e, sys_f)
+    assert (got is None) == (_box_conjugating_unit(b, sys_e, sys_f) is None)
+    if conjugate:
+        assert got is not None
+    if got is not None:
+        _assert_conjugates(b, got, sys_e, sys_f)
+
+
+def _diagonal_system(b, n, ranks):
+    """The diagonal idempotents of M_n with the given ranks, in order."""
+    out, start = [], 0
+    for r in ranks:
+        out.append(tuple(b.field.coerce(int(p == q and start <= p < start + r))
+                         for p in range(n) for q in range(n)))
+        start += r
+    return IdempotentSystem(b, tuple(out))
+
+
+def test_conjugating_unit_m4q_ranks_2_2_against_3_1_is_none():
+    """Not conjugate, which the former box search took many seconds to
+    conclude (timings in ROADMAP item 3)."""
+    b = matrix_algebra(4, QQ)
+    assert conjugating_unit(b, _diagonal_system(b, 4, (2, 2)),
+                            _diagonal_system(b, 4, (3, 1))) is None
+
+
+@pytest.mark.parametrize("n, ranks", [(5, (2, 3)), (6, (3, 3))])
+def test_conjugating_unit_over_q_finds_a_fixed_conjugate(n, ranks):
+    """The diagonal system against its conjugate by the upper unitriangular
+    matrix of ones with a 2 at (n, 1), beyond the reach of the former box
+    search over Q (timings in ROADMAP item 3)."""
+    b = matrix_algebra(n, QQ)
+    u = [QQ.coerce(1 if q >= p else 2 if (p, q) == (n - 1, 0) else 0)
+         for p in range(n) for q in range(n)]
+    u_inv = invert_element(b, u)
+    sys_e = _diagonal_system(b, n, ranks)
+    sys_f = IdempotentSystem(b, tuple(
+        tuple(b.multiply(b.multiply(u, list(e)), u_inv))
+        for e in sys_e.idempotents))
+    got = conjugating_unit(b, sys_e, sys_f)
+    assert got is not None
+    _assert_conjugates(b, got, sys_e, sys_f)
+
+
+def test_conjugating_unit_not_split_raises():
+    b = f4_algebra()
+    sys = IdempotentSystem(b, (tuple(b.unit),))
+    with pytest.raises(NotSplitError):
+        conjugating_unit(b, sys, sys)
+
+
+def _simple_modules_loop(b):
+    """Reference: the former body of `simple_modules`, which solved for the
+    coordinates of each x̄·u_q0 in the first-column units one at a time."""
+    rep = structure_report(b)
+    if not rep.schur:
+        raise NotSplitError(rep.failure or "blocks are not split")
+    s, q = rep.quotient, rep.onto_quotient
+    out = []
+    for blk in rep.blocks:
+        col_basis = [list(blk.units[p][0]) for p in range(blk.n)]
+        cols = [list(c) for c in zip(*col_basis)]
+        mats = []
+        for k in range(b.dim):
+            x = q.project(b.basis_vector(k))
+            coords = []
+            for v in col_basis:
+                c = solve_one(cols, s.multiply(x, v), s.field)
+                if c is None:
+                    raise VerificationFailedError("vector not in span")
+                coords.append(c)
+            mats.append([list(r) for r in zip(*coords)])
+        out.append(make_module(b, mats, check=True))
+    return out
+
+
+def _outcome(fn, b):
+    try:
+        return repr([m.action for m in fn(b)])
+    except (NotSplitError, VerificationFailedError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+@pytest.mark.parametrize("basis", ["standard", "random"])
+@pytest.mark.parametrize("field", [QQ, F2, GF(3)], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize("build", [
+    lambda f: direct_product([matrix_algebra(2, f)] * 2),
+    kxkxm2,
+    lambda f: matrix_algebra(3, f),
+    lambda f: quiver_algebra(A3_QUIVER, f),
+    lambda f: quiver_algebra(KRONECKER_QUIVER, f),
+], ids=["M2xM2", "KxKxM2", "M3", "A3", "Kronecker"])
+def test_simple_modules_match_the_solve_per_column(build, field, basis):
+    """Equal actions, scalar types included, or the same error from both."""
+    b = build(field)
+    if basis == "random":
+        b = rebased(b, random_basis(b.dim, field, random.Random(b.dim)))
+    assert _outcome(simple_modules, b) == _outcome(_simple_modules_loop, b)
 
 
 def test_simple_modules_kxk():
