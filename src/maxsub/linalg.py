@@ -613,57 +613,32 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 
 def enumerate_subspaces(ambient_dim: int, dim: int, field: Field,
-                        containing: Sequence | None = None,
                         ) -> Iterator[Subspace]:
-    """Stream every dim-dimensional subspace of F_p^ambient exactly once,
-    or only those that contain the vector `containing`.
+    """Stream every dim-dimensional subspace of F_p^ambient exactly once.
 
-    Order is lexicographic on pivot-column sets, then on the free entries,
-    so the stream is deterministic and restartable.  With pivots P, u lies
-    in the span iff u[c] = Σ u[P_r]·x_rc, over the rows r with P_r < c,
-    at every non-pivot column c; so u's first nonzero entry must be at a
-    pivot.  Each equation is solved for the entry of its latest row with
-    u[P_r] ≠ 0, which follows the other entries of its column in row-major
-    order, so the remaining entries yield the same order.
+    Order is lexicographic on pivot-column sets, then on the free entries
+    of the RREF basis in row-major order, so the stream is deterministic
+    and restartable.  The oracle walks the same order row by row
+    (`maximal._unital_subalgebras`).
     """
     if not field.is_finite:
         raise NotFiniteFieldError("subspace enumeration needs a finite field")
     if dim < 0 or dim > ambient_dim:
         raise InvalidInputError("0 <= dim <= ambient_dim required")
-    p = field.p
-    u = lead = None
-    if containing is not None:
-        if len(containing) != ambient_dim:
-            raise DimensionError("vector length != ambient dimension")
-        u = [x % p for x in _ints(containing, p)[1]]
-        lead = next((i for i, x in enumerate(u) if x), None)
     if dim == 0:
-        if lead is None:
-            yield zero_subspace(ambient_dim, field)
+        yield zero_subspace(ambient_dim, field)
         return
     for pivots in itertools.combinations(range(ambient_dim), dim):
-        if lead is not None and lead not in pivots:
-            continue
         free_pos = [(r, c) for r in range(dim)
                     for c in range(pivots[r] + 1, ambient_dim)
                     if c not in pivots]
-        solved = []   # (r, c, [(t, u[P_t]) for the other rows], u[c], 1/u[P_r])
-        for c in range(ambient_dim) if lead is not None else ():
-            rows_c = [r for r, pc in enumerate(pivots) if pc < c and u[pc]]
-            if rows_c and c not in pivots:
-                *rest, r = rows_c
-                free_pos.remove((r, c))
-                solved.append((r, c, [(t, u[pivots[t]]) for t in rest], u[c],
-                               pow(u[pivots[r]], -1, p)))
         base = [[0] * ambient_dim for _ in range(dim)]
         for r, pc in enumerate(pivots):
             base[r][pc] = 1
-        for values in itertools.product(range(p), repeat=len(free_pos)):
+        for values in itertools.product(range(field.p), repeat=len(free_pos)):
             rows = [row[:] for row in base]
             for (r, c), v in zip(free_pos, values):
                 rows[r][c] = v
-            for r, c, terms, uc, s in solved:
-                rows[r][c] = (uc - sum(a * rows[t][c] for t, a in terms)) * s % p
             yield Subspace(field, ambient_dim,
                            tuple(tuple(r) for r in rows), tuple(pivots))
 

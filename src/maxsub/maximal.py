@@ -20,7 +20,6 @@ from typing import Iterator, Sequence
 from .algebra import (
     Algebra,
     Subalgebra,
-    _products_in,
     centralizer_in,
     is_closed_subspace,
     subalgebra_from_rows,
@@ -592,14 +591,18 @@ def _apply(m: Sequence[Sequence[int]], x: Sequence[int]) -> list[int]:
 def unit_group(b: Algebra) -> list[tuple[list, list]]:
     """All invertible elements with their inverses; |B| must be <= 3^7.
 
-    The sweep walks `all_vectors`.  A vector not yet seen is eliminated
-    once as [L_x | 1], L_x read off the integer rows: x is a unit iff L_x
-    has full rank, and the right-hand part is x⁻¹.  A unit found so joins
-    the generators G, and the left orbit of x under G is filled in by
-    products alone: g·x is a unit exactly when x is, with inverse x⁻¹·g⁻¹.
-    The pairs come out in `all_vectors` order, each checked by y·x = 1.
-    On the A3/F_3 input of `fp-oracle` (seed 1): 48 eliminations instead
-    of 729, 11 ms instead of 46.
+    The sweep walks the seeds 1 + c·b_i (c = 1..p−1), then `all_vectors`.
+    A vector not yet seen is eliminated once as [L_x | 1], L_x read off
+    the integer rows: x is a unit iff L_x has full rank, and the
+    right-hand part is x⁻¹.  A unit found so joins the generators G, and
+    the left orbit of x under G is filled in by products alone: g·x is a
+    unit exactly when x is, with inverse x⁻¹·g⁻¹.  A seed is a unit
+    whenever b_i lies in J, as the arrows of a standard path-algebra basis
+    do, so G grows before the sweep reaches the vectors 0, b_1, … that are
+    no units.  The pairs come out in `all_vectors` order, each checked by
+    y·x = 1.  On the A3/F_3 input of `fp-oracle` (seed 1): 48
+    eliminations instead of 729, 11 ms instead of 46; on A3/F_3 in its
+    standard basis 48 instead of 365.
     """
     f, n, one = b.field, b.dim, list(b.unit)
     if not f.is_finite:
@@ -609,7 +612,9 @@ def unit_group(b: Algebra) -> list[tuple[list, list]]:
     p = f.p
     inverse: dict[tuple, list | None] = {}
     gens: list[tuple[list, list]] = []      # (L_g, R_g⁻¹) on integer rows
-    for v in all_vectors(n, f):
+    seeds = (tuple((x + c * (i == j)) % p for j, x in enumerate(one))
+             for i in range(n) for c in range(1, p))
+    for v in itertools.chain(seeds, all_vectors(n, f)):
         if v in inverse:
             continue
         lv = b._left_ints(v)
@@ -680,17 +685,90 @@ def conjugacy_orbit_rep(b: Algebra, space: Subspace,
     return min(_orbit(b, space, units) | {space.basis})
 
 
-def _closed_with_one(b: Algebra, s: Subspace) -> bool:
-    """Closure of a subspace s ∋ 1 on (k−1)² of its k² products.
+def _unital_subalgebras(b: Algebra) -> Iterator[Subspace]:
+    """The proper unital subalgebras of b in descending dimension, in the
+    order of `enumerate_subspaces`, by a depth-first walk over the rows of
+    their RREF bases.
 
-    1 = Σ u[P_t]·x_t over the basis rows (u = 1, P the pivots), so for the
-    latest row r with u[P_r] ≠ 0 every product with x_r lies in s once
-    the products of the other rows do.
+    With pivots P, row x_t vanishes at the other pivots and before P_t, so
+    v lies in the span iff v[c] = Σ v[P_t]·x_t[c] over the rows with
+    P_t < c, at every non-pivot column c.  That 1 lies in it fixes, for
+    each non-pivot c, the entry of the latest row with P_r < c and
+    1[P_r] ≠ 0 from the earlier rows of column c.  Once rows 0..r are
+    fixed, the equations of a product x_i·x_j (i, j ≤ r) hold or fail for
+    good at every non-pivot c < P_{r+1}: the new pairs are tested on all of
+    them, the older pairs on the columns P_r < c < P_{r+1} that row r
+    unlocks, and a failure cuts the branch.  As 1 = Σ 1[P_t]·x_t, the
+    products with the latest row t with 1[P_t] ≠ 0 lie in the span once
+    the others do, so its pairs are never tested.  One table holds every
+    product the walk forms, reduced mod p.
     """
-    r = max(t for t, q in enumerate(s.pivots) if b.unit[q])
-    rows = s.int_basis[1]
-    rest = rows[:r] + rows[r + 1:]
-    return _products_in(b, rest, rest, s)
+    n, f, p, one = b.dim, b.field, b.field.p, b.unit
+    lead = next((i for i, x in enumerate(one) if x), None)
+    mul = b._multiply_ints
+    table: dict[tuple, list[int]] = {}
+
+    def outside(i: int, j: int, rows: list[tuple], pivots: tuple,
+                cols: list[int]) -> bool:
+        """True iff x_i·x_j breaks the span's equation at a column of cols,
+        each one before the pivot of the first unfixed row."""
+        x, y = rows[i], rows[j]
+        v = table.get((x, y))
+        if v is None:
+            v = table[x, y] = [c % p for c in mul(x, y)]
+        terms = [(v[q], row) for q, row in zip(pivots, rows) if v[q]]
+        return any((v[c] - sum(a * row[c] for a, row in terms)) % p
+                   for c in cols)
+
+    def walk(pivots: tuple, plan: list, rows: list[tuple]):
+        r = len(rows)
+        if r == len(pivots):
+            yield Subspace(f, n, tuple(rows), pivots)
+            return
+        base, free, solved, checks = plan[r]
+        for values in itertools.product(range(p), repeat=len(free)):
+            row = base[:]
+            for c, x in zip(free, values):
+                row[c] = x
+            for c, terms, uc, s in solved:
+                row[c] = (uc - sum(a * rows[t][c] for t, a in terms)) * s % p
+            rows.append(tuple(row))
+            if not any(outside(i, j, rows, pivots, cols)
+                       for pairs, cols in checks if cols for i, j in pairs):
+                yield from walk(pivots, plan, rows)
+            rows.pop()
+
+    for k in range(n - 1, 0, -1):
+        for pivots in itertools.combinations(range(n), k):
+            if lead not in pivots:      # 1's first nonzero entry is a pivot
+                continue
+            skip = max(t for t, q in enumerate(pivots) if one[q])
+            nonpivots = [c for c in range(n) if c not in pivots]
+            plan = []
+            for r, (q, bound) in enumerate(zip(pivots, pivots[1:] + (n,))):
+                base = [0] * n
+                base[q] = 1
+                free, solved = [], []
+                for c in nonpivots:
+                    if c < q:
+                        continue
+                    # the rows that the equation of 1 at column c reads
+                    ts = [t for t, pc in enumerate(pivots)
+                          if pc < c and one[pc]]
+                    if ts and ts[-1] == r:
+                        terms = [(t, one[pivots[t]]) for t in ts[:-1]]
+                        solved.append((c, terms, one[c], pow(one[q], -1, p)))
+                    else:
+                        free.append(c)
+                cols = [c for c in nonpivots if c < bound]
+                new = [] if r == skip else (
+                    [(i, r) for i in range(r + 1) if i != skip]
+                    + [(r, i) for i in range(r) if i != skip])
+                old = [(i, j) for i in range(r) for j in range(r)
+                       if skip not in (i, j)]
+                plan.append((base, free, solved,
+                             [(new, cols), (old, [c for c in cols if c > q])]))
+            yield from walk(pivots, plan, [])
 
 
 def _check_oracle_caps(b: Algebra):
@@ -704,21 +782,21 @@ def _check_oracle_caps(b: Algebra):
 def brute_force_maximal(b: Algebra) -> OracleResult:
     """Ground truth: all maximal subalgebras of a small finite algebra.
 
-    Generates the subspaces that contain 1 in descending dimension, keeps
-    the multiplicatively closed ones (`_closed_with_one`) and marks the
-    maximal ones by pairwise containment.  Each maximal A not yet labelled
-    is conjugated by one unit per coset u·A^× (`_orbit`), and its whole
-    orbit gets the orbit's minimal echelon basis as its conjugacy class
-    key.  With the left-orbit `unit_group` this took `fp-oracle` `wall_s`
-    from 1.05 to 0.58 s (medians of 10 pairs, `BENCH_21.json`).
+    The row walk `_unital_subalgebras` yields the proper unital
+    subalgebras in descending dimension, and s is maximal iff no maximal
+    one met before contains it: every subalgebra t ⊋ s lies in a maximal
+    one of larger dimension, which the walk meets first.  Each maximal A
+    not yet labelled is conjugated by one unit per coset u·A^× (`_orbit`),
+    and its whole orbit gets the orbit's minimal echelon basis as its
+    conjugacy class key.  With the left-orbit `unit_group` this took
+    `fp-oracle` `wall_s` from 1.05 to 0.58 s (medians of 10 pairs,
+    `BENCH_21.json`), and the walk took it from 0.59 to 0.47 s
+    (`BENCH_23.json`).
     """
     _check_oracle_caps(b)
-    closed = [s for k in range(b.dim - 1, 0, -1)
-              for s in enumerate_subspaces(b.dim, k, b.field, b.unit)
-              if _closed_with_one(b, s)]
-    maximal = []
-    for s in closed:
-        if not any(t.dim > s.dim and subspace_contains(t, s) for t in closed):
+    maximal: list[Subspace] = []
+    for s in _unital_subalgebras(b):
+        if not any(t.dim > s.dim and subspace_contains(t, s) for t in maximal):
             maximal.append(s)
     units = unit_group(b)
     labels: dict[tuple, tuple] = {}
@@ -738,17 +816,15 @@ def brute_force_maximal(b: Algebra) -> OracleResult:
 def observed_max_dim(b: Algebra) -> int | None:
     """Largest dimension of a proper unital closed subspace (early exit).
 
-    Scans the subspaces that contain 1 in descending dimension and stops
-    at the first subalgebra (`_closed_with_one`); wider ambient caps than
-    the full oracle since only one stratum is usually touched.
+    The dimension of the first subalgebra that the row walk
+    `_unital_subalgebras` meets; wider ambient caps than the full oracle,
+    since the walk stops there.
     """
     if not b.field.is_finite or b.field.p not in MAXDIM_AMBIENT_CAP:
         raise NotFiniteFieldError("observed_max_dim runs over F_2 and F_3 only")
     if b.dim > MAXDIM_AMBIENT_CAP[b.field.p]:
         raise CapExceededError("ambient dimension beyond the max-dim cap")
-    return next((k for k in range(b.dim - 1, 0, -1)
-                 for s in enumerate_subspaces(b.dim, k, b.field, b.unit)
-                 if _closed_with_one(b, s)), None)
+    return next((s.dim for s in _unital_subalgebras(b)), None)
 
 
 def max_proper_subalgebra_dim(b: Algebra) -> int:

@@ -5,13 +5,14 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
     A2_QUIVER,
     A3_QUIVER,
     CHAIN3_POSET,
+    D4_QUIVER,
     KRONECKER_QUIVER,
     Scalars,
     f4_algebra,
@@ -41,6 +42,7 @@ from maxsub.linalg import (
 from maxsub.maximal import (
     Certificate,
     MaximalFamily,
+    _unital_subalgebras,
     brute_force_maximal,
     certify_maximal,
     classify_type,
@@ -412,6 +414,13 @@ def _oracle_loop(b):
                                          matrix_algebra(1, F2),
                                          matrix_algebra(1, F2)]), 4,
                  id="M2xF2xF2/F2"),
+    pytest.param(lambda: quiver_algebra(A3_QUIVER, F3), 5, id="A3/F3"),
+    # dimension 7, the oracle's cap
+    pytest.param(lambda: quiver_algebra(D4_QUIVER, F2), 6, id="D4/F2"),
+    # the diagonal F_4 is a left F_4-module, and so is every subalgebra
+    # over it: its closed supersets all lie two dimensions up
+    pytest.param(lambda: direct_product([matrix_algebra(2, F2),
+                                         f4_algebra()]), 7, id="M2xF4/F2"),
 ])
 def test_oracle_matches_the_reference_loop(build, seed):
     """On a random basis, where 1 is dense, the oracle's fields equal the
@@ -431,6 +440,66 @@ def test_oracle_matches_the_reference_loop(build, seed):
                for k, c in zip(keys, classes) for s in c)
 
 
+def _t3(f):
+    return block_triangular(3, [1, 1, 1], f).as_algebra()
+
+
+def _a3(f):
+    return quiver_algebra(A3_QUIVER, f)
+
+
+def _m2xk(f):
+    return direct_product([matrix_algebra(2, f), matrix_algebra(1, f)])
+
+
+def _in_basis(base, seed):
+    """base in its standard basis (seed None) or in a seeded random one."""
+    if seed is None:
+        return base
+    return rebased(base, random_basis(base.dim, base.field,
+                                      random.Random(seed)))
+
+
+WALK_ALGEBRAS = {
+    "T3": _t3,
+    "A3": _a3,
+    "Kronecker": lambda f: quiver_algebra(KRONECKER_QUIVER, f),
+    "M2xK": _m2xk,
+    "KxKxM2": kxkxm2,
+}
+
+
+@st.composite
+def walk_cases(draw):
+    name = draw(st.sampled_from(sorted(WALK_ALGEBRAS)))
+    field = draw(st.sampled_from([F2, F3]))
+    seed = draw(st.none() | st.integers(0, 2 ** 32))
+    k = draw(st.integers(1, WALK_ALGEBRAS[name](F2).dim - 1))
+    return name, field, seed, k
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=walk_cases())
+@example(case=("A3", F3, None, 3))
+@example(case=("KxKxM2", F3, 7, 3))
+@example(case=("T3", F2, None, 5))
+@example(case=("Kronecker", F3, 11, 2))
+def test_unital_walk_is_the_filtered_stream(case):
+    """The row walk yields the unital closed subspaces in descending
+    dimension, and at each dimension k exactly the full stream filtered by
+    1 ∈ s and closure, in the same order."""
+    name, field, seed, k = case
+    b = _in_basis(WALK_ALGEBRAS[name](field), seed)
+    walk = list(_unital_subalgebras(b))
+    dims = [s.dim for s in walk]
+    assert dims == sorted(dims, reverse=True)
+    assert all(0 < d < b.dim for d in dims)
+    one = list(b.unit)
+    assert [s for s in walk if s.dim == k] == [
+        s for s in enumerate_subspaces(b.dim, k, field)
+        if s.contains_vec(one) and is_closed_subspace(b, s)]
+
+
 def _gl_order(n, p):
     return math.prod(p ** n - p ** i for i in range(n))
 
@@ -438,23 +507,25 @@ def _gl_order(n, p):
 @settings(max_examples=20, deadline=None)
 @given(case=st.sampled_from([
     (label, build, field) for label, build in (
-        ("T3", lambda f: block_triangular(3, [1, 1, 1], f).as_algebra()),
-        ("M2xK", lambda f: direct_product([matrix_algebra(2, f),
-                                           matrix_algebra(1, f)])),
+        ("T3", _t3),
+        ("M2xK", _m2xk),
         ("M2xKxK", lambda f: direct_product([matrix_algebra(2, f),
                                              matrix_algebra(1, f),
                                              matrix_algebra(1, f)])),
-        ("A3", lambda f: quiver_algebra(A3_QUIVER, f)),
+        ("A3", _a3),
         ("KxKxM2", kxkxm2))
     for field in (F2, F3)]), seed=st.integers(0, 2 ** 32))
+# standard bases, where 1 + c·b_i seeds the generators before the sweep
+@example(case=("A3", _a3, F3), seed=None)
+@example(case=("T3", _t3, F3), seed=None)
 def test_unit_sweep_and_coset_orbits_match_the_every_unit_loop(case, seed):
-    """On a random basis: the left-orbit unit sweep equals `invert_element`
-    on every vector, pairs and order included; |B^×| is p^{dim J} times
-    the orders of GL_{n_i}(F_p) of the blocks; and the coset orbit walk
-    gives every family instance the minimum over all its conjugates."""
+    """On a random basis (or the standard one, seed None): the left-orbit
+    unit sweep equals `invert_element` on every vector, pairs and order
+    included; |B^×| is p^{dim J} times the orders of GL_{n_i}(F_p) of the
+    blocks; and the coset orbit walk gives every family instance the
+    minimum over all its conjugates."""
     _, build, field = case
-    base = build(field)
-    b = rebased(base, random_basis(base.dim, field, random.Random(seed)))
+    b = _in_basis(build(field), seed)
     units = unit_group(b)
     assert units == _unit_loop(b)
     rep = structure_report(b)
