@@ -480,6 +480,8 @@ class Subspace:
         return not any(self._residual(v))
 
     def contains_vec(self, v: Sequence) -> bool:
+        if len(v) != self.ambient_dim:
+            raise DimensionError("vector length != ambient dimension")
         return self.holds_ints(_ints(v, self.field.p)[1])
 
     def coords(self, v: Sequence) -> list:

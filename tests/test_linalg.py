@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import Scalars
-from maxsub.errors import InvalidInputError, NotFiniteFieldError
+from maxsub.errors import DimensionError, InvalidInputError, NotFiniteFieldError
 from maxsub.linalg import (
     GF,
     QQ,
@@ -347,6 +347,15 @@ def test_span_elements_are_the_distinct_members(field):
     assert len(members) == len(set(members)) == field.p ** space.dim
     assert all(space.contains_vec(x) for x in members)
     assert members[0] == (0, 0, 0, 0)
+
+
+def test_enumerate_filter_applied():
+    fixed = (1, 1, 0)
+    hits = [s for s in enumerate_subspaces(3, 2, F2) if s.contains_vec(fixed)]
+    # planes of F_2^3 through a fixed nonzero vector: (2 choose 1)_2 = 3
+    assert len(hits) == 3
+    with pytest.raises(DimensionError):
+        hits[0].contains_vec((1, 1))
 
 
 def _kron_loop(u, v, field):
