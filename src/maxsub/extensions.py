@@ -640,45 +640,29 @@ def check_summand_property(a: Subalgebra, b: Algebra,
     summand of the induction of a summand of its own restriction.
     """
     a.check_parent(b)
-    aalg = a.as_algebra()
+    if direction == "split_down":
+        source, there, back = a.as_algebra(), induce, restrict
+    elif direction == "separable_up":
+        source, there, back = b, restrict, induce
+    else:
+        raise InvalidInputError(f"unknown direction {direction!r}")
+    sources = _indecomposables_of(source)
     witnesses = []
     partner_dims: list[tuple[int, ...]] = []
     complete = True
-    if direction == "split_down":
-        sources = _indecomposables_of(aalg)
-        for idx, x in enumerate(sources):
-            ind = induce(x, a)
-            if ind.dim > INDEC_DIM_CAP * max(1, x.dim):
-                raise CapExceededError("induced module exceeds the cap")
-            ys = decompose_module(ind)
-            partner_dims.append(tuple(y.dim for y in ys))
-            found = None
-            for jdx, y in enumerate(ys):
-                if is_direct_summand(x, restrict(y, a)):
-                    found = jdx
-                    break
-            if found is None:
-                complete = False
-            else:
-                witnesses.append((idx, found))
-        dims = tuple(x.dim for x in sources)
-    elif direction == "separable_up":
-        sources = _indecomposables_of(b)
-        for idx, y in enumerate(sources):
-            res = restrict(y, a)
-            xs = decompose_module(res)
-            partner_dims.append(tuple(x.dim for x in xs))
-            found = None
-            for jdx, x in enumerate(xs):
-                if is_direct_summand(y, induce(x, a)):
-                    found = jdx
-                    break
-            if found is None:
-                complete = False
-            else:
-                witnesses.append((idx, found))
-        dims = tuple(y.dim for y in sources)
-    else:
-        raise InvalidInputError(f"unknown direction {direction!r}")
-    return SummandReport(direction, tuple(witnesses), dims,
-                         tuple(partner_dims), complete)
+    for idx, x in enumerate(sources):
+        image = there(x, a)
+        # a restriction never grows, so only an induction can hit the cap
+        if image.dim > INDEC_DIM_CAP * max(1, x.dim):
+            raise CapExceededError("induced module exceeds the cap")
+        ys = decompose_module(image)
+        partner_dims.append(tuple(y.dim for y in ys))
+        found = next((jdx for jdx, y in enumerate(ys)
+                      if is_direct_summand(x, back(y, a))), None)
+        if found is None:
+            complete = False
+        else:
+            witnesses.append((idx, found))
+    return SummandReport(direction, tuple(witnesses),
+                         tuple(x.dim for x in sources), tuple(partner_dims),
+                         complete)

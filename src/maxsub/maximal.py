@@ -54,6 +54,7 @@ from .linalg import (
     vec_is_zero,
     vec_sub,
 )
+from .poly import irreducible, prime_divisors
 from .structure import (
     WMData,
     semisimple_blocks,
@@ -194,20 +195,6 @@ def _projective_functionals(m: int, field: Field) -> Iterator[tuple]:
 # ---------------------------------------------------------------------------
 # enumeration and instantiation
 
-def _prime_divisors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def enumerate_maximal_families(b: Algebra, wm: WMData | None = None,
                                ) -> list[MaximalFamily]:
     """All maximal families per the classification; see MaximalFamily.
@@ -242,25 +229,10 @@ def enumerate_maximal_families(b: Algebra, wm: WMData | None = None,
                                           multiplicity=m, functional=None))
     if b.field.is_finite:
         for i, n in enumerate(dims):
-            for d in _prime_divisors(n):
+            for d in prime_divisors(n):
                 if d > 1:
                     fams.append(MaximalFamily("subfield_centralizer", i, degree=d))
     return fams
-
-
-def _irreducible_poly(p: int, d: int, field: Field) -> list:
-    """A monic irreducible polynomial of degree d over F_p (ascending)."""
-    from .structure import _poly_eval, _poly_powmod, _poly_sub
-
-    x = [field.zero(), field.one()]
-    for tail in itertools.product(range(p), repeat=d):
-        poly = [field.coerce(c) for c in tail] + [field.one()]
-        if any(_poly_eval(poly, field.coerce(c), field) == 0 for c in range(p)):
-            continue
-        # no root and x^(p^d) = x mod poly: irreducible when d is prime
-        if not _poly_sub(_poly_powmod(x, p ** d, poly, field), x, field):
-            return poly
-    raise VerificationFailedError(f"no irreducible polynomial of degree {d}")
 
 
 def instantiate_family(b: Algebra, fam: MaximalFamily,
@@ -356,7 +328,7 @@ def instantiate_family(b: Algebra, fam: MaximalFamily,
         d = fam.degree
         if not _is_prime(d) or n % d != 0:
             raise InvalidInputError("degree must be a prime divisor of n")
-        poly = _irreducible_poly(f.p, d, f)
+        poly = irreducible(d, f)
         # companion matrix of the polynomial, embedded n/d times on the
         # diagonal: ones below the diagonal, -poly in the last column
         units = wm.block_units[i]

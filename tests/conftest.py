@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import dataclasses
 import importlib.util
+import itertools
 import os
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import settings
+from hypothesis import assume, settings
+from hypothesis import strategies as st
 
-from maxsub.algebra import direct_product, make_algebra, matrix_algebra
+from maxsub.algebra import Algebra, direct_product, make_algebra, matrix_algebra
 from maxsub.linalg import (
     GF,
     QQ,
@@ -20,6 +23,7 @@ from maxsub.linalg import (
     identity_matrix,
     solve_linear,
 )
+from maxsub.maximal import ORACLE_DIM_CAP
 from maxsub.presentations import (
     PathAlgebraPresentation,
     Poset,
@@ -192,6 +196,82 @@ def polynomial_quotient(modulus, field: Field):
     table = [[powers[i + j] for j in range(d)] for i in range(d)]
     return make_algebra(field, [f"x{k}" for k in range(d)], powers[0], table,
                         check=True)
+
+
+@dataclasses.dataclass(frozen=True)
+class AlgebraDraw:
+    """One draw of `fp_algebras`, which `build` turns into the algebra.
+
+    A bound quiver algebra over F_p: vertices 1..n, arrow k (named ak)
+    from arrows[k-1][0] to arrows[k-1][1], and each relation a sum of
+    (coefficient, first arrow, second arrow) terms.  bound=2 with every
+    product of two loops as a relation is radical square zero.  The
+    algebra is then multiplied by M_factor (unless factor is 0) and put in
+    the random basis of `seed`.
+    """
+
+    p: int
+    vertices: int
+    arrows: tuple[tuple[int, int], ...]
+    relations: tuple[tuple[tuple[int, int, int], ...], ...]
+    bound: int | None
+    factor: int
+    seed: int
+
+    def base(self) -> Algebra:
+        """The quiver algebra, before the factor and the basis change."""
+        names = tuple(str(v) for v in range(1, self.vertices + 1))
+        arrows = tuple((f"a{k}", str(s), str(t))
+                       for k, (s, t) in enumerate(self.arrows, 1))
+        relations = tuple(tuple((c, (f"a{x}", f"a{y}")) for c, x, y in rel)
+                          for rel in self.relations)
+        return path_algebra(PathAlgebraPresentation(
+            Quiver(names, arrows), relations, self.bound), GF(self.p))
+
+    def build(self) -> Algebra:
+        alg = self.base()
+        if self.factor:
+            alg = direct_product([alg, matrix_algebra(self.factor, alg.field)])
+        return rebased(alg, random_basis(alg.dim, alg.field,
+                                         random.Random(self.seed)))
+
+
+@st.composite
+def fp_algebras(draw) -> AlgebraDraw:
+    """Algebras over F_2 or F_3 of dimension 2 up to the oracle's cap, in a
+    random basis: a random acyclic quiver on at most 4 vertices with at
+    most 4 arrows and random relations among its parallel paths of length
+    2, or one vertex with 1-4 loops and radical square zero; then perhaps
+    times M_1 or M_2."""
+    p = draw(st.sampled_from([2, 3]))
+    if draw(st.booleans()):
+        n, bound = draw(st.integers(1, 4)), None
+        pairs = [(s, t) for s in range(1, n + 1) for t in range(s + 1, n + 1)]
+        arrows = tuple(draw(st.lists(st.sampled_from(pairs), max_size=4))
+                       if pairs else ())
+        relations = []
+        for s, t in itertools.combinations(range(1, n + 1), 2):
+            paths = [(x, y) for x, (s1, m) in enumerate(arrows, 1) if s1 == s
+                     for y, (m1, t1) in enumerate(arrows, 1)
+                     if m1 == m and t1 == t]
+            for _ in range(draw(st.integers(0, len(paths)))):
+                coefs = draw(st.lists(st.integers(0, p - 1),
+                                      min_size=len(paths), max_size=len(paths)))
+                rel = tuple((c, x, y) for c, (x, y) in zip(coefs, paths) if c)
+                if rel:
+                    relations.append(rel)
+        relations = tuple(relations)
+    else:
+        loops = draw(st.integers(1, 4))
+        n, bound, arrows = 1, 2, ((1, 1),) * loops
+        relations = tuple(((1, x, y),) for x in range(1, loops + 1)
+                          for y in range(1, loops + 1))
+    spec = AlgebraDraw(p, n, arrows, relations, bound, 0, 0)
+    dim = spec.base().dim
+    factors = [m for m in (0, 1, 2) if 2 <= dim + m * m <= ORACLE_DIM_CAP]
+    assume(factors)
+    return dataclasses.replace(spec, factor=draw(st.sampled_from(factors)),
+                               seed=draw(st.integers(0, 2 ** 32 - 1)))
 
 
 def strip_presentation(alg):

@@ -413,6 +413,8 @@ def test_summand_property_full_trivial(m2q):
     assert rep.complete
     rep2 = check_summand_property(full, m2q, "separable_up")
     assert rep2.complete
+    with pytest.raises(InvalidInputError, match="unknown direction 'up'"):
+        check_summand_property(full, m2q, "up")
 
 
 def test_restrict_induce_unit_splits_for_split_extension():

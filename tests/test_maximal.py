@@ -14,8 +14,10 @@ from conftest import (
     CHAIN3_POSET,
     D4_QUIVER,
     KRONECKER_QUIVER,
+    AlgebraDraw,
     Scalars,
     f4_algebra,
+    fp_algebras,
     kxk,
     kxkxm2,
     polynomial_quotient,
@@ -31,7 +33,12 @@ from maxsub.algebra import (
     matrix_algebra,
     subalgebra_from_rows,
 )
-from maxsub.errors import CapExceededError, InvalidInputError, NotSplitError
+from maxsub.errors import (
+    CapExceededError,
+    InvalidInputError,
+    NotFiniteFieldError,
+    NotSplitError,
+)
 from maxsub.linalg import (
     GF,
     QQ,
@@ -54,6 +61,14 @@ from maxsub.maximal import (
     radical_components,
     spin_up_recheck,
     unit_group,
+)
+from maxsub.poly import (
+    evaluate as poly_eval,
+    irreducible,
+    mul as poly_mul,
+    pow_mod as poly_pow_mod,
+    quo_rem as poly_quo_rem,
+    sub as poly_sub,
 )
 from maxsub.presentations import incidence_algebra
 from maxsub.structure import structure_report, wedderburn_data
@@ -311,7 +326,6 @@ def test_oracle_runs_at_its_dimension_cap():
 def test_oracle_caps():
     with pytest.raises(CapExceededError):
         brute_force_maximal(matrix_algebra(3, F2))
-    from maxsub.errors import NotFiniteFieldError
     with pytest.raises(NotFiniteFieldError):
         brute_force_maximal(matrix_algebra(2, QQ))
 
@@ -538,6 +552,41 @@ def test_unit_sweep_and_coset_orbits_match_the_every_unit_loop(case, seed):
         assert conjugacy_orbit_rep(b, s, units) == _orbit_min_loop(b, s, units)
 
 
+@settings(max_examples=40, deadline=None)
+@given(draw=fp_algebras())
+# relations among paths of length 2, which the first draws of the ci
+# profile do not reach: rad² = 0 on A3 over F_3, times F_3; and a1·a3 =
+# a2·a3 on the doubled first arrow of A3 over F_2
+@example(draw=AlgebraDraw(3, 3, ((1, 2), (2, 3)), (((1, 1, 2),),), None, 1, 1))
+@example(draw=AlgebraDraw(2, 3, ((1, 2), (1, 2), (2, 3)),
+                          (((1, 1, 3), (1, 2, 3)),), None, 0, 2))
+def test_families_match_the_oracle_on_random_algebras(draw):
+    """The classification against the brute-force oracle on random bound
+    quiver algebras, loop algebras and products with M_1 or M_2 over F_2
+    and F_3, in random bases: one family per conjugacy class of maximal
+    subalgebras, each instance certified, the maximal dimension three
+    ways, semisimple type iff the instance holds J, and |B^×|."""
+    b = draw.build()
+    p = b.field.p
+    res = brute_force_maximal(b)
+    units = unit_group(b)
+    wm = wedderburn_data(b)
+    rad = wm.radical
+    keys = []
+    for fam in enumerate_maximal_families(b, wm=wm):
+        sub = instantiate_family(b, fam, wm=wm)
+        keys.append(conjugacy_orbit_rep(b, sub.space, units))
+        assert certify_maximal(sub, b).status == "maximal", fam
+        assert spin_up_recheck(sub, b), fam
+        semisimple = classify_type(sub, b).kind == "semisimple"
+        assert semisimple == subspace_contains(sub.space, rad), fam
+    assert len(set(keys)) == len(keys), "two families fell into one class"
+    assert set(keys) == set(res.class_reps)
+    assert max_proper_subalgebra_dim(b) == observed_max_dim(b) == res.max_dim
+    assert len(units) == p ** rad.dim * math.prod(
+        _gl_order(blk.n, p) for blk in wm.report.blocks)
+
+
 @pytest.mark.parametrize("rows", [
     [[1, 0, 0, 0], [0, 1, 0, 0]],                  # e11, e12: no 1
     [[1, 0, 0, 1], [0, 1, 0, 0], [0, 0, 1, 0]],    # 1, e12, e21: not closed
@@ -641,21 +690,20 @@ def test_subfield_centralizer_degree_must_be_prime(degree):
 def _irreducible_poly_loop(p, d, field):
     """Reference search: the former copy of square-and-multiply on x."""
     ops = Scalars(field)
-    from maxsub.structure import _poly_divmod, _poly_eval, _poly_mul
 
     def pow_x_mod(exp, modpoly):
         result, base = [field.one()], [field.zero(), field.one()]
         while exp:
             if exp & 1:
-                result = _poly_divmod(_poly_mul(result, base, field),
+                result = poly_quo_rem(poly_mul(result, base, field),
                                       modpoly, field)[1]
-            base = _poly_divmod(_poly_mul(base, base, field), modpoly, field)[1]
+            base = poly_quo_rem(poly_mul(base, base, field), modpoly, field)[1]
             exp >>= 1
         return result
 
     for tail in itertools.product(range(p), repeat=d):
         poly = [field.coerce(c) for c in tail] + [field.one()]
-        if any(_poly_eval(poly, field.coerce(c), field) == 0 for c in range(p)):
+        if any(poly_eval(poly, field.coerce(c), field) == 0 for c in range(p)):
             continue
         xq = pow_x_mod(p ** d, poly)
         diff = [ops.sub(u, v) for u, v in itertools.zip_longest(
@@ -668,11 +716,45 @@ def _irreducible_poly_loop(p, d, field):
 @pytest.mark.parametrize("p", [2, 3, 5])
 @pytest.mark.parametrize("d", [2, 3])
 def test_irreducible_poly_matches_former_search(p, d):
-    from maxsub.maximal import _irreducible_poly
-    from maxsub.structure import _poly_powmod, _poly_sub
     field = GF(p)
-    poly = _irreducible_poly(p, d, field)
+    poly = irreducible(d, field)
     assert poly == _irreducible_poly_loop(p, d, field)
     assert len(poly) == d + 1 and poly[-1] == 1
     x = [0, 1]
-    assert _poly_sub(_poly_powmod(x, p ** d, poly, field), x, field) == []
+    assert poly_sub(poly_pow_mod(x, p ** d, poly, field), x, field) == []
+
+
+def _has_factor_of_degree_at_most(poly, k, field):
+    """Trial division by every monic polynomial of degree 1..k."""
+    return any(not poly_quo_rem(poly, list(tail) + [1], field)[1]
+               for deg in range(1, k + 1)
+               for tail in itertools.product(range(field.p), repeat=deg))
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_irreducible_poly_has_no_factor(p, d):
+    field = GF(p)
+    poly = irreducible(d, field)
+    assert len(poly) == d + 1 and poly[-1] == 1
+    assert not _has_factor_of_degree_at_most(poly, d // 2, field)
+
+
+@pytest.mark.parametrize("p, want", [(3, [1, 0, 1, 1, 1]),
+                                     (5, [1, 0, 1, 1, 1]),
+                                     (7, [1, 0, 0, 1, 1])])
+def test_irreducible_poly_of_degree_four_skips_x4_plus_1(p, want):
+    # x^4 + 1 has no root in these fields and x^(p^4) = x modulo it, but it
+    # splits into quadratics: (x^2 + x + 2)(x^2 + 2x + 2) over F_3
+    field = GF(p)
+    assert _has_factor_of_degree_at_most([1, 0, 0, 0, 1], 2, field)
+    assert irreducible(4, field) == want
+    assert not _has_factor_of_degree_at_most(want, 2, field)
+
+
+@pytest.mark.parametrize("d", [-1, 0, 1])
+def test_irreducible_poly_needs_degree_two_over_a_finite_field(d):
+    with pytest.raises(InvalidInputError, match="degree >= 2"):
+        irreducible(d, GF(3))
+    with pytest.raises(NotFiniteFieldError):
+        irreducible(d + 3, QQ)

@@ -27,18 +27,20 @@ from maxsub.linalg import (
     vec_add,
     vec_sub,
 )
+from maxsub.poly import (
+    _split_linear,
+    distinct_roots_mod_p,
+    evaluate as poly_eval,
+    ext_gcd as poly_ext_gcd,
+    mul as poly_mul,
+    quo_rem as poly_quo_rem,
+    roots as poly_roots,
+    sub as poly_sub,
+    trim as poly_trim,
+)
 from maxsub.presentations import PathAlgebraPresentation, Quiver, path_algebra
 from maxsub.structure import (
     _corner_split,
-    _distinct_roots_mod_p,
-    _poly_divmod,
-    _poly_eval,
-    _poly_ext_gcd,
-    _poly_mul,
-    _poly_roots,
-    _poly_sub,
-    _poly_trim,
-    _split_linear,
     minimal_polynomial,
     poly_eval_in_algebra,
 )
@@ -188,7 +190,7 @@ def test_mat_vec_and_mat_mul_match_the_scalar_loops(field, data):
 
 
 # ---------------------------------------------------------------------------
-# the polynomial helpers of structure (dense, ascending coefficients)
+# the polynomial helpers of maxsub.poly (dense, ascending coefficients)
 
 def _divmod_loop(num, den, field):
     ops = Scalars(field)
@@ -201,7 +203,7 @@ def _divmod_loop(num, den, field):
         if c != 0:
             for k, d in enumerate(den):
                 num[i + k] = ops.sub(num[i + k], ops.mul(c, d))
-    return _poly_trim(q, field), _poly_trim(num, field)
+    return poly_trim(q), poly_trim(num)
 
 
 def _mul_loop(a, b, field):
@@ -225,7 +227,7 @@ def _sub_loop(a, b, field):
         x = a[i] if i < len(a) else field.zero()
         y = b[i] if i < len(b) else field.zero()
         out.append(ops.sub(x, y))
-    return _poly_trim(out, field)
+    return poly_trim(out)
 
 
 def _ext_gcd_loop(a, b, field):
@@ -267,28 +269,28 @@ def _nonzero_poly(field):
 @given(st.sampled_from(FIELDS), st.data())
 def test_poly_arithmetic_matches_the_scalar_loops(field, data):
     a, b = data.draw(_poly(field)), data.draw(_poly(field))
-    _same(_poly_mul(a, b, field), _mul_loop(a, b, field), field)
-    _same(_poly_sub(a, b, field), _sub_loop(a, b, field), field)
+    _same(poly_mul(a, b, field), _mul_loop(a, b, field), field)
+    _same(poly_sub(a, b, field), _sub_loop(a, b, field), field)
     x = data.draw(_scalars(field))
-    got, ref = _poly_eval(a, x, field), _eval_loop(a, x, field)
+    got, ref = poly_eval(a, x, field), _eval_loop(a, x, field)
     _same([got], [ref], field)
     den = data.draw(_nonzero_poly(field))
-    q, r = _poly_divmod(a, den, field)
+    q, r = poly_quo_rem(a, den, field)
     q_ref, r_ref = _divmod_loop(a, den, field)
     _same(q, q_ref, field)
     _same(r, r_ref, field)
-    for got, ref in zip(_poly_ext_gcd(a, den, field),
+    for got, ref in zip(poly_ext_gcd(a, den, field),
                         _ext_gcd_loop(a, den, field)):
         _same(got, ref, field)
 
 
 def _roots_loop(poly, field):
-    """The former F_p branch of `_poly_roots`: each distinct root divided
+    """The former F_p branch of `poly.roots`: each distinct root divided
     out as often as it divides."""
     ops = Scalars(field)
-    work = _poly_trim(list(poly), field)
+    work = poly_trim(list(poly))
     roots = []
-    for c in sorted(_distinct_roots_mod_p(work, field)):
+    for c in sorted(distinct_roots_mod_p(work, field)):
         while len(work) > 1 and _eval_loop(work, c, field) == 0:
             roots.append(c)
             work, rem = _divmod_loop(work, [ops.neg(c), field.one()], field)
@@ -328,8 +330,8 @@ def test_roots_and_linear_split_match_the_scalar_loops(field, data):
     poly = [lead]
     for r in roots:
         poly = _mul_loop(poly, [-r % field.p, 1], field)
-    assert _poly_roots(poly, field) == _roots_loop(poly, field)
-    assert _poly_roots(poly, field) == sorted(roots)
+    assert poly_roots(poly, field) == _roots_loop(poly, field)
+    assert poly_roots(poly, field) == sorted(roots)
     g = [1]
     for r in sorted(set(roots)):
         g = _mul_loop(g, [-r % field.p, 1], field)
@@ -358,7 +360,7 @@ def _corner_split_loop(s, e, y):
     f = s.field
     ops = Scalars(f)
     mp = _minimal_polynomial_loop(s, y, e)
-    for lam in _poly_roots(mp, f):
+    for lam in poly_roots(mp, f):
         lin = [ops.neg(lam), f.one()]
         fac = list(lin)
         rest, _ = _divmod_loop(mp, lin, f)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import maxsub.linalg
 import maxsub.maximal
+import maxsub.poly
 import maxsub.structure
 from conftest import (
     A3_QUIVER,
@@ -68,17 +69,19 @@ from maxsub.maximal import (
     instantiate_family,
 )
 from maxsub.modules import make_module, module_violation, regular_module
+from maxsub.poly import (
+    _int_div_linear,
+    _int_homogeneous_eval,
+    evaluate as poly_eval,
+    mul as poly_mul,
+    quo_rem as poly_quo_rem,
+    roots as poly_roots,
+)
 from maxsub.presentations import collapse_edge, incidence_algebra
 from maxsub.structure import (
     SWEEP_CAP,
     IdempotentSystem,
     _flanked_span,
-    _int_div_linear,
-    _int_homogeneous_eval,
-    _poly_divmod,
-    _poly_eval,
-    _poly_mul,
-    _poly_roots,
     conjugating_unit,
     ideal_closure,
     is_nilpotent_space,
@@ -471,9 +474,9 @@ def test_blocks_split_m2_in_hard_basis(text):
 
 def test_kxk_over_large_prime_is_fast(monkeypatch):
     evals = []
-    poly_eval = maxsub.structure._poly_eval
-    monkeypatch.setattr(maxsub.structure, "_poly_eval",
-                        lambda *args: evals.append(args) or poly_eval(*args))
+    evaluate = maxsub.poly.evaluate
+    monkeypatch.setattr(maxsub.poly, "evaluate",
+                        lambda *args: evals.append(args) or evaluate(*args))
     _forbid_element_sweeps(monkeypatch)
     # a² = c·a and b² = c·b for c = ±1: the minimal polynomials have the
     # roots 0 and c, and c = -1 is the last element a scan of F_p tries
@@ -497,9 +500,9 @@ def _scan_roots(poly, f):
         work.pop()
     roots = []
     for c in range(f.p):
-        while len(work) > 1 and _poly_eval(work, c, f) == 0:
+        while len(work) > 1 and poly_eval(work, c, f) == 0:
             roots.append(c)
-            work, _ = _poly_divmod(work, [ops.neg(c), f.one()], f)
+            work, _ = poly_quo_rem(work, [ops.neg(c), f.one()], f)
     return roots
 
 
@@ -511,11 +514,11 @@ def test_poly_roots_mod_p_match_the_scan(data):
     poly = [data.draw(st.integers(1, p - 1))]
     ops = Scalars(f)
     for r in data.draw(st.lists(st.integers(0, p - 1), max_size=6)):
-        poly = _poly_mul(poly, [ops.neg(r), 1], f)    # force repeated roots
+        poly = poly_mul(poly, [ops.neg(r), 1], f)    # force repeated roots
     tail = data.draw(st.lists(st.integers(0, p - 1), max_size=4))
     if tail:
-        poly = _poly_mul(poly, tail + [1], f)
-    assert _poly_roots(poly, f) == _scan_roots(poly, f)
+        poly = poly_mul(poly, tail + [1], f)
+    assert poly_roots(poly, f) == _scan_roots(poly, f)
 
 
 def _divisor_scan_roots(poly):
@@ -553,9 +556,9 @@ def _divisor_scan_roots(poly):
 def test_rational_roots_match_the_divisor_scan(roots, tail, lead):
     poly = [Fraction(lead)]
     for r in roots:
-        poly = _poly_mul(poly, [-r, Fraction(1)], QQ)
-    poly = _poly_mul(poly, [Fraction(c) for c in tail] + [Fraction(1)], QQ)
-    assert _poly_roots(poly, QQ) == _divisor_scan_roots(poly)
+        poly = poly_mul(poly, [-r, Fraction(1)], QQ)
+    poly = poly_mul(poly, [Fraction(c) for c in tail] + [Fraction(1)], QQ)
+    assert poly_roots(poly, QQ) == _divisor_scan_roots(poly)
 
 
 def test_rational_roots_of_large_coefficients():
@@ -563,9 +566,9 @@ def test_rational_roots_of_large_coefficients():
     big = 10 ** 20
     poly = [Fraction(1)]
     for factor in ([-big, 1], [7, 3], [7, 3], [2, 0, 1], [0, 1]):
-        poly = _poly_mul(poly, [Fraction(c) for c in factor], QQ)
+        poly = poly_mul(poly, [Fraction(c) for c in factor], QQ)
     start = time.perf_counter()
-    roots = _poly_roots(poly, QQ)
+    roots = poly_roots(poly, QQ)
     assert time.perf_counter() - start < 1.0
     assert roots == [0, Fraction(-7, 3), Fraction(-7, 3), big]
 
@@ -578,10 +581,10 @@ def test_rational_roots_of_large_coefficients():
 def test_poly_roots_over_q_with_multiplicity(roots, scale, irreducible):
     poly = [scale]
     for r in roots:
-        poly = _poly_mul(poly, [-r, Fraction(1)], QQ)
+        poly = poly_mul(poly, [-r, Fraction(1)], QQ)
     if irreducible:
-        poly = _poly_mul(poly, [Fraction(2), Fraction(0), Fraction(1)], QQ)
-    assert sorted(_poly_roots(poly, QQ)) == sorted(roots)
+        poly = poly_mul(poly, [Fraction(2), Fraction(0), Fraction(1)], QQ)
+    assert sorted(poly_roots(poly, QQ)) == sorted(roots)
 
 
 def test_blocks_exhibit_matrix_units(m3q):
