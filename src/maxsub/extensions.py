@@ -42,6 +42,7 @@ from .linalg import (
     identity_matrix,
     kernel,
     kron,
+    mat_mul,
     mat_vec,
     quotient_space,
     rref,
@@ -565,12 +566,15 @@ def _is_invertible(mat: list, f: Field) -> bool:
 
 
 def modules_isomorphic(m1: Module, m2: Module) -> bool:
-    """Search the Hom space for an invertible morphism.
+    """Search the Hom space for an invertible morphism, else decide by
+    Krull–Schmidt.
 
-    Exhaustive over small finite fields; otherwise tries basis elements and
-    integer combinations drawn in a fixed order (isomorphic modules admit
-    invertible integer combinations generically, and all acceptance cases
-    are exercised exhaustively over finite fields as well).
+    The search is exhaustive over small finite fields, where its False is
+    exact; otherwise it tries the basis elements and 120 integer
+    combinations drawn in a fixed order, and every True is a checked
+    invertible map.  When the draws find none, the indecomposable summands
+    of both modules are matched greedily (`_indecomposables_isomorphic`);
+    `decompose_module` raises UnsupportedFieldError where it cannot split.
     """
     if m1.dim != m2.dim:
         return False
@@ -581,7 +585,8 @@ def modules_isomorphic(m1: Module, m2: Module) -> bool:
         return False
     f = m1.algebra.field
     d = m1.dim
-    if f.is_finite and f.p ** len(homs) <= HOM_SWEEP_CAP:
+    sweep = f.is_finite and f.p ** len(homs) <= HOM_SWEEP_CAP
+    if sweep:
         combos = all_vectors(len(homs), f)
     else:
         rng = random.Random(0)  # a fixed seed: every run tries the same draws
@@ -596,7 +601,30 @@ def modules_isomorphic(m1: Module, m2: Module) -> bool:
         mat = [combine(coeffs, [h[i] for h in homs], f) for i in range(d)]
         if _is_invertible(mat, f):
             return True
-    return False
+    if sweep:
+        return False
+    rest = decompose_module(m2)
+    for x in decompose_module(m1):
+        k = next((k for k, y in enumerate(rest)
+                  if _indecomposables_isomorphic(x, y)), None)
+        if k is None:
+            return False
+        del rest[k]
+    return not rest
+
+
+def _indecomposables_isomorphic(x: Module, y: Module) -> bool:
+    """For indecomposable x and y: x ≅ y iff g∘h is invertible for some h
+    and g in the bases of Hom(x, y) and Hom(y, x).  End(x) is local, so
+    its non-units form an ideal: if every g∘h is one, so is every
+    composite, and no map x → y has an inverse.  An invertible g∘h makes
+    x a summand of y, hence y itself."""
+    if x.dim != y.dim:
+        return False
+    f = x.algebra.field
+    back = hom_space(y, x)
+    return any(_is_invertible(mat_mul(g, h, f), f)
+               for h in hom_space(x, y) for g in back)
 
 
 def is_direct_summand(x: Module, n: Module) -> bool:
@@ -605,7 +633,7 @@ def is_direct_summand(x: Module, n: Module) -> bool:
     xs = decompose_module(x)
     if len(xs) != 1:
         raise InvalidInputError("summand test expects an indecomposable")
-    return any(modules_isomorphic(x, p) for p in pieces)
+    return any(_indecomposables_isomorphic(x, p) for p in pieces)
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +652,7 @@ def _indecomposables_of(alg: Algebra) -> list[Module]:
     pieces = decompose_module(regular_module(alg))
     out: list[Module] = []
     for p in pieces:
-        if not any(modules_isomorphic(p, q) for q in out):
+        if not any(_indecomposables_isomorphic(p, q) for q in out):
             out.append(p)
     return out
 

@@ -16,9 +16,10 @@ cleared to integers over a common denominator (its lcm denominator over
 Q, 1 over F_p), rows are combined fraction-free, and each row is kept in
 a normal form: content 1 with a positive pivot over Q, entries mod p with
 pivot 1 over F_p.  Field scalars are built only where a result leaves
-this module.  A `Subspace` gives its basis as integer rows over a common
-denominator (cached once over Q), so membership tests, coordinates and
-quotient projections reduce on integers.
+this module.  A `Subspace` stores its integer rows over a common
+denominator, (D, D·RREF), and derives its field basis from them, so
+sums, intersections, membership tests, coordinates and quotient
+projections reduce on integers.
 """
 
 from __future__ import annotations
@@ -379,9 +380,13 @@ class _Echelon:
         return [_scalars(row, row[q], p) for q, row in zip(self.pivots, self.rows)]
 
     def subspace(self, ambient_dim: int) -> Subspace:
-        return Subspace(self.field, ambient_dim,
-                        tuple(tuple(r) for r in self.scalars()),
-                        tuple(self.pivots))
+        """The span, its rows scaled to D = the lcm of the pivot entries
+        (1 over F_p): D·RREF, since a content-1 row over its pivot entry a
+        has lcm denominator a."""
+        d = math.lcm(*(row[q] for q, row in zip(self.pivots, self.rows)))
+        rows = tuple(tuple(row) if row[q] == d else tuple(d // row[q] * x for x in row)
+                     for q, row in zip(self.pivots, self.rows))
+        return Subspace(self.field, ambient_dim, (d, rows), tuple(self.pivots))
 
     def solution(self, ncols: int, nrhs: int) -> list | None:
         """One solution x of a·x = b, for rows [a | b] with ncols columns
@@ -427,7 +432,7 @@ def rref(rows: Iterable[Sequence], field: Field) -> tuple[list[list], list[int]]
 def reduce_vec(v: Sequence, basis: Sequence[Sequence], pivots: Sequence[int],
                field: Field) -> tuple[list, list]:
     """Reduce v against an RREF basis; returns (residual, coefficients)."""
-    space = Subspace(field, len(v), tuple(basis), tuple(pivots))
+    space = _Echelon(field, basis).subspace(len(v))
     d, vi = _ints(v, field.p)
     res = _scalars(space._residual(vi), d * space.int_basis[0], field.p)
     return res, [v[q] for q in pivots]
@@ -435,31 +440,26 @@ def reduce_vec(v: Sequence, basis: Sequence[Sequence], pivots: Sequence[int],
 
 @dataclass(frozen=True)
 class Subspace:
-    """A subspace of K^n held as a canonical reduced row-echelon basis."""
+    """A subspace of K^n held as integer rows: int_basis = (D, D·basis) for
+    its canonical reduced row-echelon basis, D the lcm denominator over Q
+    and 1 over F_p, so the entry of row k at pivot k is D."""
 
     field: Field
     ambient_dim: int
-    basis: tuple[Vec, ...]
+    int_basis: tuple[int, tuple[tuple[int, ...], ...]]
     pivots: tuple[int, ...]
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def int_basis(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """(D, D·basis): the basis over a common denominator D as integer
-        rows, so that the entry of row k at pivot k is D.  Over F_p this is
-        (1, basis); over Q it is computed once, D the lcm denominator."""
-        if self.field.p is not None:
-            return 1, self.basis
-        return self._q_int_basis
+        return len(self.pivots)
 
     @cached_property
-    def _q_int_basis(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        d = math.lcm(*(x.denominator for r in self.basis for x in r))
-        return d, tuple(tuple(x.numerator * (d // x.denominator) for x in r)
-                        for r in self.basis)
+    def basis(self) -> tuple[Vec, ...]:
+        """The canonical RREF basis as field scalars."""
+        d, rows = self.int_basis
+        if self.field.p is not None:
+            return rows
+        return tuple(tuple(_scalars(r, d, None)) for r in rows)
 
     def _residual(self, v: Sequence[int]) -> Sequence[int]:
         """For an integer vector v: D·v − Σ_k v[pivot k]·(D·basis_k), mod p
@@ -531,7 +531,7 @@ def saturate(seeds: Iterable[Sequence], ops: Sequence[Callable[[list], Sequence]
 
 
 def zero_subspace(ambient_dim: int, field: Field) -> Subspace:
-    return Subspace(field, ambient_dim, (), ())
+    return Subspace(field, ambient_dim, (1, ()), ())
 
 
 def full_subspace(ambient_dim: int, field: Field) -> Subspace:
@@ -547,26 +547,23 @@ def _check_compatible(u: Subspace, w: Subspace):
 
 def subspace_sum(u: Subspace, w: Subspace) -> Subspace:
     _check_compatible(u, w)
-    return echelonize(list(u.basis) + list(w.basis), u.ambient_dim, u.field)
+    return _Echelon(u.field, u.int_basis[1] + w.int_basis[1]).subspace(u.ambient_dim)
 
 
 def subspace_intersection(u: Subspace, w: Subspace) -> Subspace:
     """Zassenhaus: echelonize [U|U; W|0], read the intersection off the tail."""
     _check_compatible(u, w)
-    n = u.ambient_dim
-    field = u.field
-    z = zero_vec(n, field)
-    stacked = [list(r) + list(r) for r in u.basis]
-    stacked += [list(r) + z for r in w.basis]
-    reduced, pivots = rref(stacked, field)
-    inter = [row[n:] for row, pc in zip(reduced, pivots) if pc >= n]
-    return echelonize(inter, n, field)
+    n, z = u.ambient_dim, (0,) * u.ambient_dim
+    e = _Echelon(u.field, [r + r for r in u.int_basis[1]]
+                 + [r + z for r in w.int_basis[1]])
+    return _Echelon(u.field, (row[n:] for q, row in zip(e.pivots, e.rows)
+                              if q >= n)).subspace(n)
 
 
 def subspace_contains(u: Subspace, w: Subspace) -> bool:
     """True iff w is contained in u."""
     _check_compatible(u, w)
-    return all(u.contains_vec(r) for r in w.basis)
+    return all(u.holds_ints(r) for r in w.int_basis[1])
 
 
 # ---------------------------------------------------------------------------
@@ -642,7 +639,7 @@ def enumerate_subspaces(ambient_dim: int, dim: int, field: Field,
             for (r, c), v in zip(free_pos, values):
                 rows[r][c] = v
             yield Subspace(field, ambient_dim,
-                           tuple(tuple(r) for r in rows), tuple(pivots))
+                           (1, tuple(tuple(r) for r in rows)), tuple(pivots))
 
 
 def all_vectors(n: int, field: Field) -> Iterator[tuple]:

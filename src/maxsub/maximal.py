@@ -695,7 +695,7 @@ def _unital_subalgebras(b: Algebra) -> Iterator[Subspace]:
     def walk(pivots: tuple, plan: list, rows: list[tuple]):
         r = len(rows)
         if r == len(pivots):
-            yield Subspace(f, n, tuple(rows), pivots)
+            yield Subspace(f, n, (1, tuple(rows)), pivots)
             return
         base, free, solved, checks = plan[r]
         for values in itertools.product(range(p), repeat=len(free)):

@@ -193,9 +193,12 @@ def trace_functional_radical(a: Algebra) -> Subspace:
 
 
 def jacobson_radical(a: Algebra) -> Subspace:
-    """The Jacobson radical as a canonical subspace, always verified."""
+    """The Jacobson radical as a canonical subspace, always verified.  A
+    zero candidate is checked already: the filtration just run is that of
+    a/0 = a, the quotient check of `verify_radical`."""
     cand = trace_functional_radical(a)
-    verify_radical(a, cand)
+    if cand.dim > 0:
+        verify_radical(a, cand)
     return cand
 
 
@@ -464,7 +467,11 @@ def semisimple_blocks(b: Algebra, j: Subspace) -> StructureReport:
     When some minimal polynomial refuses to split over the base field the
     report carries schur=False and block_dims=None.
     """
-    s, q = verify_radical(b, j)
+    return _blocks_of(j, *verify_radical(b, j))
+
+
+def _blocks_of(j: Subspace, s: Algebra, q: QuotientSpace) -> StructureReport:
+    """The report of `semisimple_blocks` on the checked quotient s = b/j."""
     if s.dim == 0:
         raise InvalidInputError("quotient algebra is zero")
     center = centralizer(s, full_subspace(s.dim, s.field)).space
@@ -491,7 +498,10 @@ def semisimple_blocks(b: Algebra, j: Subspace) -> StructureReport:
 
 
 def structure_report(b: Algebra) -> StructureReport:
-    return semisimple_blocks(b, trace_functional_radical(b))
+    """`semisimple_blocks` at the radical, as `jacobson_radical` checks it:
+    a zero radical needs no second filtration."""
+    j = trace_functional_radical(b)
+    return _blocks_of(j, *(verify_radical(b, j) if j.dim else quotient_algebra(b, j)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Split/separable analysis, induction, restriction, decomposition."""
 
+import functools
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -51,6 +53,7 @@ from maxsub.linalg import (
     GF,
     QQ,
     echelonize,
+    combine,
     identity_matrix,
     kernel,
     mat_mul,
@@ -379,6 +382,126 @@ def test_modules_isomorphic_sweeps_the_whole_hom_space(field):
         assert homs and field.p ** len(homs) <= ext.HOM_SWEEP_CAP
         assert modules_isomorphic(m1, m2) is want
         assert _isomorphic_by_brute_force(m1, m2) is want
+
+
+def _isomorphic_by_sweep(m1, m2):
+    """Reference: the Hom-space sweep of `modules_isomorphic` with no cap,
+    exact over F_p: some nonzero combination of the Hom basis is
+    invertible."""
+    f, d = m1.algebra.field, m1.dim
+    if m2.dim != d:
+        return False
+    homs = hom_space(m1, m2)
+    for coeffs in itertools.product(range(f.p), repeat=len(homs)):
+        if any(coeffs):
+            mat = [combine(coeffs, [h[i] for h in homs], f) for i in range(d)]
+            if echelonize(mat, d, f).dim == d:
+                return True
+    return False
+
+
+def test_modules_isomorphic_decides_by_krull_schmidt_after_the_draws(
+        monkeypatch):
+    """R ⊕ R, R the regular module of K⁴ over F_2, against a copy in a
+    random basis: Hom is 16-dimensional, above the sweep cap, and none of
+    the seeded draws is invertible (an invertible map needs all four 2×2
+    blocks invertible, about 2 % of the draws).  The summands match one
+    for one, so the modules are isomorphic; against R ⊕ S⁴, S a simple
+    summand of R, they do not."""
+    k4 = direct_product([matrix_algebra(1, F2)] * 4)
+    r = regular_module(k4)
+    m = _direct_sum(r, r)
+    copy = _rebased_module(m, random_basis(8, F2, random.Random(8)))
+    assert 2 ** len(hom_space(m, copy)) > ext.HOM_SWEEP_CAP
+    matched = []
+    same = ext._indecomposables_isomorphic
+    monkeypatch.setattr(ext, "_indecomposables_isomorphic",
+                        lambda x, y: matched.append(1) or same(x, y))
+    assert modules_isomorphic(m, copy)
+    assert matched                  # the draws missed: the summands decided
+    s = decompose_module(r)[0]
+    assert not modules_isomorphic(m, _direct_sum(r, s, s, s, s))
+
+
+def test_modules_isomorphic_refuses_what_it_cannot_decompose():
+    """Over Q(i) × Q = Q[x]/((x²+1)(x−1)), V ⊕ Q ⊕ Q and V ⊕ V (V = Q(i),
+    x acting as i) have a nonzero Hom space with no invertible map.  End
+    of V ⊕ V is M_2(Q(i)), whose center does not split over Q, so no
+    summand matching decides: the answer is UnsupportedFieldError, not a
+    one-sided False."""
+    b = polynomial_quotient([-1, 1, -1, 1], QQ)
+
+    def module(x):
+        x2 = mat_mul(x, x, QQ)
+        return make_module(b, [identity_matrix(len(x), QQ), x, x2])
+
+    rot, one = [[0, -1], [1, 0]], [[1]]
+    v, q = module(rot), module(one)
+    m1, m2 = _direct_sum(v, q, q), _direct_sum(v, v)
+    assert hom_space(m1, m2)
+    with pytest.raises(UnsupportedFieldError):
+        modules_isomorphic(m1, m2)
+
+
+_POOL_ALGEBRAS = {
+    "T2": lambda f: block_triangular(2, (1, 1), f).as_algebra(),
+    "KxK": kxk,
+    "A3": lambda f: quiver_algebra(A3_QUIVER, f),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _indecomposable_pool(name, p):
+    """The summands of the regular module of a small algebra over F_p and
+    its simple modules, one per isomorphism class (by the exact sweep)."""
+    alg = _POOL_ALGEBRAS[name](GF(p))
+    pool = []
+    for m in decompose_module(regular_module(alg)) + simple_modules(alg):
+        if not any(_isomorphic_by_sweep(m, x) for x in pool):
+            pool.append(m)
+    return alg, pool
+
+
+@settings(max_examples=100, deadline=None)
+@given(p=st.sampled_from([2, 3]), name=st.sampled_from(sorted(_POOL_ALGEBRAS)),
+       data=st.data())
+def test_modules_isomorphic_matches_krull_schmidt_on_direct_sums(p, name,
+                                                                 data):
+    """Direct sums of T_2, K×K and A_3 indecomposables, each in a random
+    basis over F_2 or F_3, are isomorphic iff their summands agree up to
+    order (Krull–Schmidt).  modules_isomorphic says so under the sweep cap
+    and with the cap at 0, where the seeded draws and the summand matching
+    decide; the uncapped sweep of the Hom space and, up to dimension 3
+    over F_2, the search over every matrix agree.  Rebased single
+    summands match by `_indecomposables_isomorphic` iff they are one."""
+    alg, pool = _indecomposable_pool(name, p)
+    f = alg.field
+    ids = st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                   max_size=3 if p == 2 else 2)
+    first = data.draw(ids)
+    # a reordering with one summand swapped for one of its dimension, so
+    # that most pairs have a nonzero Hom space and equal dimensions
+    second = data.draw(st.permutations(first))
+    k = data.draw(st.integers(0, len(second) - 1))
+    second[k] = data.draw(st.sampled_from(
+        [i for i, x in enumerate(pool) if x.dim == pool[second[k]].dim]))
+    rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+
+    def rebased_sum(picks):
+        m = _direct_sum(*(pool[i] for i in picks))
+        return _rebased_module(m, random_basis(m.dim, f, rng))
+
+    m1, m2 = rebased_sum(first), rebased_sum(second)
+    want = sorted(first) == sorted(second)
+    assert modules_isomorphic(m1, m2) is want
+    with mock.patch.object(ext, "HOM_SWEEP_CAP", 0):
+        assert modules_isomorphic(m1, m2) is want
+    if m1.dim != m2.dim or p ** len(hom_space(m1, m2)) <= ext.HOM_SWEEP_CAP:
+        assert _isomorphic_by_sweep(m1, m2) is want
+    if p == 2 and m1.dim == m2.dim <= 3:
+        assert _isomorphic_by_brute_force(m1, m2) is want
+    i, j = data.draw(st.integers(0, len(pool) - 1)), first[0]
+    assert ext._indecomposables_isomorphic(rebased_sum([i]), pool[j]) is (i == j)
 
 
 def test_is_direct_summand(a3_q):

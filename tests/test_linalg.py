@@ -1,5 +1,6 @@
 """Exact linear algebra: echelon forms, solving, subspaces, enumeration."""
 
+import math
 import time
 from fractions import Fraction
 
@@ -12,7 +13,7 @@ from maxsub.errors import DimensionError, InvalidInputError, NotFiniteFieldError
 from maxsub.linalg import (
     GF,
     QQ,
-    Subspace,
+    _Echelon,
     echelonize,
     enumerate_subspaces,
     full_subspace,
@@ -470,7 +471,8 @@ def _reduce_fraction(v, basis, pivots, field):
 
 
 def _saturate_fraction(seeds, ops, n, field):
-    """Reference: the former `saturate`, a fully reduced Field-scalar basis."""
+    """Reference: the former `saturate`, a fully reduced Field-scalar
+    basis; returns (basis, pivots) as `Subspace` gives them."""
     sc = Scalars(field)
     basis, pivots, pending = [], [], []
 
@@ -496,8 +498,8 @@ def _saturate_fraction(seeds, ops, n, field):
         for op in ops:
             add(op(v))
     order = sorted(range(len(pivots)), key=pivots.__getitem__)
-    return Subspace(field, n, tuple(tuple(basis[i]) for i in order),
-                    tuple(pivots[i] for i in order))
+    return (tuple(tuple(basis[i]) for i in order),
+            tuple(pivots[i] for i in order))
 
 
 def _kernel_fraction(reduced, pivots, ncols, field):
@@ -615,7 +617,8 @@ def _check_saturate(field, data):
     mats = data.draw(st.lists(st.lists(sparse, min_size=n, max_size=n),
                               max_size=3))
     ops = [lambda v, m=m: mat_vec(m, v, field) for m in mats]
-    assert saturate(seeds, ops, n, field) == _saturate_fraction(seeds, ops, n, field)
+    space = saturate(seeds, ops, n, field)
+    assert (space.basis, space.pivots) == _saturate_fraction(seeds, ops, n, field)
 
 
 def _check_kernel_and_solve(field, n, a, data):
@@ -696,3 +699,41 @@ def test_fp_saturate_matches_the_scalar_loop(field, data):
 @given(data=st.data())
 def test_fp_kernel_and_solve_match_the_scalar_loop(field, data):
     _check_kernel_and_solve(field, *data.draw(_matrix(field, _raw(field))), data)
+
+
+# ---------------------------------------------------------------------------
+# a Subspace is its integer rows: one (D, D·RREF) per span
+
+@pytest.mark.parametrize("field", [QQ, F2, F3], ids=str)
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_every_route_to_a_span_gives_one_subspace(field, data):
+    """echelonize, saturate, _Echelon.kernel, subspace_sum and (over F_p)
+    enumerate_subspaces give equal, equally hashed Subspaces for one span.
+    Each stores D·RREF over D, the lcm of the RREF's denominators (1 over
+    F_p), and derives the Fraction RREF as its basis."""
+    entry = _RATIONAL if field.p is None else _raw(field)
+    n, rows = data.draw(_matrix(field, entry, max_cols=4))
+    space = echelonize(rows, n, field)
+    want, want_pivots = _rref_fraction(rows, field)
+    assert space.basis == tuple(tuple(r) for r in want)
+    assert space.pivots == tuple(want_pivots)
+    d, int_rows = space.int_basis
+    assert d == (1 if field.p else math.lcm(*(x.denominator for r in want
+                                               for x in r)))
+    assert int_rows == tuple(tuple(int(x * d) for x in r) for r in want)
+    assert all(type(x) is int for r in int_rows for x in r)
+    k = data.draw(st.integers(0, len(rows)))
+    c = Fraction(-3, 2) if field.p is None else field.p - 1
+    routes = [saturate(rows, [], n, field),
+              _Echelon(field, kernel(rows, n, field).basis).kernel(n),
+              subspace_sum(echelonize(rows[:k], n, field),
+                           echelonize([[c * x for x in r] for r in rows[k:]],
+                                      n, field))]
+    if field.p is not None:
+        routes.append(next(s for s in enumerate_subspaces(n, space.dim, field)
+                           if s == space))
+    for s in routes:
+        assert s == space and hash(s) == hash(space)
+        assert s.int_basis == space.int_basis and s.basis == space.basis
+    assert len({space, *routes}) == 1

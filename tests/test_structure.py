@@ -366,6 +366,25 @@ def test_semisimple_blocks_refuses_an_ideal_that_is_not_the_radical(field):
             semisimple_blocks(t3, ideal)
 
 
+def test_a_zero_radical_is_filtered_once(monkeypatch):
+    """M_6(F_3): 3 | 6 zeroes the trace form, so the filtration takes one
+    36×36 power trace per basis vector.  The run that finds J = 0 is the
+    quotient check of b/0 = b, so structure_report and jacobson_radical
+    filter once, 36 traces; semisimple_blocks at a given zero filters the
+    quotient again."""
+    calls = []
+    trace = maxsub.structure._power_trace
+    monkeypatch.setattr(maxsub.structure, "_power_trace",
+                        lambda *args: calls.append(1) or trace(*args))
+    m6 = matrix_algebra(6, GF(3))
+    assert structure_report(m6).block_dims == (6,)
+    assert len(calls) == 36
+    assert jacobson_radical(m6).dim == 0
+    assert len(calls) == 72
+    semisimple_blocks(m6, zero_subspace(m6.dim, m6.field))
+    assert len(calls) == 108
+
+
 def test_the_quaternions_are_not_a_full_matrix_algebra_over_q():
     rep = structure_report(parse_algebra(QUATERNIONS_ALG))
     assert rep.radical.dim == 0
