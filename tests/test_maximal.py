@@ -2,12 +2,14 @@
 
 import itertools
 import math
+import operator
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import maxsub.structure
 from conftest import (
     A2_QUIVER,
     A3_QUIVER,
@@ -49,6 +51,7 @@ from maxsub.linalg import (
 from maxsub.maximal import (
     Certificate,
     MaximalFamily,
+    _packed,
     _unital_subalgebras,
     brute_force_maximal,
     certify_maximal,
@@ -287,6 +290,26 @@ def test_classify_bt_in_m2_is_semisimple(m2q):
     assert classify_type(bt, m2q).kind == "semisimple"
 
 
+def test_classify_type_filters_a_zero_radical_once(monkeypatch):
+    """M_3(F_3): 3 | 3 zeroes the trace form, so the filtration takes one
+    power trace per basis vector.  The run that finds J(B) = 0 is the
+    quotient check of B/0 = B, so each semisimple verdict costs 9 traces,
+    not 18."""
+    b = matrix_algebra(3, F3)
+    wm = wedderburn_data(b)
+    subs = [instantiate_family(b, fam, wm=wm)
+            for fam in enumerate_maximal_families(b, wm=wm)]
+    assert len(subs) == 3
+    calls = []
+    trace = maxsub.structure._power_trace
+    monkeypatch.setattr(maxsub.structure, "_power_trace",
+                        lambda *args: calls.append(1) or trace(*args))
+    for sub in subs:
+        calls.clear()
+        assert classify_type(sub, b).kind == "semisimple"
+        assert len(calls) == 9
+
+
 def test_oracle_kxk_f2():
     res = brute_force_maximal(kxk(F2))
     assert len(res.maximal) == 1
@@ -379,6 +402,80 @@ def _unit_loop(b):
         if inv is not None:
             units.append((list(v), inv))
     return units
+
+
+def test_unit_group_refuses_q_and_more_than_3_to_the_7_elements():
+    with pytest.raises(NotFiniteFieldError):
+        unit_group(matrix_algebra(2, QQ))
+    # 2^12 > 3^7: M_2 x M_2 x M_2 over F_2
+    with pytest.raises(CapExceededError):
+        unit_group(direct_product([matrix_algebra(2, F2)] * 3))
+
+
+@pytest.mark.parametrize("build,p,count", [
+    pytest.param(lambda f: matrix_algebra(2, f), 5, 480, id="M2/F5"),
+    pytest.param(lambda f: block_triangular(2, [1, 1], f).as_algebra(), 7,
+                 6 * 6 * 7, id="T2/F7"),
+])
+def test_unit_group_over_f5_and_f7_matches_the_every_unit_loop(build, p,
+                                                               count):
+    """Beyond the oracle's primes, in the standard basis and a random one:
+    the sweep's pairs are those of `invert_element` on every vector."""
+    base = build(GF(p))
+    for b in (base, rebased(base, random_basis(base.dim, base.field,
+                                               random.Random(p)))):
+        units = unit_group(b)
+        assert len(units) == count
+        assert units == _unit_loop(b)
+
+
+@st.composite
+def packed_cases(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, 9))
+    vec = st.lists(st.integers(-30, 30), min_size=n, max_size=n)
+    rows = draw(st.lists(vec, max_size=n))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(rows),
+                           max_size=len(rows)))
+    cols = draw(st.integers(0, 2 ** n - 1))
+    return (p, n, draw(vec), draw(vec), rows, coeffs,
+            draw(st.lists(vec, min_size=n, max_size=n)), cols)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=packed_cases())
+@example(case=(3, 3, [1, 2, 0], [2, 2, 2], [[1, 2, 1], [0, 1, 1]], [2, 1],
+               [[1, 0, 2], [2, 2, 0], [0, 1, 1]], 0b101))
+def test_packed_vectors_match_list_arithmetic(case):
+    """The oracle's packed vectors over F_2, F_3 (bit planes), F_5 and F_7
+    (w-bit fields) against the same arithmetic on integer lists: the round
+    trip, sums, multiples, supports, m·v, and the residual against an
+    echelon basis, zero iff `Subspace.holds_ints`."""
+    p, n, u, v, rows, coeffs, m, cols = case
+    pk = _packed(p, n)
+
+    def red(w):
+        return [c % p for c in w]
+
+    x, y = pk.pack(u), pk.pack(v)
+    assert pk.unpack(x) == red(u)
+    assert pk.pack(pk.unpack(x)) == x
+    assert pk.unpack(pk.add(x, y)) == red(map(operator.add, u, v))
+    assert [pk.unpack(z) for z in pk.multiples(x)] == [
+        red(c * a for a in u) for c in range(p)]
+    assert pk.unpack(x & pk.support(cols)) == [
+        a if (cols >> i) & 1 else 0 for i, a in enumerate(red(u))]
+    assert pk.unpack(pk.apply(pk.columns(m), y)) == [
+        sum(map(operator.mul, row, v)) % p for row in m]
+    space = echelonize(rows, n, GF(p))
+    steps = [pk.step(q, pk.pack(r))
+             for q, r in zip(space.pivots, space.int_basis[1])]
+    inside = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n)]
+    for w in (u, v, inside):
+        res = pk.residual(pk.pack(w), steps)
+        assert pk.unpack(res) == list(space._residual(w))
+        assert (res == 0) == space.holds_ints(w)
+    assert space.holds_ints(inside)
 
 
 def _orbit_min_loop(b, s, units):
@@ -595,6 +692,12 @@ def test_orbit_rep_rejects_a_space_that_is_no_unital_subalgebra(m2f2, rows):
     space = echelonize(rows, 4, F2)
     with pytest.raises(InvalidInputError, match="unital subalgebra"):
         conjugacy_orbit_rep(m2f2, space, unit_group(m2f2))
+
+
+def test_orbit_rep_refuses_q(m2q):
+    bt = subalgebra_from_rows(m2q, [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1]])
+    with pytest.raises(NotFiniteFieldError, match="finite field"):
+        conjugacy_orbit_rep(m2q, bt.space, [([1, 0, 0, 1], [1, 0, 0, 1])])
 
 
 def test_maxdim_matrix_algebras():

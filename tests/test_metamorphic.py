@@ -62,7 +62,7 @@ def test_change_of_basis_keeps_the_invariants(name, seed):
 
 MISSED_SPLIT = (
     "the random idempotent search in M_2(Q) misses on this basis; a "
-    "rational point on the norm conic (ROADMAP item 4, stage 2) fixes it")
+    "rational point on the norm conic (ROADMAP item 5, stage 2) fixes it")
 
 
 @pytest.mark.xfail(strict=True, raises=AssertionError, reason=MISSED_SPLIT)

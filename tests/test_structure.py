@@ -871,7 +871,8 @@ def _diagonal_system(b, n, ranks):
 
 def test_conjugating_unit_m4q_ranks_2_2_against_3_1_is_none():
     """Not conjugate, which the former box search took many seconds to
-    conclude (timings in ROADMAP item 3)."""
+    conclude (timings in ROADMAP, Recent, "Exact conjugacy of
+    idempotent systems")."""
     b = matrix_algebra(4, QQ)
     assert conjugating_unit(b, _diagonal_system(b, 4, (2, 2)),
                             _diagonal_system(b, 4, (3, 1))) is None
@@ -881,7 +882,8 @@ def test_conjugating_unit_m4q_ranks_2_2_against_3_1_is_none():
 def test_conjugating_unit_over_q_finds_a_fixed_conjugate(n, ranks):
     """The diagonal system against its conjugate by the upper unitriangular
     matrix of ones with a 2 at (n, 1), beyond the reach of the former box
-    search over Q (timings in ROADMAP item 3)."""
+    search over Q (timings in ROADMAP, Recent, "Exact conjugacy of idempotent
+    systems")."""
     b = matrix_algebra(n, QQ)
     u = [QQ.coerce(1 if q >= p else 2 if (p, q) == (n - 1, 0) else 0)
          for p in range(n) for q in range(n)]
