@@ -737,7 +737,9 @@ class _PackedF3(_Packed):
 
 def _packed(p: int, n: int) -> _Packed:
     """The packed layout of F_p^n: one bit per entry over F_2, two bit
-    planes over F_3, w-bit fields otherwise."""
+    planes over F_3, w-bit fields otherwise.  Against w-bit fields for
+    every prime, the two bit layouts take `fp-oracle` `wall_s` from 0.384
+    to 0.330 s (medians of 10 pairs, lower in all 10, `BENCH_26.json`)."""
     if p == 2:
         return _PackedF2(n)
     if p == 3:
@@ -875,6 +877,15 @@ def _unital_subalgebras(b: Algebra) -> Iterator[Subspace]:
     packed vectors (`_Packed`), and one table holds every product the walk
     forms: its equations at the columns in play are its `residual` against
     the fixed rows, masked by a `support`.
+
+    Each fixed row is kept twice, as an int tuple for `_multiply_ints`,
+    the solved columns and the yielded basis, and packed for the table
+    keys and residuals: unpacking on each table miss instead made the walk
+    12–45 % slower on the `fp-oracle` inputs D4/F_2, A3/F_3 and the
+    M3/F_2 `observed_max_dim` (best of 200 runs each).  Likewise the
+    assignments of each tuple of free columns are built once per call:
+    building them at each node cut the gain over the list walk from 31 to
+    6 % on the M3/F_2 `observed_max_dim` and from 23 to 15 % on A3/F_3.
     """
     n, f, p, one = b.dim, b.field, b.field.p, b.unit
     lead = next((i for i, x in enumerate(one) if x), None)
@@ -901,10 +912,9 @@ def _unital_subalgebras(b: Algebra) -> Iterator[Subspace]:
             return
         base, fixed, free, solved, checks = plan[r]
         row = base[:]
-        if solved:
-            for c, terms, uc, s in solved:
-                row[c] = (uc - sum(a * rows[t][c] for t, a in terms)) * s % p
-            fixed = pk.pack(row)
+        for c, terms, uc, s in solved:
+            row[c] = v = (uc - sum(a * rows[t][c] for t, a in terms)) * s % p
+            fixed |= scaled[c][v]
         settings = cache.get(free)
         if settings is None:
             settings = cache[free] = assignments(free)
@@ -926,12 +936,13 @@ def _unital_subalgebras(b: Algebra) -> Iterator[Subspace]:
         """Each assignment of values to the free columns, in the order of
         `itertools.product`, and its packing: the packing of a sum of
         vectors with disjoint supports is the sum of theirs."""
-        entries = [pk.multiples(singles[c]) for c in free]
+        entries = [scaled[c] for c in free]
         return list(zip(itertools.product(range(p), repeat=len(free)),
                         map(sum, itertools.product(*entries))))
 
-    cache: dict[tuple, list] = {}
-    singles = [pk.pack([0] * c + [1]) for c in range(n)]     # e_c
+    cache: dict[tuple, list] = {(): [((), 0)]}
+    # scaled[c][a] = a·e_c; e_c packs to 1 << (c·w) in every layout
+    scaled = [pk.multiples(1 << (c * pk.w)) for c in range(n)]
 
     for k in range(n - 1, 0, -1):
         for pivots in itertools.combinations(range(n), k):
@@ -962,7 +973,7 @@ def _unital_subalgebras(b: Algebra) -> Iterator[Subspace]:
                     + [(r, i) for i in range(r) if i != skip])
                 old = [(i, j) for i in range(r) for j in range(r)
                        if skip not in (i, j)]
-                plan.append((base, singles[q], tuple(free), solved, [
+                plan.append((base, scaled[q][1], tuple(free), solved, [
                     (new, pk.support(cols)),
                     (old, pk.support(cols >> (q + 1) << (q + 1)))]))
             yield from walk(pivots, plan, [], [], [])
@@ -989,7 +1000,7 @@ def brute_force_maximal(b: Algebra) -> OracleResult:
     basis as its conjugacy class key.  With the left-orbit `unit_group`
     this took `fp-oracle` `wall_s` from 1.05 to 0.58 s (medians of 10
     pairs, `BENCH_21.json`), the walk took it from 0.59 to 0.47 s
-    (`BENCH_23.json`), and packed vectors from 0.466 to 0.335 s
+    (`BENCH_23.json`), and packed vectors from 0.468 to 0.329 s
     (`BENCH_26.json`; A3/F_3 of seed 1 from 50 to 32 ms).
     """
     _check_oracle_caps(b)
