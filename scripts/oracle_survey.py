@@ -72,7 +72,7 @@ def main() -> int:
         mismatches += not match
         kinds = {}
         for cls in res.classes:
-            k = classify_type(cls[0], b).kind
+            k = classify_type(cls[0], b, wm.report).kind
             kinds[k] = kinds.get(k, 0) + 1
         kinds_s = ", ".join(f"{v} {k}" for k, v in sorted(kinds.items()))
         print(f"{label:<18} {b.dim:>3} {len(keys):>8} "

@@ -189,10 +189,11 @@ def _cmd_maximal(args, field) -> dict:
             raise OperationError(
                 f"algebra dimension {b.dim} exceeds --max-dim {args.max_dim}")
         res = brute_force_maximal(b)
+        report = structure_report(b)
         classes = []
         for cls in res.classes:
             rep0 = cls[0]
-            verdict = classify_type(rep0, b)
+            verdict = classify_type(rep0, b, report)
             classes.append({
                 "size": len(cls),
                 "dim": rep0.dim,

@@ -53,11 +53,9 @@ from .linalg import (
 )
 from .poly import irreducible, prime_divisors
 from .structure import (
+    StructureReport,
     WMData,
-    semisimple_blocks,
     structure_report,
-    trace_functional_radical,
-    verify_radical,
     wedderburn_data,
 )
 
@@ -215,8 +213,6 @@ def enumerate_maximal_families(b: Algebra, wm: WMData | None = None,
         comps = radical_components(b, wm)
         for (i, j) in sorted(comps.components):
             m = comps.multiplicity(i, j)
-            if m < 1:
-                continue
             if b.field.is_finite:
                 for func in _projective_functionals(m, b.field):
                     fams.append(MaximalFamily("radical_hyperplane", i, other=j,
@@ -520,27 +516,29 @@ class TypeVerdict:
     b_block_dims: tuple[int, ...] | None = None
 
 
-def classify_type(a: Subalgebra, b: Algebra) -> TypeVerdict:
+def classify_type(a: Subalgebra, b: Algebra,
+                  rep: StructureReport | None = None) -> TypeVerdict:
     """Semisimple type iff J(B) lies inside A; otherwise split type.
 
     Split verdicts carry the verified evidence J(A) = A meet J(B) and the
-    equality of simple-dimension multisets.  A zero J(B) is checked
-    already, as in `jacobson_radical`.
+    equality of simple-dimension multisets.  rep is B's structure report
+    (say `wm.report`, for many subalgebras of one B): given it, nothing
+    about B is computed here, and without it B's report is built.  A
+    semisimple verdict never reads B's blocks, so it decomposes nothing.
     """
     a.check_parent(b)
-    jb = trace_functional_radical(b)
+    if rep is None:
+        rep = structure_report(b)
+    jb = rep.radical
     if all(a.space.contains_vec(list(r)) for r in jb.basis):
-        if jb.dim > 0:
-            verify_radical(b, jb)
         return TypeVerdict("semisimple", True)
-    brep = semisimple_blocks(b, jb)
     arep = structure_report(a.as_algebra())
     ja_in_b = echelonize([a.embed(list(r)) for r in arep.radical.basis],
                          b.dim, b.field)
     match = ja_in_b == subspace_intersection(a.space, jb)
-    if not arep.schur or not brep.schur:
+    if not arep.schur or not rep.schur:
         raise NotSplitError("cannot compare simple dimensions: not split")
-    return TypeVerdict("split", False, match, arep.block_dims, brep.block_dims)
+    return TypeVerdict("split", False, match, arep.block_dims, rep.block_dims)
 
 
 # ---------------------------------------------------------------------------
@@ -944,39 +942,44 @@ def _unital_subalgebras(b: Algebra) -> Iterator[Subspace]:
     # scaled[c][a] = a·e_c; e_c packs to 1 << (c·w) in every layout
     scaled = [pk.multiples(1 << (c * pk.w)) for c in range(n)]
 
-    for k in range(n - 1, 0, -1):
-        for pivots in itertools.combinations(range(n), k):
-            if lead not in pivots:      # 1's first nonzero entry is a pivot
-                continue
-            skip = max(t for t, q in enumerate(pivots) if one[q])
-            nonpivots = [c for c in range(n) if c not in pivots]
-            plan, seen = [], 0          # bits of the pivots met so far
-            for r, (q, bound) in enumerate(zip(pivots, pivots[1:] + (n,))):
-                base = [0] * n
-                base[q] = 1
-                free, solved = [], []
-                for c in nonpivots:
-                    if c < q:
-                        continue
-                    # the rows that the equation of 1 at column c reads
-                    ts = [t for t, pc in enumerate(pivots)
-                          if pc < c and one[pc]]
-                    if ts and ts[-1] == r:
-                        terms = [(t, one[pivots[t]]) for t in ts[:-1]]
-                        solved.append((c, terms, one[c], pow(one[q], -1, p)))
-                    else:
-                        free.append(c)
-                seen |= 1 << q
-                cols = ((1 << bound) - 1) & ~seen
-                new = [] if r == skip else (
-                    [(i, r) for i in range(r + 1) if i != skip]
-                    + [(r, i) for i in range(r) if i != skip])
-                old = [(i, j) for i in range(r) for j in range(r)
-                       if skip not in (i, j)]
-                plan.append((base, scaled[q][1], tuple(free), solved, [
-                    (new, pk.support(cols)),
-                    (old, pk.support(cols >> (q + 1) << (q + 1)))]))
-            yield from walk(pivots, plan, [], [], [])
+    # walk refers to itself through its closure cell: deleting it when the
+    # walk ends or is closed frees its tables without the cyclic collector
+    try:
+        for k in range(n - 1, 0, -1):
+            for pivots in itertools.combinations(range(n), k):
+                if lead not in pivots:  # 1's first nonzero entry is a pivot
+                    continue
+                skip = max(t for t, q in enumerate(pivots) if one[q])
+                nonpivots = [c for c in range(n) if c not in pivots]
+                plan, seen = [], 0          # bits of the pivots met so far
+                for r, (q, bound) in enumerate(zip(pivots, pivots[1:] + (n,))):
+                    base = [0] * n
+                    base[q] = 1
+                    free, solved = [], []
+                    for c in nonpivots:
+                        if c < q:
+                            continue
+                        # the rows that the equation of 1 at column c reads
+                        ts = [t for t, pc in enumerate(pivots)
+                              if pc < c and one[pc]]
+                        if ts and ts[-1] == r:
+                            terms = [(t, one[pivots[t]]) for t in ts[:-1]]
+                            solved.append((c, terms, one[c], pow(one[q], -1, p)))
+                        else:
+                            free.append(c)
+                    seen |= 1 << q
+                    cols = ((1 << bound) - 1) & ~seen
+                    new = [] if r == skip else (
+                        [(i, r) for i in range(r + 1) if i != skip]
+                        + [(r, i) for i in range(r) if i != skip])
+                    old = [(i, j) for i in range(r) for j in range(r)
+                           if skip not in (i, j)]
+                    plan.append((base, scaled[q][1], tuple(free), solved, [
+                        (new, pk.support(cols)),
+                        (old, pk.support(cols >> (q + 1) << (q + 1)))]))
+                yield from walk(pivots, plan, [], [], [])
+    finally:
+        del walk
 
 
 def _check_oracle_caps(b: Algebra):
@@ -1050,6 +1053,6 @@ def max_proper_subalgebra_dim(b: Algebra) -> int:
             "a one-dimensional algebra has no proper unital subalgebra")
     rep = structure_report(b)
     if not rep.schur:
-        raise NotSplitError(rep.failure or "blocks are not split")
+        raise NotSplitError(rep.failure)
     n1 = rep.block_dims[0]
     return b.dim - 1 - max(n1 - 2, 0)

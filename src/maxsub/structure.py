@@ -6,8 +6,8 @@ form only bounds the radical from above; the radical is the last term of
 the Cohen-Ivanyos-Wales filtration, which refines the trace-form kernel by
 the traces of p^i-th powers of integer lifts.  Every answer is verified (a
 nilpotent two-sided ideal whose quotient has zero radical by the same
-computation), and the quotient B/J that check builds is the only one a
-decomposition uses: its blocks and idempotent lifts read it off one report.
+computation); a decomposition reads only the quotient B/J that check
+builds, or B when J = 0: its blocks and idempotent lifts come off one report.
 """
 
 from __future__ import annotations
@@ -274,18 +274,6 @@ class Block:
     units: tuple[tuple[Vec, ...], ...]   # units[p][q], coordinates in B/J
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    radical: Subspace
-    block_dims: tuple[int, ...] | None
-    central_idempotents: tuple[Vec, ...]
-    schur: bool
-    quotient: Algebra
-    onto_quotient: QuotientSpace
-    blocks: tuple[Block, ...]
-    failure: str | None = None
-
-
 def _corner_split(s: Algebra, e: Sequence, y: Sequence) -> list | None:
     """Split the idempotent e using the element y = e*y*e, if possible.
 
@@ -458,50 +446,58 @@ def _matrix_units_for_block(s: Algebra, e_central: Sequence,
     return n, units
 
 
-def semisimple_blocks(b: Algebra, j: Subspace) -> StructureReport:
-    """Block decomposition of b/j with explicit matrix units.
+@dataclass(frozen=True)
+class StructureReport:
+    """An algebra's verified radical J, its quotient B/J and the blocks of
+    B/J, found on first use: a caller that reads only J (the semisimple
+    verdict of `classify_type`) pays for no decomposition.  On success
+    schur=True and block_dims lists the matrix sizes ascending; when some
+    minimal polynomial refuses to split over the base field, schur=False,
+    block_dims=None and failure says why."""
 
-    j must be the radical: `verify_radical` checks it and builds the
-    quotient decomposed here.  On success schur=True and block_dims lists the
-    matrix sizes ascending.
-    When some minimal polynomial refuses to split over the base field the
-    report carries schur=False and block_dims=None.
-    """
-    return _blocks_of(j, *verify_radical(b, j))
+    radical: Subspace
+    quotient: Algebra
+    onto_quotient: QuotientSpace
 
+    @functools.cached_property
+    def _split(self) -> tuple[tuple[Vec, ...], tuple[Block, ...], str | None]:
+        """The central idempotents, the blocks and the failure, if any."""
+        s = self.quotient
+        center = centralizer(s, full_subspace(s.dim, s.field)).space
+        idems, primitive = _split_central_idempotents(s, center)
+        idems = tuple(tuple(e) for e in idems)
+        if not primitive:
+            return idems, (), "center does not split"
+        blocks = []
+        for e in idems:
+            got = _matrix_units_for_block(s, e)
+            if got is None:
+                return idems, (), "a block is not a full matrix algebra"
+            n, units = got
+            blocks.append(Block(e, n, tuple(tuple(tuple(u) for u in row)
+                                            for row in units)))
+        blocks.sort(key=lambda blk: (blk.n, blk.idempotent))
+        if sum(blk.n * blk.n for blk in blocks) != s.dim:
+            raise VerificationFailedError("block dimensions do not add up")
+        return tuple(blk.idempotent for blk in blocks), tuple(blocks), None
 
-def _blocks_of(j: Subspace, s: Algebra, q: QuotientSpace) -> StructureReport:
-    """The report of `semisimple_blocks` on the checked quotient s = b/j."""
-    if s.dim == 0:
-        raise InvalidInputError("quotient algebra is zero")
-    center = centralizer(s, full_subspace(s.dim, s.field)).space
-    idems, primitive = _split_central_idempotents(s, center)
-    if not primitive:
-        return StructureReport(j, None, tuple(tuple(e) for e in idems), False,
-                               s, q, (), failure="center does not split")
-    blocks = []
-    for e in idems:
-        got = _matrix_units_for_block(s, e)
-        if got is None:
-            return StructureReport(j, None, tuple(tuple(e) for e in idems),
-                                   False, s, q, (),
-                                   failure="a block is not a full matrix algebra")
-        n, units = got
-        blocks.append(Block(tuple(e), n,
-                            tuple(tuple(tuple(u) for u in row) for row in units)))
-    blocks.sort(key=lambda blk: (blk.n, blk.idempotent))
-    dims = tuple(blk.n for blk in blocks)
-    if sum(d * d for d in dims) != s.dim:
-        raise VerificationFailedError("block dimensions do not add up")
-    return StructureReport(j, dims, tuple(blk.idempotent for blk in blocks),
-                           True, s, q, tuple(blocks))
+    central_idempotents = property(lambda self: self._split[0])
+    blocks = property(lambda self: self._split[1])
+    failure = property(lambda self: self._split[2])
+    schur = property(lambda self: self.failure is None)
+    block_dims = property(lambda self: tuple(blk.n for blk in self.blocks)
+                          if self.schur else None)
 
 
 def structure_report(b: Algebra) -> StructureReport:
-    """`semisimple_blocks` at the radical, as `jacobson_radical` checks it:
-    a zero radical needs no second filtration."""
+    """The report at the radical, checked as `jacobson_radical` checks it:
+    a zero radical needs no second filtration, and B/0 is B itself."""
     j = trace_functional_radical(b)
-    return _blocks_of(j, *(verify_radical(b, j) if j.dim else quotient_algebra(b, j)))
+    s, q = (verify_radical(b, j) if j.dim
+            else (b, quotient_space(b.dim, (), b.field)))
+    if s.dim == 0:
+        raise InvalidInputError("quotient algebra is zero")
+    return StructureReport(j, s, q)
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +610,7 @@ def wedderburn_data(b: Algebra) -> WMData:
 def _wedderburn_data_of(b: Algebra, rep: StructureReport) -> WMData:
     """`wedderburn_data` from the structure report of b already built."""
     if not rep.schur:
-        raise NotSplitError(rep.failure or "semisimple quotient is not split")
+        raise NotSplitError(rep.failure)
     f = b.field
     q = rep.onto_quotient
     if rep.radical.dim == 0:
@@ -728,7 +724,7 @@ def conjugating_unit(b: Algebra, e_sys: IdempotentSystem,
     _check_complete_system(b, fs, "target")
     rep = structure_report(b)
     if not rep.schur:
-        raise NotSplitError(rep.failure or "semisimple quotient is not split")
+        raise NotSplitError(rep.failure)
     q, m = rep.onto_quotient, len(es)
     coeffs, units = [], []
     for blk, mats in zip(rep.blocks,
@@ -759,7 +755,7 @@ def simple_modules(b: Algebra) -> list[Module]:
     vector of b acts by the matrix of its image (`_block_matrices`)."""
     rep = structure_report(b)
     if not rep.schur:
-        raise NotSplitError(rep.failure or "blocks are not split")
+        raise NotSplitError(rep.failure)
     q = rep.onto_quotient
     bars = [q.project(b.basis_vector(k)) for k in range(b.dim)]
     return [make_module(b, mats, check=True)

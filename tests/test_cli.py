@@ -210,16 +210,16 @@ def test_structure_builds_the_decomposition_once(monkeypatch):
     assert len(calls) == 1
 
 
-# quotient_algebra calls per recorded invocation: one B/J per algebra whose
-# radical is computed, except that `classify_type` builds no B/0 for a
-# semisimple B (it builds B/J for a nonzero J, and A/J(A) too for a split
-# verdict)
+# quotient_algebra calls per recorded invocation: one B/J per algebra with a
+# nonzero radical whose structure report is built or whose radical is
+# verified (B/0 is B itself), and A/J(A) for each split verdict of
+# `classify_type`
 QUOTIENTS_BUILT = {
-    "structure_a3_quiver.txt": 1, "structure_m2_f2.txt": 1,
-    "structure_zigzag.txt": 1, "maxdim_m3_q.txt": 1, "maxdim_m4_q.txt": 1,
+    "structure_a3_quiver.txt": 1, "structure_m2_f2.txt": 0,
+    "structure_zigzag.txt": 1, "maxdim_m3_q.txt": 0, "maxdim_m4_q.txt": 0,
     "enumerate_kronecker_f2.txt": 1, "classify_f4_m2f2.txt": 0,
-    "restrict_zigzag_d4.txt": 1, "collapse_a4.txt": 1,
-    "brute_m2_f2.txt": 0, "brute_kronecker_f2.txt": 7,
+    "restrict_zigzag_d4.txt": 0, "collapse_a4.txt": 1,
+    "brute_m2_f2.txt": 0, "brute_kronecker_f2.txt": 4,
     "certify_b11_m2q.txt": 0, "ext_diag_kxk.txt": 0,
     "dimvec_zigzag.txt": 0, "delete_d5.txt": 0, "clamped_diamond.txt": 0,
 }
@@ -285,6 +285,23 @@ def test_instantiate_roundtrip_from_enumerate():
                             "--field", "F2", "--family", rec])
         assert code2 == 0
         assert "codim: 1" in text2
+
+
+def test_classify_reports_the_split_evidence(tmp_path):
+    code, text = run(["maximal", "instantiate", "data/kronecker.quiver",
+                      "--field", "F2", "--family", "kind=radical_hyperplane "
+                      "i=1 j=2 m=2 hyperplane=1,0 codim=1"])
+    assert code == 0
+    rows = text.split("basis:\n")[1].splitlines()
+    assert len(rows) == 3
+    span = tmp_path / "hyperplane.span"
+    span.write_text("".join(f"vec {row.strip()}\n" for row in rows))
+    code, text = run(["maximal", "classify", "data/kronecker.quiver",
+                      str(span), "--field", "F2"])
+    assert code == 0
+    assert text.split("result:\n")[1] == (
+        "type: split\nradical_contained: false\nradical_match: true\n"
+        "subalgebra_block_dims:\n  1\n  1\nblock_dims:\n  1\n  1\n")
 
 
 @pytest.mark.parametrize("block", ["0", "99"])

@@ -1,5 +1,6 @@
 """Maximal families, certification, classification, brute-force oracle."""
 
+import gc
 import itertools
 import math
 import operator
@@ -294,7 +295,7 @@ def test_classify_type_filters_a_zero_radical_once(monkeypatch):
     """M_3(F_3): 3 | 3 zeroes the trace form, so the filtration takes one
     power trace per basis vector.  The run that finds J(B) = 0 is the
     quotient check of B/0 = B, so each semisimple verdict costs 9 traces,
-    not 18."""
+    not 18, and none given B's report."""
     b = matrix_algebra(3, F3)
     wm = wedderburn_data(b)
     subs = [instantiate_family(b, fam, wm=wm)
@@ -308,6 +309,34 @@ def test_classify_type_filters_a_zero_radical_once(monkeypatch):
         calls.clear()
         assert classify_type(sub, b).kind == "semisimple"
         assert len(calls) == 9
+        assert classify_type(sub, b, wm.report).kind == "semisimple"
+        assert len(calls) == 9
+
+
+def test_classify_type_given_the_report_computes_nothing_about_b(
+        monkeypatch, kronecker_f2):
+    """Every family instance of Kronecker/F_2, both types: given B's
+    report, the only structure built is A's, for a split verdict."""
+    b = kronecker_f2
+    wm = wedderburn_data(b)
+    subs = [instantiate_family(b, fam, wm=wm)
+            for fam in enumerate_maximal_families(b, wm=wm)]
+    seen = {"trace_functional_radical": [], "quotient_algebra": []}
+    for name, calls in seen.items():
+        def counted(*args, calls=calls,
+                    original=getattr(maxsub.structure, name)):
+            calls.append(args[0])
+            return original(*args)
+        monkeypatch.setattr(maxsub.structure, name, counted)
+    kinds = []
+    for sub in subs:
+        for calls in seen.values():
+            calls.clear()
+        kinds.append(classify_type(sub, b, wm.report).kind)
+        for calls in seen.values():
+            assert all(x is not b for x in calls)
+            assert bool(calls) == (kinds[-1] == "split")
+    assert sorted(kinds) == ["semisimple", "split", "split", "split"]
 
 
 def test_oracle_kxk_f2():
@@ -327,11 +356,26 @@ def test_oracle_m2f2_classes(m2f2):
 
 def test_oracle_kronecker_f2(kronecker_f2):
     res = brute_force_maximal(kronecker_f2)
+    rep = structure_report(kronecker_f2)
     split = [c for c in res.classes
-             if classify_type(c[0], kronecker_f2).kind == "split"]
+             if classify_type(c[0], kronecker_f2, rep).kind == "split"]
     merge = [c for c in res.classes
-             if classify_type(c[0], kronecker_f2).kind == "semisimple"]
+             if classify_type(c[0], kronecker_f2, rep).kind == "semisimple"]
     assert len(split) == 3 and len(merge) == 1
+
+
+def test_the_oracle_leaves_no_cyclic_garbage(kronecker_f2):
+    """The row walk refers to itself through its closure cell; it drops
+    that reference when it ends or is closed (the early exit of
+    `observed_max_dim`), so its tables need no cyclic collection."""
+    gc.collect()
+    gc.disable()
+    try:
+        brute_force_maximal(kronecker_f2)
+        observed_max_dim(kronecker_f2)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_oracle_runs_at_its_dimension_cap():
@@ -675,7 +719,7 @@ def test_families_match_the_oracle_on_random_algebras(draw):
         keys.append(conjugacy_orbit_rep(b, sub.space, units))
         assert certify_maximal(sub, b).status == "maximal", fam
         assert spin_up_recheck(sub, b), fam
-        semisimple = classify_type(sub, b).kind == "semisimple"
+        semisimple = classify_type(sub, b, wm.report).kind == "semisimple"
         assert semisimple == subspace_contains(sub.space, rad), fam
     assert len(set(keys)) == len(keys), "two families fell into one class"
     assert set(keys) == set(res.class_reps)

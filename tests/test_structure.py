@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import maxsub.linalg
-import maxsub.maximal
 import maxsub.poly
 import maxsub.structure
 from conftest import (
@@ -90,7 +89,6 @@ from maxsub.structure import (
     lift_idempotents,
     nilpotency_degree,
     quotient_algebra,
-    semisimple_blocks,
     simple_modules,
     structure_report,
     trace_form_radical,
@@ -354,23 +352,23 @@ def test_verify_radical_rejects_a_proper_subideal_of_j(monkeypatch):
 
 
 @pytest.mark.parametrize("field", [QQ, F2])
-def test_semisimple_blocks_refuses_an_ideal_that_is_not_the_radical(field):
-    # T3 is split, but T3/0 and T3/J² are not semisimple: their "blocks"
-    # would read as not full matrix algebras
+def test_verify_radical_refuses_an_ideal_that_is_not_the_radical(field):
+    # T3 is split, but T3/0 and T3/J² still have a radical: neither ideal
+    # is J
     t3 = block_triangular(3, (1, 1, 1), field).as_algebra()
     j = jacobson_radical(t3)
     j2 = ideal_closure(t3, [t3.multiply(list(x), list(y))
                             for x in j.basis for y in j.basis])
     for ideal in (zero_subspace(t3.dim, field), j2):
         with pytest.raises(VerificationFailedError):
-            semisimple_blocks(t3, ideal)
+            verify_radical(t3, ideal)
 
 
 def test_a_zero_radical_is_filtered_once(monkeypatch):
     """M_6(F_3): 3 | 6 zeroes the trace form, so the filtration takes one
     36×36 power trace per basis vector.  The run that finds J = 0 is the
     quotient check of b/0 = b, so structure_report and jacobson_radical
-    filter once, 36 traces; semisimple_blocks at a given zero filters the
+    filter once, 36 traces; verify_radical at a given zero filters the
     quotient again."""
     calls = []
     trace = maxsub.structure._power_trace
@@ -381,7 +379,7 @@ def test_a_zero_radical_is_filtered_once(monkeypatch):
     assert len(calls) == 36
     assert jacobson_radical(m6).dim == 0
     assert len(calls) == 72
-    semisimple_blocks(m6, zero_subspace(m6.dim, m6.field))
+    verify_radical(m6, zero_subspace(m6.dim, m6.field))
     assert len(calls) == 108
 
 
@@ -402,8 +400,6 @@ def test_each_call_verifies_each_radical_and_builds_its_quotient_once(
             calls.append(a)
             return original(a, j)
         monkeypatch.setattr(maxsub.structure, name, counted)
-    monkeypatch.setattr(maxsub.maximal, "verify_radical",
-                        maxsub.structure.verify_radical)
     for call in (lambda: structure_report(a3_q),
                  lambda: wedderburn_data(a3_q),
                  lambda: classify_type(subs["diagonal_merge"], kronecker_f2),
@@ -429,8 +425,7 @@ def test_blocks_product():
 
 
 def test_blocks_f4_not_split():
-    f4 = f4_algebra()
-    rep = semisimple_blocks(f4, jacobson_radical(f4))
+    rep = structure_report(f4_algebra())
     assert not rep.schur
     assert rep.block_dims is None
 
@@ -636,8 +631,7 @@ def test_lift_trivial_radical(m2q):
 
 
 def test_lift_uppertri_exact(uppertri2):
-    j = jacobson_radical(uppertri2)
-    rep = semisimple_blocks(uppertri2, j)
+    rep = structure_report(uppertri2)
     bars = [list(blk.idempotent) for blk in rep.blocks]
     sys = lift_idempotents(uppertri2, rep, bars)
     f = uppertri2.field
@@ -653,7 +647,7 @@ def test_lift_dual_numbers():
                         [[[1, 0], [0, 1]], [[0, 1], [0, 0]]], check=True)
     j = jacobson_radical(dual)
     assert j.dim == 1
-    sys = lift_idempotents(dual, semisimple_blocks(dual, j), [[1]])
+    sys = lift_idempotents(dual, structure_report(dual), [[1]])
     assert list(sys.idempotents[0]) == list(dual.unit)
 
 
