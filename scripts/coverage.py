@@ -69,6 +69,22 @@ def unexecuted(path: str, ran: set[int]) -> tuple[list[int], int]:
     return sorted(n for n in stmts if not executed(n)), len(stmts)
 
 
+class _Local:
+    """The local tracer of one frame: records its lines.
+
+    An object that returns itself, where a closure that named itself would
+    leave a reference cycle behind every traced frame, and tests that count
+    the cyclic garbage of library code would count those."""
+
+    def __init__(self, seen: set[int]):
+        self.seen = seen
+
+    def __call__(self, frame, event, arg):
+        if event == "line":
+            self.seen.add(frame.f_lineno)
+        return self
+
+
 class LineTracer:
     """Records (file, line) for every line event in the files under SRC."""
 
@@ -79,13 +95,7 @@ class LineTracer:
         path = frame.f_code.co_filename
         if not path.startswith(SRC):
             return None
-        seen = self.lines.setdefault(path, set())
-
-        def local(frame, event, arg):
-            if event == "line":
-                seen.add(frame.f_lineno)
-            return local
-        return local
+        return _Local(self.lines.setdefault(path, set()))
 
     def start(self):
         threading.settrace(self._global)

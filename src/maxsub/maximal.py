@@ -22,6 +22,7 @@ from .algebra import (
     centralizer_in,
     is_closed_subspace,
     subalgebra_from_rows,
+    subalgebra_generated,
 )
 from .errors import (
     CapExceededError,
@@ -40,7 +41,6 @@ from .linalg import (
     all_vectors,
     combine,
     echelonize,
-    enumerate_subspaces,
     kernel,
     mat_vec,
     quotient_space,
@@ -347,7 +347,11 @@ def instantiate_family(b: Algebra, fam: MaximalFamily,
 
 @dataclass(frozen=True)
 class Certificate:
-    status: str                    # "maximal" | "not_maximal" | "inconclusive"
+    """Status "maximal", by method "burnside", "spin_up" or "exhaustive";
+    "not_maximal", by "stable_subspace" with the witness; or, over Q only,
+    "inconclusive", by "burnside_failed"."""
+
+    status: str
     method: str
     quotient_dim: int
     witness: Subalgebra | None = None
@@ -364,6 +368,9 @@ def _quotient_bimodule_ops(a: Subalgebra, b: Algebra,
     same positive multiple of the exact operator (1 over F_p), which
     changes no span, spin-up, stable subspace or witness.
     """
+    a.check_parent(b)
+    if a.dim >= b.dim:
+        raise InvalidInputError("subalgebra is not proper")
     q = quotient_space(b.dim, a.space.basis, b.field)
     lifts = [[int(i == c) for i in range(b.dim)] for c in q.free_coords]
     mul = b._multiply_ints
@@ -406,102 +413,74 @@ def _spin_up(v: Sequence, ops: list[list], d: int, field: Field) -> Subspace:
     return saturate([v], maps, d, field)
 
 
-def _pullback_if_closed(a: Subalgebra, b: Algebra, q: QuotientSpace,
-                        sub: Subspace) -> Subalgebra | None:
-    rows = [list(r) for r in a.space.basis]
-    rows += [q.lift(list(r)) for r in sub.basis]
-    space = echelonize(rows, b.dim, b.field)
-    if is_closed_subspace(b, space):
-        return Subalgebra(b, space)
-    return None
+def _line_search(a: Subalgebra, b: Algebra, q: QuotientSpace,
+                 ops: list[list]) -> Certificate:
+    """Look for a subalgebra strictly between A and B, one line of B/A at a
+    time.
 
-
-def certify_maximal(a: Subalgebra, b: Algebra) -> Certificate:
-    """Certify that a proper subalgebra is maximal, or exhibit a witness.
-
-    Sufficient test: the algebra generated by the left/right actions of A
-    on B/A is all of End(B/A), so B/A is a simple bimodule.  Left
-    multiplication L: A -> End(B/A) is a unital homomorphism and right
-    multiplication R a unital anti-homomorphism, and L(a) commutes with
-    R(a') by associativity, (a·x)·a' = a·(x·a').  So every word in the
-    operators is some L(a)·R(a'), and the algebra they generate is
-    span L(A)·R(A): products of two echelon bases, with no words to
-    saturate.  Over a finite field an exhaustive fallback enumerates the
-    stable subspaces and checks each pullback for closure, so the answer
-    there is exact.
+    An intermediate subalgebra C holds, with any x in C outside A, the
+    sub-bimodule U that x spins up in B/A, and the subalgebra that A and
+    the lifts of U generate; conversely any such generated subalgebra
+    short of B is intermediate.  The test depends only on the line of x,
+    so trying every line of B/A (over F_p) decides maximality exactly.
+    Over Q the lines are the unit vectors and 8 seeded draws.
     """
-    a.check_parent(b)
-    if a.dim >= b.dim:
-        raise InvalidInputError("subalgebra is not proper")
     f = b.field
-    q, lops, rops = _quotient_bimodule_ops(a, b)
     d = q.dim
-    if _generated_operator_dim(lops, rops, d, f) == d * d:
-        return Certificate("maximal", "burnside", d)
-    ops = lops + rops
     if f.is_finite:
-        return _finite_certificate(a, b, q, ops)
-    # over an infinite field: look for cyclic sub-bimodule witnesses
-    candidates = []
-    for kk in range(d):
-        candidates.append(unit_vec(d, kk, f))
-    rng = random.Random(0)  # a fixed seed: every run tries the same candidates
-    for _ in range(8):
-        candidates.append([f.coerce(rng.randint(-2, 2)) for _ in range(d)])
+        lines = _projective_functionals(d, f)
+    else:
+        rng = random.Random(0)  # a fixed seed: every run tries the same lines
+        lines = itertools.chain(
+            (unit_vec(d, k, f) for k in range(d)),
+            ([f.coerce(rng.randint(-2, 2)) for _ in range(d)]
+             for _ in range(8)))
+    rows = list(a.space.basis)
     seen = set()
-    for v in candidates:
+    for v in lines:
         if vec_is_zero(v):
             continue
         sub = _spin_up(v, ops, d, f)
         if sub.dim == d or sub.basis in seen:
             continue
         seen.add(sub.basis)
-        witness = _pullback_if_closed(a, b, q, sub)
-        if witness is not None:
-            return Certificate("not_maximal", "stable_subspace", d, witness)
-    return Certificate("inconclusive", "burnside_failed", d)
+        gen = subalgebra_generated(b, rows + [q.lift(r) for r in sub.basis])
+        if gen.dim < b.dim:
+            return Certificate("not_maximal", "stable_subspace", d, gen)
+    if not f.is_finite:
+        return Certificate("inconclusive", "burnside_failed", d)
+    return Certificate("maximal", "exhaustive" if seen else "spin_up", d)
 
 
-def _finite_certificate(a: Subalgebra, b: Algebra, q: QuotientSpace,
-                        ops: list[list]) -> Certificate:
-    """Exact certificate over a finite field, without the Burnside step.
+def certify_maximal(a: Subalgebra, b: Algebra) -> Certificate:
+    """Certify that a proper subalgebra is maximal, or exhibit a witness.
 
-    B/A is simple when every nonzero vector spins up to all of it; as the
-    spin-up of c*v is that of v, one vector per line is enough.  Otherwise
-    the stable subspaces are enumerated and each pullback checked for
-    closure.
+    Sufficient test (method "burnside"): the algebra generated by the
+    left/right actions of A on B/A is all of End(B/A), so B/A is a simple
+    bimodule.  Left multiplication L: A -> End(B/A) is a unital
+    homomorphism and right multiplication R a unital anti-homomorphism,
+    and L(a) commutes with R(a') by associativity, (a·x)·a' = a·(x·a').
+    So every word in the operators is some L(a)·R(a'), and the algebra
+    they generate is span L(A)·R(A): products of two echelon bases, with
+    no words to saturate.  Otherwise `_line_search` decides: over F_p
+    exactly ("spin_up" when every line spins up to all of B/A,
+    "exhaustive" when some generated subalgebra had to be checked, or
+    "not_maximal" with a witness); over Q it may end "inconclusive".
     """
-    f = b.field
+    q, lops, rops = _quotient_bimodule_ops(a, b)
     d = q.dim
-    if all(_spin_up(v, ops, d, f).dim == d
-           for v in _projective_functionals(d, f)):
-        return Certificate("maximal", "spin_up", d)
-    for k in range(1, d):
-        for sub in enumerate_subspaces(d, k, f):
-            stable = all(
-                sub.contains_vec(mat_vec(op, list(r), f))
-                for r in sub.basis for op in ops)
-            if not stable:
-                continue
-            witness = _pullback_if_closed(a, b, q, sub)
-            if witness is not None:
-                return Certificate("not_maximal", "stable_subspace", d,
-                                   witness)
-    return Certificate("maximal", "exhaustive", d)
+    if _generated_operator_dim(lops, rops, d, b.field) == d * d:
+        return Certificate("maximal", "burnside", d)
+    return _line_search(a, b, q, lops + rops)
 
 
 def spin_up_recheck(a: Subalgebra, b: Algebra) -> bool:
-    """Independent maximality recheck over a finite field.
-
-    The finite-field certificate of `certify_maximal` without its
-    Burnside step: spin-ups of every line of B/A, then the exhaustive
-    stable-subspace closure check when some spin-up is proper.
-    """
-    a.check_parent(b)
+    """Independent maximality recheck over a finite field: the line search
+    of `certify_maximal` without its Burnside step."""
     if not b.field.is_finite:
         raise NotFiniteFieldError("spin-up recheck needs a finite field")
     q, lops, rops = _quotient_bimodule_ops(a, b)
-    return _finite_certificate(a, b, q, lops + rops).status == "maximal"
+    return _line_search(a, b, q, lops + rops).status == "maximal"
 
 
 # ---------------------------------------------------------------------------

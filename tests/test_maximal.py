@@ -29,6 +29,7 @@ from conftest import (
     rebased,
 )
 from maxsub.algebra import (
+    Subalgebra,
     block_triangular,
     direct_product,
     invert_element,
@@ -209,8 +210,7 @@ def test_certify_f4_via_spin_up(m2f2):
               if f.kind == "subfield_centralizer")
     sub = instantiate_family(m2f2, sc)
     cert = certify_maximal(sub, m2f2)
-    assert cert.status == "maximal"
-    assert cert.method in ("spin_up", "exhaustive")
+    assert (cert.status, cert.method) == ("maximal", "spin_up")
     assert spin_up_recheck(sub, m2f2)
 
 
@@ -265,6 +265,58 @@ def test_certify_rejects_improper(m2q):
     from maxsub.algebra import full_subalgebra
     with pytest.raises(InvalidInputError):
         certify_maximal(full_subalgebra(m2q), m2q)
+
+
+def test_spin_up_recheck_rejects_improper(m2f2):
+    # B/A = 0 has no lines to search: B itself is refused, as certify_maximal
+    # refuses it
+    from maxsub.algebra import full_subalgebra
+    with pytest.raises(InvalidInputError, match="not proper"):
+        spin_up_recheck(full_subalgebra(m2f2), m2f2)
+
+
+# small F_2/F_3 algebras in random bases whose proper unital subalgebras
+# reach every certificate method: K x M_2, T_3, the Kronecker algebra,
+# two loops with radical square zero, K x A_2 and K x Kronecker, M_2 over
+# F_3, F_8 (F_2 is maximal, yet every line of F_8/F_2 is a sub-bimodule)
+# and F_2[x]/(x^4)
+ORACLE_CERTIFICATE_INPUTS = {
+    "kxm2-f2": lambda: AlgebraDraw(2, 1, (), (), None, 2, 11).build(),
+    "t3-f2": lambda: AlgebraDraw(2, 3, ((1, 2), (2, 3)), (), None, 0,
+                                 12).build(),
+    "kronecker-f3": lambda: AlgebraDraw(3, 2, ((1, 2), (1, 2)), (), None, 0,
+                                        13).build(),
+    "loops-f3": lambda: AlgebraDraw(
+        3, 1, ((1, 1),) * 2,
+        tuple(((1, x, y),) for x in (1, 2) for y in (1, 2)), 2, 0,
+        14).build(),
+    "a2xk-f2": lambda: AlgebraDraw(2, 2, ((1, 2),), (), None, 1, 15).build(),
+    "kroneckerxk-f2": lambda: AlgebraDraw(2, 2, ((1, 2), (1, 2)), (), None,
+                                          1, 16).build(),
+    "kxm2-f3": lambda: AlgebraDraw(3, 1, (), (), None, 2, 18).build(),
+    "f8": lambda: rebased(polynomial_quotient([1, 1, 0, 1], F2),
+                          random_basis(3, F2, random.Random(5))),
+    "f2x-mod-x4": lambda: rebased(polynomial_quotient([0, 0, 0, 0, 1], F2),
+                                  random_basis(4, F2, random.Random(5))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_CERTIFICATE_INPUTS))
+def test_certificates_match_the_oracle_on_every_subalgebra(name):
+    """On every proper unital subalgebra A: `certify_maximal` says maximal
+    exactly when the oracle lists A, each witness is a closed subalgebra
+    strictly between A and B, and `spin_up_recheck` agrees."""
+    b = ORACLE_CERTIFICATE_INPUTS[name]()
+    maximal = {s.space.basis for s in brute_force_maximal(b).maximal}
+    for space in _unital_subalgebras(b):
+        a = Subalgebra(b, space)
+        cert = certify_maximal(a, b)
+        assert (cert.status == "maximal") == (space.basis in maximal), cert
+        if cert.status == "not_maximal":
+            w = cert.witness.space
+            assert is_closed_subspace(b, w) and a.dim < w.dim < b.dim
+            assert subspace_contains(w, space)
+        assert spin_up_recheck(a, b) == (cert.status == "maximal")
 
 
 def test_classify_semisimple_type(a3_q):
@@ -796,8 +848,11 @@ def test_block_triangular_no_intermediate_subalgebra_f2():
                     assert not is_closed_subspace(m, space)
 
 
-def test_subfield_centralizer_degree_three():
-    m3 = matrix_algebra(3, F3)
+@pytest.mark.parametrize("p", [2, 3])
+def test_subfield_centralizer_degree_three(p):
+    """F_{p^3} ⊂ M_3(F_p): B/A is 6-dim and not simple (Burnside fails),
+    and every line generates all of M_3, so the line search certifies it."""
+    m3 = matrix_algebra(3, GF(p))
     wm = wedderburn_data(m3)
     sc = next(f for f in enumerate_maximal_families(m3, wm=wm)
               if f.kind == "subfield_centralizer")
@@ -807,8 +862,8 @@ def test_subfield_centralizer_degree_three():
     # the centralizer of a maximal subfield is the subfield itself
     from maxsub.algebra import centralizer
     assert centralizer(m3, sub.space).space == sub.space
-    cert = certify_maximal(sub, m3)
-    assert cert.status == "maximal"
+    assert certify_maximal(sub, m3) == Certificate("maximal", "exhaustive", 6)
+    assert spin_up_recheck(sub, m3)
 
 
 def test_subfield_centralizer_in_m4():
