@@ -6,8 +6,10 @@ the executed lines of src/maxsub/*.py, then prints, per file, the
 statements inside function bodies (found with `ast`) that never ran, and
 a total.  Stdlib only besides pytest itself; the tracer slows the run
 about fivefold, so tier-1 takes several minutes, and a test that asserts
-a time bound may fail under it.  Run from the
-repository root, with any pytest arguments:
+a time bound may fail under it.  Hypothesis runs its derandomized `ci`
+profile (tests/conftest.py) unless HYPOTHESIS_PROFILE is set, so two runs
+on one tree give one count.  Run from the repository root, with any
+pytest arguments:
     python scripts/coverage.py [-x] [tests/test_structure.py ...]
 """
 
@@ -110,6 +112,7 @@ def main(argv: list[str]) -> int:
     import pytest
 
     os.chdir(ROOT)
+    os.environ.setdefault("HYPOTHESIS_PROFILE", "ci")
     tracer = LineTracer()
     tracer.start()
     try:

@@ -26,6 +26,7 @@ from .algebra import (
 )
 from .errors import (
     CapExceededError,
+    DimensionError,
     InvalidInputError,
     NotFiniteFieldError,
     NotSplitError,
@@ -611,6 +612,33 @@ class _Packed:
                 r = add(r, negs[c])
         return r
 
+    def lead(self, x: int) -> tuple[int, int]:
+        """(q, x[q]) for the first nonzero entry q of a nonzero x (also
+        over F_2, where w = 1)."""
+        q = ((x & -x).bit_length() - 1) // self.w
+        return q, (x >> (q * self.w)) & self.mask
+
+    def echelon(self, xs: Iterable[int]) -> list[tuple[int, int]] | None:
+        """Gauss–Jordan: the RREF of span(xs) as (pivot, row) pairs sorted
+        by pivot, each row 1 at its pivot and 0 at the others; None as soon
+        as an x lies in the span of the xs before it."""
+        rows: dict[int, int] = {}
+        steps: dict[int, tuple] = {}
+        for x in xs:
+            r = self.residual(x, steps.values())
+            if not r:
+                return None
+            q, c = self.lead(r)
+            if c != 1:
+                r = self.multiples(r)[pow(c, -1, self.p)]
+            steps[q] = s = self.step(q, r)
+            for k, row in rows.items():
+                y = self.residual(row, (s,))
+                if y != row:
+                    rows[k], steps[k] = y, self.step(k, y)
+            rows[q] = r
+        return sorted(rows.items())
+
 
 class _PackedF2(_Packed):
     """One bit per entry, and addition is XOR, as in M4RI
@@ -711,6 +739,11 @@ class _PackedF3(_Packed):
                 r1, r2 = (r2 | a2) ^ t, (r1 | a1) ^ t
         return r1 | r2 << self.n
 
+    def lead(self, x: int) -> tuple[int, int]:
+        z = (x | x >> self.n) & self.mask
+        q = (z & -z).bit_length() - 1
+        return q, 1 if (x >> q) & 1 else 2
+
 
 def _packed(p: int, n: int) -> _Packed:
     """The packed layout of F_p^n: one bit per entry over F_2, two bit
@@ -728,20 +761,22 @@ def unit_group(b: Algebra) -> list[tuple[list, list]]:
     """All invertible elements with their inverses; |B| must be <= 3^7.
 
     The sweep walks the seeds 1 + c·b_i (c = 1..p−1), then `all_vectors`.
-    A vector not yet seen is eliminated once as [L_x | 1], L_x read off
-    the integer rows: x is a unit iff L_x has full rank, and the
-    right-hand part is x⁻¹.  A unit found so joins the generators G, and
-    the left orbit of x under G is filled in by products alone: g·x is a
-    unit exactly when x is, with inverse x⁻¹·g⁻¹.  A seed is a unit
-    whenever b_i lies in J, as the arrows of a standard path-algebra basis
-    do, so G grows before the sweep reaches the vectors 0, b_1, … that are
-    no units.  The orbit fill runs on packed vectors (`_Packed`): g·x and
-    x⁻¹·g⁻¹ are sums of column multiples of L_g and R_g⁻¹, and the packed
-    x is the key of its inverse.  The pairs come out in `all_vectors`
-    order, each checked by y·x = 1.  On the A3/F_3 input of `fp-oracle`
-    (seed 1): 48 eliminations instead of 729, 11 ms instead of 46, and
-    packed 8.3 ms instead of 13.8; on A3/F_3 in its standard basis 48
-    eliminations instead of 365.
+    A vector not yet seen is eliminated once as [L_x | 1], packed over
+    n + 1 entries (`_Packed.echelon`, which stops at the first dependent
+    row): x is a unit iff L_x has full rank, and the right-hand part is
+    x⁻¹.  A unit found so joins the generators G, and the left orbit of x
+    under G is filled in by products alone: g·x is a unit exactly when x
+    is, with inverse x⁻¹·g⁻¹.  A seed is a unit whenever b_i lies in J, as
+    the arrows of a standard path-algebra basis do, so G grows before the
+    sweep reaches the vectors 0, b_1, … that are no units.  The orbit fill
+    runs on packed vectors (`_Packed`): g·x and x⁻¹·g⁻¹ are sums of column
+    multiples of L_g and R_g⁻¹, and the packed x is the key of its
+    inverse.  The pairs come out in `all_vectors` order, each checked by
+    y·x = 1.  On the A3/F_3 input of `fp-oracle` (seed 1): 55 eliminations
+    instead of 729 (48 instead of 365 in its standard basis), and 6.7 ms
+    (46 before the orbit fill, 8.6 with list eliminations).  On D4/F_2 82
+    of the 128 vectors are eliminated, at 11 µs packed against 51 on
+    lists (means over all 128).
     """
     f, n, one = b.field, b.dim, list(b.unit)
     if not f.is_finite:
@@ -749,7 +784,7 @@ def unit_group(b: Algebra) -> list[tuple[list, list]]:
     if f.p ** n > 3 ** 7:
         raise CapExceededError("unit group too large to sweep")
     p = f.p
-    pk = _packed(p, n)
+    pk, aug = _packed(p, n), _packed(p, n + 1)     # aug: rows [L_x | 1]
     inverse: dict[int, int | None] = {}
     gens: list[tuple[list, list]] = []      # columns of L_g and R_g⁻¹
     seeds = [[(x + c * (i == j)) % p for j, x in enumerate(one)]
@@ -761,10 +796,10 @@ def unit_group(b: Algebra) -> list[tuple[list, list]]:
         if key in inverse:
             continue
         lv = b._left_ints(v)
-        e = _Echelon(f, (row + [u] for row, u in zip(lv, one)))
+        e = aug.echelon(aug.pack(row + [u]) for row, u in zip(lv, one))
         inv = None
-        if len(e.pivots) == n and e.pivots[-1] < n:
-            inv = [row[n] for row in e.rows]
+        if e is not None and e[-1][0] < n:
+            inv = [aug.unpack(row)[n] for _, row in e]
             gens.append((pk.columns(lv), pk.columns(b._right_ints(inv))))
             inv = pk.pack(inv)
         inverse[key] = inv
@@ -786,35 +821,36 @@ def unit_group(b: Algebra) -> list[tuple[list, list]]:
     return units
 
 
-def _orbit(b: Algebra, space: Subspace,
-           units: Sequence[tuple[Sequence, Sequence]]) -> set[tuple]:
+def _orbit(b: Algebra, space: Subspace, units: Sequence[tuple[list, list]],
+           pk: _Packed, packed: Sequence[int]) -> set[tuple]:
     """The echelon bases of the conjugates u·A·u⁻¹ of a unital subalgebra
-    A = space, one conjugation per coset u·A^×.
+    A = space, one conjugation per coset u·A^×; packed = the units packed
+    by pk.
 
     A unit a of B in A has a⁻¹ ∈ A, so u·a conjugates A as u does.  The
-    walk conjugates the first unit of each coset and marks the rest of it
-    with |A^×| products, A^× being the units that A holds, all on packed
-    vectors (`_Packed`).  On the A3/F_3 input of `fp-oracle` (seed 1) its
-    5 orbits take 12 conjugations instead of 1620, 14 ms instead of 62,
-    and packed 3.9 ms instead of 9.9.
+    walk conjugates by the first unit of each coset, checked by u·u⁻¹ = 1,
+    and marks the rest of it with |A^×| products, A^× being the units that
+    A holds.  It all runs on packed vectors (`_Packed`); a conjugate is a
+    packed RREF (`_Packed.echelon`), unpacked once if new.  On A3/F_3 of
+    `fp-oracle` (seed 1) the 5 orbits take 12 conjugations instead of
+    1620, and 2.9 ms (62 on lists by every unit, 3.9 with list RREFs).
     """
-    f, n = b.field, b.dim
-    pk = _packed(f.p, n)
     rows = [pk.pack(r) for r in space.int_basis[1]]
     steps = [pk.step(q, r) for q, r in zip(space.pivots, rows)]
-    packed = [pk.pack(u) for u, _ in units]
     inner = [a for a in packed if not pk.residual(a, steps)]
-    orbit, marked = set(), set()
+    one = pk.pack(b.unit)
+    conjugates, marked = set(), set()
     for (u, uinv), pu in zip(units, packed):
         if pu in marked:
             continue
         lu = pk.columns(b._left_ints(u))
+        if pk.apply(lu, pk.pack(uinv)) != one:
+            raise InvalidInputError("a unit pair fails u·u⁻¹ = 1")
         marked.update(pk.apply(lu, a) for a in inner)
         ruinv = pk.columns(b._right_ints(uinv))
-        conj = _Echelon(f, (pk.unpack(pk.apply(ruinv, pk.apply(lu, x)))
-                            for x in rows))
-        orbit.add(conj.subspace(n).basis)
-    return orbit
+        conjugates.add(tuple(r for _, r in pk.echelon(
+            pk.apply(ruinv, pk.apply(lu, x)) for x in rows)))
+    return {tuple(tuple(pk.unpack(r)) for r in c) for c in conjugates}
 
 
 def conjugacy_orbit_rep(b: Algebra, space: Subspace,
@@ -823,16 +859,22 @@ def conjugacy_orbit_rep(b: Algebra, space: Subspace,
 
     Raises InvalidInputError unless `space` is a unital subalgebra A (it
     contains 1 and is closed), for which alone one conjugation per coset
-    of A^× covers the orbit, and NotFiniteFieldError over Q, where no unit
-    list is finite.
+    of A^× covers the orbit, or when a pair that it conjugates by fails
+    u·u⁻¹ = 1; DimensionError on a pair of the wrong length; and
+    NotFiniteFieldError over Q, where no unit list is finite.
     """
-    if not b.field.is_finite:
+    f, n = b.field, b.dim
+    if not f.is_finite:
         raise NotFiniteFieldError("orbit representatives need a finite field")
+    if any(len(u) != n or len(uinv) != n for u, uinv in units):
+        raise DimensionError("unit pair length != algebra dimension")
     if not is_closed_subspace(b, space):
         raise InvalidInputError(
             "orbit representatives need a unital subalgebra: "
             "the space lacks 1 or is not closed")
-    return min(_orbit(b, space, units) | {space.basis})
+    pk = _packed(f.p, n)
+    return min(_orbit(b, space, units, pk, [pk.pack(u) for u, _ in units])
+               | {space.basis})
 
 
 def _unital_subalgebras(b: Algebra) -> Iterator[Subspace]:
@@ -961,14 +1003,6 @@ def _unital_subalgebras(b: Algebra) -> Iterator[Subspace]:
         del walk
 
 
-def _check_oracle_caps(b: Algebra):
-    if not b.field.is_finite or b.field.p not in ORACLE_PRIMES:
-        raise NotFiniteFieldError("oracle runs over F_2 and F_3 only")
-    if b.dim > ORACLE_DIM_CAP:
-        raise CapExceededError(
-            f"oracle caps at dimension {ORACLE_DIM_CAP}, got {b.dim}")
-
-
 def brute_force_maximal(b: Algebra) -> OracleResult:
     """Ground truth: all maximal subalgebras of a small finite algebra.
 
@@ -979,13 +1013,17 @@ def brute_force_maximal(b: Algebra) -> OracleResult:
     test is a packed `residual` of each row of s against a maximal one.
     Each maximal A not yet labelled is conjugated by one unit per coset
     u·A^× (`_orbit`), and its whole orbit gets the orbit's minimal echelon
-    basis as its conjugacy class key.  With the left-orbit `unit_group`
-    this took `fp-oracle` `wall_s` from 1.05 to 0.58 s (medians of 10
-    pairs, `BENCH_21.json`), the walk took it from 0.59 to 0.47 s
-    (`BENCH_23.json`), and packed vectors from 0.468 to 0.329 s
-    (`BENCH_26.json`; A3/F_3 of seed 1 from 50 to 32 ms).
+    basis as its conjugacy class key.  `fp-oracle` `wall_s`, medians of 10
+    pairs: 1.05 → 0.58 s with the left-orbit `unit_group` (`BENCH_21.json`),
+    0.59 → 0.47 s with the walk (`BENCH_23.json`), 0.468 → 0.329 s on packed
+    vectors (`BENCH_26.json`) and 0.325 → 0.292 s with packed eliminations
+    (`BENCH_29.json`).
     """
-    _check_oracle_caps(b)
+    if not b.field.is_finite or b.field.p not in ORACLE_PRIMES:
+        raise NotFiniteFieldError("oracle runs over F_2 and F_3 only")
+    if b.dim > ORACLE_DIM_CAP:
+        raise CapExceededError(
+            f"oracle caps at dimension {ORACLE_DIM_CAP}, got {b.dim}")
     pk = _packed(b.field.p, b.dim)
     maximal: list[Subspace] = []
     spans: list[tuple[int, list]] = []      # dim and `residual` steps
@@ -997,11 +1035,12 @@ def brute_force_maximal(b: Algebra) -> OracleResult:
             spans.append((s.dim, [pk.step(q, r)
                                   for q, r in zip(s.pivots, rows)]))
     units = unit_group(b)
+    packed = [pk.pack(u) for u, _ in units]
     labels: dict[tuple, tuple] = {}
     reps: dict[tuple, list[Subalgebra]] = {}
     for s in maximal:
         if s.basis not in labels:
-            orbit = _orbit(b, s, units)
+            orbit = _orbit(b, s, units, pk, packed)
             labels.update(dict.fromkeys(orbit, min(orbit)))
         reps.setdefault(labels[s.basis], []).append(Subalgebra(b, s))
     keys = sorted(reps)

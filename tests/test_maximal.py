@@ -39,6 +39,7 @@ from maxsub.algebra import (
 )
 from maxsub.errors import (
     CapExceededError,
+    DimensionError,
     InvalidInputError,
     NotFiniteFieldError,
     NotSplitError,
@@ -574,6 +575,34 @@ def test_packed_vectors_match_list_arithmetic(case):
     assert space.holds_ints(inside)
 
 
+@settings(max_examples=150, deadline=None)
+@given(case=packed_cases())
+# pivot entries 2 and 4 over F_5, rescaled to 1
+@example(case=(5, 3, [0, 2, 1], [0, 0, 0], [[2, 3, 0], [0, 4, 1]], [1, 1],
+               [[0] * 3] * 3, 0))
+def test_packed_echelon_matches_echelonize(case):
+    """`_Packed.lead` is the first nonzero entry and its value, and
+    `_Packed.echelon` gives the pivots and `int_basis` rows of
+    `echelonize`, or None on rows that are not independent (a row in the
+    span of the rows before it)."""
+    p, n, u, v, rows, coeffs, _, _ = case
+    pk = _packed(p, n)
+    for w in [u, v, *rows]:
+        entries = [c % p for c in w]
+        if any(entries):
+            q = next(i for i, c in enumerate(entries) if c)
+            assert pk.lead(pk.pack(w)) == (q, entries[q])
+    space = echelonize(rows, n, GF(p))
+    got = pk.echelon(map(pk.pack, rows))
+    if space.dim < len(rows):
+        assert got is None
+    else:
+        assert [q for q, _ in got] == list(space.pivots)
+        assert [tuple(pk.unpack(r)) for _, r in got] == list(space.int_basis[1])
+    inside = [sum(c * r[k] for c, r in zip(coeffs, rows)) for k in range(n)]
+    assert pk.echelon(map(pk.pack, rows + [inside])) is None
+
+
 def _orbit_min_loop(b, s, units):
     """Reference orbit key: the minimal echelon basis of s and of its
     conjugates by every unit, through `Algebra.multiply`."""
@@ -788,6 +817,38 @@ def test_orbit_rep_rejects_a_space_that_is_no_unital_subalgebra(m2f2, rows):
     space = echelonize(rows, 4, F2)
     with pytest.raises(InvalidInputError, match="unital subalgebra"):
         conjugacy_orbit_rep(m2f2, space, unit_group(m2f2))
+
+
+def test_orbit_rep_rejects_the_units_of_another_algebra(m2f2):
+    borel = subalgebra_from_rows(m2f2, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 0, 1]])
+    with pytest.raises(DimensionError, match="unit pair"):
+        conjugacy_orbit_rep(m2f2, borel.space, unit_group(kxkxm2(F2)))
+
+
+def test_orbit_rep_rejects_a_pair_that_is_no_unit(m2f2):
+    borel = subalgebra_from_rows(m2f2, [[1, 0, 0, 0], [0, 1, 0, 0],
+                                        [0, 0, 0, 1]])
+    units = [([0, 0, 0, 0], [0, 0, 0, 0])] + unit_group(m2f2)
+    with pytest.raises(InvalidInputError, match="u·u⁻¹ = 1"):
+        conjugacy_orbit_rep(m2f2, borel.space, units)
+
+
+def test_orbit_rep_over_f5_matches_the_every_unit_loop():
+    """M2/F5, where `_orbit` runs on w-bit fields, in the standard basis
+    and a random one: the Borel and the F_25 centralizer get the minimum
+    over all their conjugates."""
+    base = matrix_algebra(2, GF(5))
+    for b in (base, _in_basis(base, 5)):
+        units = unit_group(b)
+        wm = wedderburn_data(b)
+        kinds = []
+        for fam in enumerate_maximal_families(b, wm=wm):
+            s = instantiate_family(b, fam, wm=wm).space
+            assert conjugacy_orbit_rep(b, s, units) == _orbit_min_loop(
+                b, s, units)
+            kinds.append(fam.kind)
+        assert sorted(kinds) == ["block_triangular", "subfield_centralizer"]
 
 
 def test_orbit_rep_refuses_q(m2q):
